@@ -27,13 +27,10 @@
 //! after the sweep; `--shutdown` asks the server to exit once everything
 //! else is done.
 
-use std::collections::BTreeMap;
-use std::sync::Mutex;
-
 use svard_server::bridge;
 use svard_server::cli::{arg_flag, arg_list, arg_string, arg_u64, arg_usize};
 use svard_server::json::Json;
-use svard_server::protocol::{parse_defense, point_line};
+use svard_server::protocol::parse_defense;
 use svard_server::{run_job_with_retry, run_load_retrying, Client, GridSpec, RetryPolicy};
 
 fn grid_from_args(workers: usize) -> Result<GridSpec, String> {
@@ -112,20 +109,7 @@ fn chaos_check(
     prefix: &str,
     policy: RetryPolicy,
 ) -> Result<(usize, usize), String> {
-    let (harness, points) = bridge::build_harness(grid);
-    let collected: Mutex<BTreeMap<usize, String>> = Mutex::new(BTreeMap::new());
-    let _ = harness.evaluate_all_streamed(&points, |i, point, metrics| {
-        let mut map = match collected.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        map.insert(i, point_line("X", i, point, &metrics.to_json()));
-        true
-    });
-    let reference = match collected.into_inner() {
-        Ok(map) => map,
-        Err(poisoned) => poisoned.into_inner(),
-    };
+    let reference = bridge::reference_lines(grid, "X");
     let reference_metrics = bridge::merge_point_metrics(&reference).render();
     let reference_lines: Vec<String> = reference.into_values().collect();
 

@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use svard_core::Svard;
 use svard_cpusim::workload::WorkloadMix;
@@ -218,6 +218,23 @@ pub fn build_harness_with_profiler(
         });
     }
     (harness, points)
+}
+
+/// The point lines a fault-free server streams for `grid`, rendered under
+/// `job_id` and keyed by point index, computed in process with no server in
+/// the loop: the reference served lines are checked against.
+pub fn reference_lines(grid: &GridSpec, job_id: &str) -> BTreeMap<usize, String> {
+    let (harness, points) = build_harness(grid);
+    let lines = Mutex::new(BTreeMap::new());
+    let _ = harness.evaluate_all_streamed(&points, |i, point, metrics| {
+        let line = point_line(job_id, i, point, &metrics.to_json());
+        lines
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(i, line);
+        true
+    });
+    lines.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Merge the `metrics` objects of journaled point lines (in index order)

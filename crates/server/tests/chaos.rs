@@ -5,16 +5,13 @@
 //! own job; cancel-then-resubmit replays the completed prefix; a full queue
 //! answers `busy` instead of growing without bound.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::Mutex;
 use std::time::Duration;
 
 use svard_defenses::DefenseKind;
 use svard_server::bridge;
 use svard_server::chaos::ChaosRates;
 use svard_server::json::Json;
-use svard_server::protocol::point_line;
 use svard_server::{
     run_job_with_retry, serve, ChaosConfig, Client, GridSpec, RetryPolicy, ServerConfig,
     ServerHandle,
@@ -79,16 +76,7 @@ fn sorted(lines: &[String]) -> Vec<String> {
 
 /// The fault-free expectation, computed with no server in the loop.
 fn reference_sorted(grid: &GridSpec) -> Vec<String> {
-    let (harness, points) = bridge::build_harness(grid);
-    let collected: Mutex<BTreeMap<usize, String>> = Mutex::new(BTreeMap::new());
-    let _ = harness.evaluate_all_streamed(&points, |i, point, metrics| {
-        collected
-            .lock()
-            .unwrap()
-            .insert(i, point_line("X", i, point, &metrics.to_json()));
-        true
-    });
-    let lines: Vec<String> = collected.into_inner().unwrap().into_values().collect();
+    let lines: Vec<String> = bridge::reference_lines(grid, "X").into_values().collect();
     sorted(&lines)
 }
 

@@ -2,7 +2,6 @@
 //! point lines against a direct harness run at several worker counts, and
 //! kill-and-resume replay from the on-disk journal.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::mpsc::channel;
@@ -56,19 +55,9 @@ fn normalize(line: &str) -> String {
     record.render()
 }
 
-/// The expected wire lines for a grid, computed with no server in the loop:
-/// the harness streams straight into the shared `point_line` renderer.
+/// The expected wire lines for a grid, computed with no server in the loop.
 fn reference_lines(grid: &GridSpec) -> Vec<String> {
-    let (harness, points) = bridge::build_harness(grid);
-    let collected: Mutex<BTreeMap<usize, String>> = Mutex::new(BTreeMap::new());
-    let _ = harness.evaluate_all_streamed(&points, |i, point, metrics| {
-        collected
-            .lock()
-            .unwrap()
-            .insert(i, point_line("X", i, point, &metrics.to_json()));
-        true
-    });
-    collected.into_inner().unwrap().into_values().collect()
+    bridge::reference_lines(grid, "X").into_values().collect()
 }
 
 #[test]

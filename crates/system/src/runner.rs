@@ -1,19 +1,25 @@
 //! Running multiprogrammed mixes and collecting Fig. 12-style data points.
 //!
-//! # Fast-forwarding and parallel sweeps
+//! [`run_mix_with_sink`] simulates one mix cycle by cycle. In
+//! [`SimMode::FastForward`] it jumps over *stall windows* (no core can progress
+//! until the memory system's next event), advancing every counter exactly as
+//! per-cycle ticking would; [`run_mix`] and [`run_mix_percycle`] are its two
+//! sink-less modes, and the equivalence tests assert they agree.
 //!
-//! [`run_mix`] drives every core and the memory controller cycle by cycle, but
-//! fast-forwards over *stall windows*: whenever no core can make progress until
-//! the memory system's next event (completion, scheduling opportunity or
-//! refresh), the loop jumps straight to that event, with core cycle counters and
-//! memory statistics advanced exactly as per-cycle ticking would have.
-//! [`run_mix_percycle`] keeps the strictly per-cycle reference semantics; the
-//! equivalence tests assert both produce identical results.
+//! [`EvaluationHarness`] has one sweep core, the private `sweep`: it fans the
+//! selected `(point, mix)` simulations out across OS threads, times each as a
+//! `harness.sim_task` span, fills input-order slots and reduces each point over
+//! its mixes, in mix order, with the one reduction `mean_over_mixes`. Wrappers:
 //!
-//! [`EvaluationHarness`] fans its simulations out across OS threads. Every
-//! simulation derives its seeds from the configuration alone (workload traces
-//! from `config.seed`, defenses from `config.seed ^ hc_first`), so results are
-//! deterministic and independent of thread count and scheduling.
+//! - `evaluate_masked_streamed`: the core, streaming points to a callback that can cancel.
+//! - `evaluate_all_streamed`: `evaluate_masked_streamed` over every point.
+//! - `evaluate_all`: every point, no callback, results in input order.
+//! - `evaluate_all_profiled`: the core inside a `harness.sweep` span, plus a [`PhaseProfile`].
+//! - `evaluate_all_traced`: the core with a [`Recorder`] per simulation, plus the JSONL trace.
+//!
+//! Seeds come from the configuration alone (workload traces from `config.seed`,
+//! defenses from `config.seed ^ hc_first`), so results are deterministic and
+//! independent of thread count and scheduling.
 
 use svard_cpusim::metrics::SystemMetrics;
 use svard_cpusim::workload::{WorkloadMix, WorkloadSpec};
@@ -24,19 +30,10 @@ use svard_memsim::{CompletedRequest, MemStats, MemorySystem, MitigationHook, NoM
 use svard_obs::{MetricsSnapshot, NoopSink, ObsSink, PhaseProfile, Profiler, Recorder};
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use crate::config::SystemConfig;
 use crate::parallel;
-
-/// Shared bookkeeping of a streamed sweep: per-task result slots in input
-/// order, per-point outstanding-mix counters, and the running summary.
-struct StreamState {
-    slots: Vec<Option<(SystemMetrics, MetricsSnapshot)>>,
-    remaining: Vec<usize>,
-    results: Vec<Option<EvaluationPoint>>,
-    summary: MetricsSnapshot,
-}
 
 /// How the simulation loop advances time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -106,7 +103,7 @@ pub fn run_mix(
     config: &SystemConfig,
     mitigation: Box<dyn MitigationHook>,
 ) -> RunResult {
-    run_mix_with_mode(mix, config, mitigation, SimMode::FastForward)
+    run_mix_with_sink(mix, config, mitigation, SimMode::FastForward, NoopSink).0
 }
 
 /// [`run_mix`] with strictly per-cycle semantics (reference implementation).
@@ -115,23 +112,12 @@ pub fn run_mix_percycle(
     config: &SystemConfig,
     mitigation: Box<dyn MitigationHook>,
 ) -> RunResult {
-    run_mix_with_mode(mix, config, mitigation, SimMode::PerCycle)
-}
-
-/// Simulate one workload mix with an explicit [`SimMode`].
-pub fn run_mix_with_mode(
-    mix: &WorkloadMix,
-    config: &SystemConfig,
-    mitigation: Box<dyn MitigationHook>,
-    mode: SimMode,
-) -> RunResult {
-    run_mix_with_sink(mix, config, mitigation, mode, NoopSink).0
+    run_mix_with_sink(mix, config, mitigation, SimMode::PerCycle, NoopSink).0
 }
 
 /// Simulate one workload mix with an explicit [`SimMode`] and observability
 /// sink, returning the run result together with the sink (which owns any
-/// recorded event trace). With [`NoopSink`] this is exactly
-/// [`run_mix_with_mode`]; with a [`Recorder`] every issued command, refresh,
+/// recorded event trace). With a [`Recorder`] every issued command, refresh,
 /// preventive action and throttle decision is captured cycle-stamped.
 pub fn run_mix_with_sink<S: ObsSink>(
     mix: &WorkloadMix,
@@ -236,11 +222,38 @@ fn run_alone_with_mode(spec: &WorkloadSpec, config: &SystemConfig, mode: SimMode
         cores: 1,
         ..config.clone()
     };
-    run_mix_with_mode(&mix, &single, Box::new(NoMitigation), mode)
+    run_mix_with_sink(&mix, &single, Box::new(NoMitigation), mode, NoopSink)
+        .0
         .per_core_ipc
         .first()
         .copied()
         .unwrap_or(0.0)
+}
+
+/// One `(point, mix)` simulation of a sweep, with the mix's cached alone IPCs
+/// and no-defense baseline.
+struct Task<'a> {
+    p: usize,
+    m: usize,
+    point: &'a SweepPoint,
+    mix: &'a WorkloadMix,
+    alone: &'a [f64],
+    baseline: &'a SystemMetrics,
+}
+
+/// A finished task: metrics normalized to the mix's baseline, the run's
+/// canonical (`diag.*`-free) observability snapshot, and its sink.
+type TaskResult<S> = (SystemMetrics, MetricsSnapshot, S);
+
+/// A sweep's shared state, and its outcome once the fan-out returns: one slot
+/// per selected task and one per input point (`None` if masked out or never
+/// run), the canonical snapshot merged over the completed points, and the
+/// summed busy time of the completed tasks.
+struct Sweep<S> {
+    slots: Vec<Option<TaskResult<S>>>,
+    results: Vec<Option<EvaluationPoint>>,
+    summary: MetricsSnapshot,
+    busy_us: u64,
 }
 
 /// Evaluation harness that caches the per-mix alone-IPC vectors and baseline
@@ -281,13 +294,11 @@ impl EvaluationHarness {
     }
 
     /// [`with_threads_and_mode`](Self::with_threads_and_mode) with a
-    /// wall-clock span [`Profiler`]: the construction phases and every worker
-    /// task record spans (`harness.alone_runs`, `harness.alone_run`,
-    /// `harness.baseline_runs`, `harness.baseline_run`, `harness.sweep`,
-    /// `harness.sim_task`) into it, and the aggregate [`PhaseProfile`]s are
-    /// derived from the same timing source. Spans never feed back into
-    /// simulation state, so every result is bit-identical whether the
-    /// profiler is enabled or disabled.
+    /// wall-clock span [`Profiler`]: construction and every worker task record
+    /// `harness.*` spans into it (`alone_runs`/`alone_run`, `baseline_runs`/
+    /// `baseline_run`, `sweep`, `sim_task`), and the [`PhaseProfile`]s come from
+    /// the same clock reads. Spans never feed back into simulation state, so
+    /// every result is bit-identical with the profiler enabled or disabled.
     pub fn with_threads_mode_profiler(
         config: SystemConfig,
         mixes: Vec<WorkloadMix>,
@@ -298,94 +309,45 @@ impl EvaluationHarness {
         // Alone runs: the alone IPC depends only on the workload spec (the run is
         // single-core with a fixed seed), so simulate each distinct spec once and
         // share the result across every mix slot that uses it.
-        let slots: Vec<(usize, &WorkloadSpec)> = mixes
-            .iter()
-            .enumerate()
-            .flat_map(|(m, mix)| {
-                mix.workloads
-                    .iter()
-                    .take(config.cores)
-                    .map(move |spec| (m, spec))
-            })
-            .collect();
         let mut unique_specs: Vec<&WorkloadSpec> = Vec::new();
-        let spec_index: Vec<usize> = slots
-            .iter()
-            .map(|&(_, spec)| {
-                unique_specs
-                    .iter()
-                    .position(|&u| u == spec)
-                    .unwrap_or_else(|| {
-                        unique_specs.push(spec);
-                        unique_specs.len() - 1
-                    })
-            })
-            .collect();
-        // lint: allow(determinism) -- span profiling measures the harness, never simulation state
-        let alone_start = profiler.now_us();
-        let timed_alone = parallel::par_map(&unique_specs, threads, |i, &spec| {
-            // lint: allow(determinism) -- per-task busy time never feeds back into results
-            let task_start = profiler.now_us();
-            let ipc = run_alone_with_mode(spec, &config, mode);
-            // lint: allow(determinism) -- per-task busy time never feeds back into results
-            let task_us = profiler.now_us().saturating_sub(task_start);
-            profiler.record("harness.alone_run", task_start, task_us, i as u64);
-            (ipc, task_us)
-        });
-        // lint: allow(determinism) -- span profiling measures the harness, never simulation state
-        let alone_us = profiler.now_us().saturating_sub(alone_start);
-        profiler.record(
-            "harness.alone_runs",
-            alone_start,
-            alone_us,
-            unique_specs.len() as u64,
-        );
-        let alone_profile = PhaseProfile {
-            phase: "alone_runs",
-            wall_seconds: us_to_seconds(alone_us),
-            tasks: unique_specs.len(),
-            busy_seconds: timed_alone.iter().map(|&(_, us)| us_to_seconds(us)).sum(),
-            threads,
-        };
-        let unique_ipc: Vec<f64> = timed_alone.into_iter().map(|(ipc, _)| ipc).collect();
-        let mut alone_ipc: Vec<Vec<f64>> = vec![Vec::new(); mixes.len()];
-        for (&(m, _), &u) in slots.iter().zip(&spec_index) {
-            if let (Some(per_mix), Some(&ipc)) = (alone_ipc.get_mut(m), unique_ipc.get(u)) {
-                per_mix.push(ipc);
+        for mix in &mixes {
+            for spec in mix.workloads.iter().take(config.cores) {
+                if !unique_specs.contains(&spec) {
+                    unique_specs.push(spec);
+                }
             }
         }
-        // Baseline (no defense) runs: one task per mix.
-        // lint: allow(determinism) -- span profiling measures the harness, never simulation state
-        let baseline_start = profiler.now_us();
-        let timed_baseline = parallel::par_map(&mixes, threads, |m, mix| {
-            // lint: allow(determinism) -- per-task busy time never feeds back into results
-            let task_start = profiler.now_us();
-            let run = run_mix_with_mode(mix, &config, Box::new(NoMitigation), mode);
-            let alone = alone_ipc.get(m).map_or(&[] as &[f64], Vec::as_slice);
-            // lint: allow(determinism) -- per-task busy time never feeds back into results
-            let task_us = profiler.now_us().saturating_sub(task_start);
-            profiler.record("harness.baseline_run", task_start, task_us, m as u64);
-            (SystemMetrics::compute(alone, &run.per_core_ipc), task_us)
-        });
-        // lint: allow(determinism) -- span profiling measures the harness, never simulation state
-        let baseline_us = profiler.now_us().saturating_sub(baseline_start);
-        profiler.record(
-            "harness.baseline_runs",
-            baseline_start,
-            baseline_us,
-            mixes.len() as u64,
-        );
-        let baseline_profile = PhaseProfile {
-            phase: "baseline_runs",
-            wall_seconds: us_to_seconds(baseline_us),
-            tasks: mixes.len(),
-            busy_seconds: timed_baseline
-                .iter()
-                .map(|&(_, us)| us_to_seconds(us))
-                .sum(),
+        let (unique_ipc, alone_profile) = prep_phase(
+            &profiler,
             threads,
-        };
-        let baseline: Vec<SystemMetrics> = timed_baseline.into_iter().map(|(b, _)| b).collect();
+            "harness.alone_runs",
+            "harness.alone_run",
+            &unique_specs,
+            |_, &spec| run_alone_with_mode(spec, &config, mode),
+        );
+        let alone_ipc: Vec<Vec<f64>> = mixes
+            .iter()
+            .map(|mix| {
+                let specs = mix.workloads.iter().take(config.cores);
+                specs
+                    .filter_map(|spec| unique_specs.iter().position(|&u| u == spec))
+                    .filter_map(|u| unique_ipc.get(u).copied())
+                    .collect()
+            })
+            .collect();
+        // Baseline (no defense) runs: one task per mix.
+        let (baseline, baseline_profile) = prep_phase(
+            &profiler,
+            threads,
+            "harness.baseline_runs",
+            "harness.baseline_run",
+            &mixes,
+            |m, mix| {
+                let run = run_mix_with_sink(mix, &config, Box::new(NoMitigation), mode, NoopSink).0;
+                let alone = alone_ipc.get(m).map_or(&[] as &[f64], Vec::as_slice);
+                SystemMetrics::compute(alone, &run.per_core_ipc)
+            },
+        );
         Self {
             config,
             mixes,
@@ -422,63 +384,29 @@ impl EvaluationHarness {
         &self.profiler
     }
 
-    /// Evaluate one defense under one threshold provider, returning metrics
-    /// normalized to the no-defense baseline and averaged across mixes.
-    pub fn evaluate(
-        &self,
-        defense: DefenseKind,
-        provider: SharedThresholdProvider,
-        hc_first: u64,
-    ) -> EvaluationPoint {
-        let provider_name = provider.name().to_string();
-        match self
-            .evaluate_all(&[SweepPoint {
-                defense,
-                provider,
-                hc_first,
-            }])
-            .pop()
-        {
-            Some(point) => point,
-            // Unreachable: evaluate_all returns one point per input point.
-            None => EvaluationPoint {
-                defense,
-                provider: provider_name,
-                hc_first,
-                normalized: ZERO_METRICS,
-            },
-        }
-    }
-
     /// Evaluate a whole sweep, fanning the individual (point × mix) simulations
     /// out across worker threads. Results are returned in input order; every
     /// simulation seeds its defense from `config.seed ^ hc_first` and its traces
     /// from `config.seed`, so the output is bit-identical to a serial sweep.
     pub fn evaluate_all(&self, points: &[SweepPoint]) -> Vec<EvaluationPoint> {
-        let tasks = self.tasks(points);
-        let normalized = parallel::par_map(&tasks, self.threads, |_, &(p, m)| {
-            self.simulate_task(points, p, m, NoopSink).0
-        });
-        self.aggregate(points, &normalized)
+        let (results, _) = self.evaluate_all_streamed(points, |_, _, _| true);
+        results.into_iter().flatten().collect()
     }
 
-    /// [`evaluate_all`](Self::evaluate_all) with a [`Recorder`] sink per
-    /// simulation, additionally returning the event trace as JSON lines.
-    ///
-    /// Sections appear in input order — one header line per `(point, mix)`
-    /// task followed by that simulation's cycle-stamped events — and contain
-    /// only canonical (cycle-domain) events, so the returned bytes are
-    /// identical for any worker-thread count and for fast-forward vs.
-    /// per-cycle simulation.
+    /// [`evaluate_all`](Self::evaluate_all) with a [`Recorder`] per simulation,
+    /// plus the event trace as JSON lines: per `(point, mix)` task, in input
+    /// order, a section header and that run's canonical (cycle-domain) events,
+    /// so the bytes are identical for any thread count and either [`SimMode`].
     pub fn evaluate_all_traced(&self, points: &[SweepPoint]) -> (Vec<EvaluationPoint>, String) {
-        let tasks = self.tasks(points);
-        let outcomes = parallel::par_map(&tasks, self.threads, |_, &(p, m)| {
-            let (norm, _, sink) = self.simulate_task(points, p, m, Recorder::new());
-            (norm, sink)
-        });
+        let all = vec![true; points.len()];
+        let sweep = self.sweep(points, &all, Recorder::new, |_, _, _| true);
+        // Every point is selected, so slot `p * mixes + m` holds task `(p, m)`.
+        let sections = points
+            .iter()
+            .flat_map(|point| (0..self.mixes.len()).map(move |m| (point, m)));
         let mut trace = String::new();
-        for (&(p, m), (_, sink)) in tasks.iter().zip(&outcomes) {
-            let Some(point) = points.get(p) else { continue };
+        for ((point, m), slot) in sections.zip(&sweep.slots) {
+            let Some((_, _, sink)) = slot else { continue };
             trace.push_str(&format!(
                 "{{\"section\":{{\"defense\":\"{}\",\"provider\":\"{}\",\"hc_first\":{},\"mix\":{m}}}}}\n",
                 point.defense,
@@ -487,8 +415,7 @@ impl EvaluationHarness {
             ));
             trace.push_str(&sink.trace_jsonl());
         }
-        let normalized: Vec<SystemMetrics> = outcomes.iter().map(|(n, _)| *n).collect();
-        (self.aggregate(points, &normalized), trace)
+        (sweep.results.into_iter().flatten().collect(), trace)
     }
 
     /// [`evaluate_all`](Self::evaluate_all) plus a wall-clock profile of the
@@ -499,32 +426,12 @@ impl EvaluationHarness {
         &self,
         points: &[SweepPoint],
     ) -> (Vec<EvaluationPoint>, PhaseProfile) {
-        // lint: allow(determinism) -- span profiling measures the harness, never simulation state
-        let sweep_start = self.profiler.now_us();
-        let tasks = self.tasks(points);
-        let timed = parallel::par_map(&tasks, self.threads, |_, &(p, m)| {
-            // lint: allow(determinism) -- per-task busy time never feeds back into results
-            let task_start = self.profiler.now_us();
-            let (norm, _, _) = self.simulate_task(points, p, m, NoopSink);
-            // lint: allow(determinism) -- per-task busy time never feeds back into results
-            let task_us = self.profiler.now_us().saturating_sub(task_start);
-            self.profiler
-                .record("harness.sim_task", task_start, task_us, task_arg(p, m));
-            (norm, task_us)
+        let (all, tasks) = (vec![true; points.len()], points.len() * self.mixes.len());
+        let (sweep, wall_us) = timed(&self.profiler, "harness.sweep", tasks as u64, || {
+            self.sweep(points, &all, || NoopSink, |_, _, _| true)
         });
-        // lint: allow(determinism) -- span profiling measures the harness, never simulation state
-        let sweep_us = self.profiler.now_us().saturating_sub(sweep_start);
-        self.profiler
-            .record("harness.sweep", sweep_start, sweep_us, tasks.len() as u64);
-        let profile = PhaseProfile {
-            phase: "sweep",
-            wall_seconds: us_to_seconds(sweep_us),
-            tasks: tasks.len(),
-            busy_seconds: timed.iter().map(|&(_, us)| us_to_seconds(us)).sum(),
-            threads: self.threads,
-        };
-        let normalized: Vec<SystemMetrics> = timed.iter().map(|(n, _)| *n).collect();
-        (self.aggregate(points, &normalized), profile)
+        let profile = phase_profile("harness.sweep", wall_us, tasks, sweep.busy_us, self.threads);
+        (sweep.results.into_iter().flatten().collect(), profile)
     }
 
     /// [`evaluate_all`](Self::evaluate_all) that streams every completed
@@ -538,28 +445,21 @@ impl EvaluationHarness {
     where
         F: Fn(usize, &EvaluationPoint, &MetricsSnapshot) -> bool + Sync,
     {
-        let mask = vec![true; points.len()];
-        self.evaluate_masked_streamed(points, &mask, on_point)
+        self.evaluate_masked_streamed(points, &vec![true; points.len()], on_point)
     }
 
-    /// Evaluate the subset of `points` whose `run_point` flag is set,
-    /// streaming each completed [`EvaluationPoint`] through `on_point` the
-    /// moment its last mix simulation finishes — the entry point the sweep
-    /// server builds resumable jobs on.
+    /// Evaluate the points whose `run_point` flag is set, streaming each
+    /// through `on_point` the moment its last mix finishes — the entry point
+    /// the sweep server builds resumable jobs on. Every completed point is
+    /// **bit-identical** to the [`evaluate_all`](Self::evaluate_all) output.
     ///
-    /// Every completed point's values are **bit-identical** to the
-    /// corresponding [`evaluate_all`](Self::evaluate_all) output: per-mix
-    /// results land in input-order slots and are reduced in mix order, so the
-    /// f64 addition sequence matches the batch path exactly, regardless of
-    /// worker count or completion order. `on_point` receives the point index,
-    /// the finished point, and the canonical [`MetricsSnapshot`] merged over
-    /// that point's mixes; returning `false` cancels the sweep (in-flight
-    /// simulations finish, no new ones start). Callbacks are serialized under
-    /// an internal lock — keep them fast and non-blocking.
+    /// `on_point` receives the point index, the point, and the canonical
+    /// [`MetricsSnapshot`] merged over its mixes; returning `false` cancels
+    /// the sweep (in-flight simulations finish, no new ones start). Callbacks
+    /// are serialized under an internal lock — keep them fast.
     ///
-    /// Returns one slot per input point (`None` for masked-out points and for
-    /// points not completed before a cancellation) plus the merged canonical
-    /// snapshot over all completed points.
+    /// Returns one slot per input point (`None` if masked out or not completed
+    /// before a cancellation) and the snapshot merged over completed points.
     pub fn evaluate_masked_streamed<F>(
         &self,
         points: &[SweepPoint],
@@ -569,181 +469,180 @@ impl EvaluationHarness {
     where
         F: Fn(usize, &EvaluationPoint, &MetricsSnapshot) -> bool + Sync,
     {
+        let sweep = self.sweep(points, run_point, || NoopSink, on_point);
+        (sweep.results, sweep.summary)
+    }
+
+    /// The sweep core behind every `evaluate*` entry point: simulate every
+    /// mix of each point whose `run_point` flag is set, with a fresh sink
+    /// from `new_sink` per simulation, fanned out across the worker threads.
+    /// When a point's last mix finishes, it is reduced by
+    /// [`mean_over_mixes`] and handed to `on_point`; returning `false`
+    /// cancels the sweep.
+    fn sweep<S, N, F>(
+        &self,
+        points: &[SweepPoint],
+        run_point: &[bool],
+        new_sink: N,
+        on_point: F,
+    ) -> Sweep<S>
+    where
+        S: ObsSink + Send,
+        N: Fn() -> S + Sync,
+        F: Fn(usize, &EvaluationPoint, &MetricsSnapshot) -> bool + Sync,
+    {
         let n_mixes = self.mixes.len();
-        let results: Vec<Option<EvaluationPoint>> = vec![None; points.len()];
-        // Position of each selected point among the selected set (slot base).
-        let mut sel_pos: Vec<Option<usize>> = vec![None; points.len()];
-        let mut tasks: Vec<(usize, usize)> = Vec::new();
-        for p in 0..points.len() {
-            if run_point.get(p).copied().unwrap_or(false) {
-                if let Some(slot) = sel_pos.get_mut(p) {
-                    *slot = Some(tasks.len() / n_mixes.max(1));
-                }
-                tasks.extend((0..n_mixes).map(|m| (p, m)));
-            }
-        }
-        if n_mixes == 0 {
-            return (results, MetricsSnapshot::default());
-        }
-        let state = Mutex::new(StreamState {
+        let tasks: Vec<Task<'_>> = points
+            .iter()
+            .enumerate()
+            .filter(|&(p, _)| run_point.get(p).copied().unwrap_or(false))
+            .flat_map(|(p, point)| {
+                let per_mix = self.mixes.iter().zip(&self.alone_ipc).zip(&self.baseline);
+                per_mix
+                    .enumerate()
+                    .map(move |(m, ((mix, alone), baseline))| Task {
+                        p,
+                        m,
+                        point,
+                        mix,
+                        alone,
+                        baseline,
+                    })
+            })
+            .collect();
+        let state = Mutex::new(Sweep {
             slots: (0..tasks.len()).map(|_| None).collect(),
-            remaining: vec![n_mixes; tasks.len() / n_mixes],
-            results,
+            results: vec![None; points.len()],
             summary: MetricsSnapshot::default(),
+            busy_us: 0,
         });
         let cancel = AtomicBool::new(false);
-        parallel::par_for_each(&tasks, self.threads, &cancel, |t, &(p, m)| {
-            // lint: allow(determinism) -- per-task busy time never feeds back into results
-            let task_start = self.profiler.now_us();
-            let (norm, metrics, _) = self.simulate_task(points, p, m, NoopSink);
-            // lint: allow(determinism) -- per-task busy time never feeds back into results
-            let task_us = self.profiler.now_us().saturating_sub(task_start);
-            self.profiler
-                .record("harness.sim_task", task_start, task_us, task_arg(p, m));
-            let (Some(point), Some(&Some(si))) = (points.get(p), sel_pos.get(p)) else {
-                return;
-            };
-            // lint: allow(panic) -- poisoned only if a worker panicked; propagating is correct
-            let mut st = state.lock().unwrap();
+        parallel::par_for_each(&tasks, self.threads, &cancel, |t, task| {
+            // Span argument: point index in the high 32 bits, mix in the low.
+            let arg = ((task.p as u64) << 32) | (task.m as u64 & 0xffff_ffff);
+            let (outcome, us) = timed(&self.profiler, "harness.sim_task", arg, || {
+                self.simulate(task, new_sink())
+            });
+            // lint: allow(panic) -- poisoned only if a callback panicked; propagate that panic
+            let mut st = state.lock().expect("a sweep callback panicked");
+            st.busy_us += us;
             if let Some(slot) = st.slots.get_mut(t) {
-                *slot = Some((norm, metrics));
+                *slot = Some(outcome);
             }
-            match st.remaining.get_mut(si) {
-                Some(rem) if *rem > 0 => {
-                    *rem -= 1;
-                    if *rem > 0 {
-                        return;
-                    }
-                }
-                _ => return,
+            // A point's tasks fill `n_mixes` adjacent slots, mix `m` at `m`;
+            // the task that fills the last empty one reduces the point.
+            let first = t - task.m;
+            let per_mix = st.slots.get(first..first + n_mixes).unwrap_or_default();
+            if per_mix.is_empty() || per_mix.iter().any(Option::is_none) {
+                return;
             }
-            // Last mix of this point: reduce in mix order (the same f64
-            // addition sequence as `aggregate`) and stream the result.
-            let base = si * n_mixes;
-            let mut sums = ZERO_METRICS;
-            let mut point_metrics = MetricsSnapshot::default();
-            for m in 0..n_mixes {
-                if let Some(Some((norm, snap))) = st.slots.get(base + m) {
-                    sums.weighted_speedup += norm.weighted_speedup;
-                    sums.harmonic_speedup += norm.harmonic_speedup;
-                    sums.max_slowdown += norm.max_slowdown;
-                    point_metrics.merge(snap);
-                }
-            }
-            let n = n_mixes as f64;
-            let done = EvaluationPoint {
-                defense: point.defense,
-                provider: point.provider.name().to_string(),
-                hc_first: point.hc_first,
-                normalized: SystemMetrics {
-                    weighted_speedup: sums.weighted_speedup / n,
-                    harmonic_speedup: sums.harmonic_speedup / n,
-                    max_slowdown: sums.max_slowdown / n,
-                },
-            };
+            let (done, point_metrics) = mean_over_mixes(task.point, per_mix);
             st.summary.merge(&point_metrics);
-            if !on_point(p, &done, &point_metrics) {
+            if !on_point(task.p, &done, &point_metrics) {
                 cancel.store(true, Ordering::Release);
             }
-            if let Some(slot) = st.results.get_mut(p) {
+            if let Some(slot) = st.results.get_mut(task.p) {
                 *slot = Some(done);
             }
         });
-        // lint: allow(panic) -- poisoned only if a worker panicked; propagating is correct
-        let st = state.into_inner().unwrap();
-        (st.results, st.summary)
+        state.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The flattened `(point, mix)` work list of a sweep, in input order.
-    fn tasks(&self, points: &[SweepPoint]) -> Vec<(usize, usize)> {
-        let n_mixes = self.mixes.len();
-        (0..points.len())
-            .flat_map(|p| (0..n_mixes).map(move |m| (p, m)))
-            .collect()
-    }
-
-    /// Simulate one `(point, mix)` task with the given sink, returning the
-    /// metrics normalized to that mix's no-defense baseline together with the
-    /// run's canonical observability snapshot (mode-independent: `diag.*`
-    /// diagnostics are stripped).
-    fn simulate_task<S: ObsSink>(
-        &self,
-        points: &[SweepPoint],
-        p: usize,
-        m: usize,
-        sink: S,
-    ) -> (SystemMetrics, MetricsSnapshot, S) {
-        let (Some(point), Some(mix), Some(alone), Some(base)) = (
-            points.get(p),
-            self.mixes.get(m),
-            self.alone_ipc.get(m),
-            self.baseline.get(m),
-        ) else {
-            // Unreachable: tasks() only produces in-range indices.
-            return (ZERO_METRICS, MetricsSnapshot::default(), sink);
-        };
-        let mitigation = point.defense.build(
-            point.provider.clone(),
+    /// Simulate one task with the given sink (see [`TaskResult`]).
+    fn simulate<S: ObsSink>(&self, task: &Task<'_>, sink: S) -> TaskResult<S> {
+        let mitigation = task.point.defense.build(
+            task.point.provider.clone(),
             self.config.memory.geometry.rows_per_bank,
-            self.config.seed ^ point.hc_first,
+            self.config.seed ^ task.point.hc_first,
         );
-        let (run, sink) = run_mix_with_sink(mix, &self.config, mitigation, self.mode, sink);
-        let metrics = SystemMetrics::compute(alone, &run.per_core_ipc);
-        (metrics.normalized_to(base), run.metrics.canonical(), sink)
-    }
-
-    /// Average the per-task normalized metrics over mixes, one result per
-    /// sweep point, in input order.
-    fn aggregate(
-        &self,
-        points: &[SweepPoint],
-        normalized: &[SystemMetrics],
-    ) -> Vec<EvaluationPoint> {
-        let n_mixes = self.mixes.len();
-        points
-            .iter()
-            .enumerate()
-            .map(|(p, point)| {
-                let mut sums = ZERO_METRICS;
-                for m in 0..n_mixes {
-                    if let Some(norm) = normalized.get(p * n_mixes + m) {
-                        sums.weighted_speedup += norm.weighted_speedup;
-                        sums.harmonic_speedup += norm.harmonic_speedup;
-                        sums.max_slowdown += norm.max_slowdown;
-                    }
-                }
-                let n = n_mixes as f64;
-                EvaluationPoint {
-                    defense: point.defense,
-                    provider: point.provider.name().to_string(),
-                    hc_first: point.hc_first,
-                    normalized: SystemMetrics {
-                        weighted_speedup: sums.weighted_speedup / n,
-                        harmonic_speedup: sums.harmonic_speedup / n,
-                        max_slowdown: sums.max_slowdown / n,
-                    },
-                }
-            })
-            .collect()
+        let (run, sink) = run_mix_with_sink(task.mix, &self.config, mitigation, self.mode, sink);
+        let metrics = SystemMetrics::compute(task.alone, &run.per_core_ipc);
+        (
+            metrics.normalized_to(task.baseline),
+            run.metrics.canonical(),
+            sink,
+        )
     }
 }
 
-/// All-zero metrics, used as the fallback for unreachable index paths.
-const ZERO_METRICS: SystemMetrics = SystemMetrics {
-    weighted_speedup: 0.0,
-    harmonic_speedup: 0.0,
-    max_slowdown: 0.0,
-};
-
-/// Microseconds to seconds, for [`PhaseProfile`] output.
-fn us_to_seconds(us: u64) -> f64 {
-    us as f64 / 1e6
+/// The one mean over mixes: average a point's per-mix normalized metrics in
+/// mix order and merge their snapshots. Every sweep entry point reduces
+/// through here, so all of them add the same f64s in the same sequence.
+fn mean_over_mixes<S>(
+    point: &SweepPoint,
+    per_mix: &[Option<TaskResult<S>>],
+) -> (EvaluationPoint, MetricsSnapshot) {
+    let (mut weighted, mut harmonic, mut slowdown) = (0.0, 0.0, 0.0);
+    let mut metrics = MetricsSnapshot::default();
+    for (norm, snapshot, _) in per_mix.iter().flatten() {
+        weighted += norm.weighted_speedup;
+        harmonic += norm.harmonic_speedup;
+        slowdown += norm.max_slowdown;
+        metrics.merge(snapshot);
+    }
+    let n = per_mix.len() as f64;
+    let done = EvaluationPoint {
+        defense: point.defense,
+        provider: point.provider.name().to_string(),
+        hc_first: point.hc_first,
+        normalized: SystemMetrics {
+            weighted_speedup: weighted / n,
+            harmonic_speedup: harmonic / n,
+            max_slowdown: slowdown / n,
+        },
+    };
+    (done, metrics)
 }
 
-/// Span argument encoding one `(point, mix)` task: point index in the high
-/// 32 bits, mix index in the low 32.
-fn task_arg(p: usize, m: usize) -> u64 {
-    ((p as u64) << 32) | (m as u64 & 0xffff_ffff)
+/// One construction phase: `f` over `items` on up to `threads` workers, each
+/// task recorded as span `task_span` and the whole phase as `phase_span`.
+/// Returns the results in input order and the phase's [`PhaseProfile`].
+fn prep_phase<T: Sync, R: Send>(
+    profiler: &Profiler,
+    threads: usize,
+    phase_span: &'static str,
+    task_span: &'static str,
+    items: &[T],
+    f: impl Fn(usize, &T) -> R + Sync,
+) -> (Vec<R>, PhaseProfile) {
+    let (timed_tasks, wall_us) = timed(profiler, phase_span, items.len() as u64, || {
+        parallel::par_map(items, threads, |i, item| {
+            timed(profiler, task_span, i as u64, || f(i, item))
+        })
+    });
+    let busy_us = timed_tasks.iter().map(|&(_, us)| us).sum();
+    let results = timed_tasks.into_iter().map(|(r, _)| r).collect();
+    let profile = phase_profile(phase_span, wall_us, items.len(), busy_us, threads);
+    (results, profile)
+}
+
+/// Run `f`, recording it as span `name` with argument `arg`; returns its
+/// result and wall time in microseconds. The harness's only clock reads.
+fn timed<R>(profiler: &Profiler, name: &'static str, arg: u64, f: impl FnOnce() -> R) -> (R, u64) {
+    // lint: allow(determinism) -- span timing measures the harness, never simulation state
+    let start = profiler.now_us();
+    let out = f();
+    // lint: allow(determinism) -- span timing measures the harness, never simulation state
+    let us = profiler.now_us().saturating_sub(start);
+    profiler.record(name, start, us, arg);
+    (out, us)
+}
+
+/// The [`PhaseProfile`] of a phase timed as span `span` (`harness.<phase>`).
+fn phase_profile(
+    span: &'static str,
+    wall_us: u64,
+    tasks: usize,
+    busy_us: u64,
+    threads: usize,
+) -> PhaseProfile {
+    PhaseProfile {
+        phase: span.strip_prefix("harness.").unwrap_or(span),
+        wall_seconds: wall_us as f64 / 1e6,
+        tasks,
+        busy_seconds: busy_us as f64 / 1e6,
+        threads,
+    }
 }
 
 #[cfg(test)]
@@ -831,12 +730,8 @@ mod tests {
     fn aggressive_defense_at_low_threshold_costs_performance() {
         let config = SystemConfig::tiny();
         let harness = EvaluationHarness::new(config, tiny_mixes(2));
-        let strict = harness.evaluate(DefenseKind::Para, Arc::new(UniformThreshold::new(64)), 64);
-        let relaxed = harness.evaluate(
-            DefenseKind::Para,
-            Arc::new(UniformThreshold::new(64 * 1024)),
-            64 * 1024,
-        );
+        let results = harness.evaluate_all(&para_points(&[64, 64 * 1024]));
+        let (strict, relaxed) = (&results[0], &results[1]);
         assert!(strict.normalized.weighted_speedup <= relaxed.normalized.weighted_speedup + 0.02);
         assert!(relaxed.normalized.weighted_speedup > 0.9);
         assert!(strict.normalized.weighted_speedup <= 1.01);

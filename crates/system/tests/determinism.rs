@@ -150,20 +150,33 @@ fn span_instrumentation_never_perturbs_results_or_the_canonical_trace() {
     );
 
     // And the instrumented harness really did record spans — the guarantee
-    // above is not vacuous. Construction records per-task prep spans; the
-    // profiled sweep path records one `harness.sim_task` per (point, mix)
-    // and yields the same results again.
+    // above is not vacuous. Construction records phase and per-task prep
+    // spans; the profiled sweep path records its phase span plus one
+    // `harness.sim_task` per (point, mix) and yields the same results again.
     let (profiled_results, _) = instrumented.evaluate_all_profiled(&points);
     assert_eq!(dark_results, profiled_results, "profiled sweep diverged");
     let spans = instrumented.profiler().snapshot_spans();
     for name in [
+        "harness.alone_runs",
         "harness.alone_run",
+        "harness.baseline_runs",
         "harness.baseline_run",
+        "harness.sweep",
         "harness.sim_task",
     ] {
         assert!(
             spans.iter().any(|s| s.name == name),
             "no {name} spans recorded"
+        );
+    }
+    // The harness passes span names through a helper, where the lint's
+    // metric-name rule cannot see them, so check the catalogue here.
+    let catalog = include_str!("../../obs/README.md");
+    for span in &spans {
+        assert!(
+            catalog.contains(&format!("`{}`", span.name)),
+            "span {} is not in the obs catalogue",
+            span.name
         );
     }
 }

@@ -7,7 +7,7 @@
 use svard_repro::core::Svard;
 use svard_repro::cpusim::workload::WorkloadMix;
 use svard_repro::defenses::DefenseKind;
-use svard_repro::system::{EvaluationHarness, SystemConfig};
+use svard_repro::system::{EvaluationHarness, SweepPoint, SystemConfig};
 use svard_repro::vulnerability::{ModuleSpec, ProfileGenerator};
 
 fn main() {
@@ -28,15 +28,21 @@ fn main() {
             ("No Svärd", svard.baseline_provider()),
             ("Svärd-S0", svard.provider()),
         ] {
-            let point = harness.evaluate(defense, provider, hc_first);
-            println!(
-                "{:<14} {:<11} {:>8.3}  {:>8.3}  {:>12.3}",
-                defense.to_string(),
-                name,
-                point.normalized.weighted_speedup,
-                point.normalized.harmonic_speedup,
-                point.normalized.max_slowdown
-            );
+            let point = SweepPoint {
+                defense,
+                provider,
+                hc_first,
+            };
+            for result in harness.evaluate_all(&[point]) {
+                println!(
+                    "{:<14} {:<11} {:>8.3}  {:>8.3}  {:>12.3}",
+                    defense.to_string(),
+                    name,
+                    result.normalized.weighted_speedup,
+                    result.normalized.harmonic_speedup,
+                    result.normalized.max_slowdown
+                );
+            }
         }
     }
     println!("\nHigher weighted/harmonic speedup and lower max slowdown are better;");

@@ -10,7 +10,7 @@ use svard_repro::cpusim::workload::WorkloadMix;
 use svard_repro::defenses::provider::UniformThreshold;
 use svard_repro::defenses::DefenseKind;
 use svard_repro::dram::address::BankId;
-use svard_repro::system::{runner::run_mix, EvaluationHarness, SystemConfig};
+use svard_repro::system::{runner::run_mix, EvaluationHarness, SweepPoint, SystemConfig};
 use svard_repro::vulnerability::{ModuleSpec, ProfileGenerator};
 
 /// The characterization pipeline measures what the generative model planted:
@@ -85,8 +85,14 @@ fn defended_system_runs_and_svard_reduces_overhead() {
         DefenseKind::Rrs,
         DefenseKind::BlockHammer,
     ] {
-        let without = harness.evaluate(defense, svard.baseline_provider(), 64);
-        let with = harness.evaluate(defense, svard.provider(), 64);
+        let point = |provider| SweepPoint {
+            defense,
+            provider,
+            hc_first: 64,
+        };
+        let results =
+            harness.evaluate_all(&[point(svard.baseline_provider()), point(svard.provider())]);
+        let (without, with) = (&results[0], &results[1]);
         assert!(
             with.normalized.weighted_speedup >= without.normalized.weighted_speedup - 0.05,
             "{defense}: Svärd {:.3} vs No Svärd {:.3}",
