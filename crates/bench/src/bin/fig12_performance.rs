@@ -35,18 +35,18 @@ fn main() {
         "# preparing harness: {} mixes x {} cores x {} instructions",
         mixes, config.cores, instructions
     );
-    // `--threads N` and `--percycle` pin the worker count and simulation mode;
-    // results and `--trace` output are bit-identical across all combinations.
+    // `--threads N` pins the worker count; results and `--trace` output are
+    // bit-identical at any count.
     let threads = match arg_usize("threads", 0) {
         0 => svard_system::parallel::default_threads(),
         n => n,
     };
-    let mode = if arg_flag("percycle") {
-        SimMode::PerCycle
-    } else {
-        SimMode::FastForward
-    };
-    let harness = EvaluationHarness::with_threads_and_mode(config, workload_mixes, threads, mode);
+    let harness = EvaluationHarness::with_threads_and_mode(
+        config,
+        workload_mixes,
+        threads,
+        SimMode::FastForward,
+    );
 
     // Per-manufacturer Svärd profiles (S0, M0, H1), plus the No-Svärd baseline.
     let profiles: Vec<_> = ["S0", "M0", "H1"]

@@ -70,7 +70,19 @@ impl MemStats {
     /// the single reduction path shared with sink-recorded metrics.
     pub fn to_metrics(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
-        let pairs: [(&'static str, u64); 14] = [
+        for (name, value) in self.metric_pairs() {
+            snap.add_counter(name, value);
+        }
+        snap
+    }
+
+    /// Every counter name [`MemStats::to_metrics`] can export.
+    pub fn metric_names() -> [&'static str; 14] {
+        MemStats::default().metric_pairs().map(|(name, _)| name)
+    }
+
+    fn metric_pairs(&self) -> [(&'static str, u64); 14] {
+        [
             ("mem.reads_completed", self.reads_completed),
             ("mem.writes_completed", self.writes_completed),
             ("mem.row_hits", self.row_hits),
@@ -85,11 +97,7 @@ impl MemStats {
             ("mem.throttle_stalls", self.throttle_stalls),
             ("mem.total_read_latency", self.total_read_latency),
             ("mem.cycles", self.cycles),
-        ];
-        for (name, value) in pairs {
-            snap.add_counter(name, value);
-        }
-        snap
+        ]
     }
 }
 

@@ -219,15 +219,22 @@ impl EventKind {
     }
 }
 
+/// Every metric name in the catalogue: counters, then gauges, then
+/// histograms, each in slot order.
+pub fn names() -> impl Iterator<Item = &'static str> {
+    let counters = Counter::ALL.map(Counter::name).into_iter();
+    counters
+        .chain(Gauge::ALL.map(Gauge::name))
+        .chain(Hist::ALL.map(Hist::name))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn catalogue_names_are_unique_and_slot_order_matches() {
-        let mut names: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
-        names.extend(Gauge::ALL.iter().map(|g| g.name()));
-        names.extend(Hist::ALL.iter().map(|h| h.name()));
+        let names: Vec<&str> = names().collect();
         let mut sorted = names.to_vec();
         sorted.sort_unstable();
         sorted.dedup();

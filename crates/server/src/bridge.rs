@@ -20,14 +20,14 @@ use std::sync::{Arc, Mutex, PoisonError};
 use svard_core::Svard;
 use svard_cpusim::workload::WorkloadMix;
 use svard_defenses::{SharedThresholdProvider, UniformThreshold};
-use svard_obs::{PhaseProfile, Profiler};
+use svard_obs::{HistogramSnapshot, MetricsSnapshot, PhaseProfile, Profiler};
 use svard_system::parallel::default_threads;
-use svard_system::{EvaluationHarness, SimMode, SweepPoint, SystemConfig};
+use svard_system::{EvaluationHarness, MemStats, SimMode, SweepPoint, SystemConfig};
 use svard_vulnerability::{ModuleSpec, ProfileGenerator};
 
 use crate::chaos::{FaultPlan, FaultSite};
 use crate::jobstore::{JobJournal, JobStore};
-use crate::json::{merge_metric_objects, Json};
+use crate::json::Json;
 use crate::protocol::{
     accepted_line, cancelled_line, point_line, summary_line, GridSpec, PROVIDER_NONE,
 };
@@ -238,20 +238,53 @@ pub fn reference_lines(grid: &GridSpec, job_id: &str) -> BTreeMap<usize, String>
 }
 
 /// Merge the `metrics` objects of journaled point lines (in index order)
-/// into one summary object — the JSON-domain mirror of
-/// `MetricsSnapshot::merge`, so a resumed job's summary is byte-identical
-/// to a fresh run's.
+/// into one summary object with `MetricsSnapshot::merge`, so a resumed
+/// job's summary is byte-identical to a fresh run's. A line that does not
+/// parse, or whose metrics do not convert, is skipped.
 pub fn merge_point_metrics(completed: &BTreeMap<usize, String>) -> Json {
-    let mut merged = Json::Obj(BTreeMap::new());
+    let mut merged = MetricsSnapshot::default();
     for line in completed.values() {
-        if let Some(metrics) = Json::parse(line)
-            .ok()
-            .and_then(|r| r.get("metrics").cloned())
-        {
-            merge_metric_objects(&mut merged, &metrics);
+        let record = Json::parse(line).ok();
+        if let Some(metrics) = record.and_then(|r| metrics_snapshot(r.get("metrics")?)) {
+            merged.merge(&metrics);
         }
     }
-    merged
+    Json::parse(&merged.to_json()).unwrap_or(Json::Null)
+}
+
+/// Convert a rendered `MetricsSnapshot::to_json` object back into a
+/// snapshot. `None` if any part is malformed or names an unknown metric.
+fn metrics_snapshot(metrics: &Json) -> Option<MetricsSnapshot> {
+    let mut snap = MetricsSnapshot::default();
+    for (name, value) in metrics.get("counters")?.as_object()? {
+        snap.counters.insert(known_name(name)?, value.as_u64()?);
+    }
+    for (name, value) in metrics.get("gauges")?.as_object()? {
+        snap.gauges.insert(known_name(name)?, value.as_u64()?);
+    }
+    for (name, hist) in metrics.get("hists")?.as_object()? {
+        let mut buckets = vec![0; svard_obs::metrics::HIST_BUCKETS];
+        for pair in hist.get("buckets")?.as_array()? {
+            let [log2, n] = pair.as_array()? else {
+                return None;
+            };
+            *buckets.get_mut(log2.as_usize()?)? = n.as_u64()?;
+        }
+        let hist = HistogramSnapshot {
+            buckets,
+            count: hist.get("count")?.as_u64()?,
+            sum: hist.get("sum")?.as_u64()?,
+        };
+        snap.hists.insert(known_name(name)?, hist);
+    }
+    Some(snap)
+}
+
+/// Resolve a metric name against every name a run can record: the
+/// `svard-obs` catalogue plus the `mem.*` counters of `MemStats`.
+fn known_name(name: &str) -> Option<&'static str> {
+    let mut names = svard_obs::catalog::names().chain(MemStats::metric_names());
+    names.find(|known| *known == name)
 }
 
 fn send(out: &Sender<String>, line: String) -> bool {
@@ -468,6 +501,7 @@ struct StreamSink {
 mod tests {
     use super::*;
     use std::sync::mpsc::channel;
+    use svard_obs::{Counter, Gauge, Hist};
 
     fn tiny_grid() -> GridSpec {
         GridSpec {
@@ -757,5 +791,41 @@ mod tests {
         }
         obs.on_point("wd", 20, 21, 100, timing(1_000_000));
         assert_eq!(quiet.snapshot().counter("server.watchdog_slow_points"), 0);
+    }
+
+    #[test]
+    fn journaled_metrics_convert_back_to_the_same_snapshot() {
+        let mut snap = MetricsSnapshot::default();
+        for (i, name) in MemStats::metric_names().into_iter().enumerate() {
+            snap.add_counter(name, i as u64);
+        }
+        snap.add_counter(Counter::MemCmdIssued.name(), 7);
+        snap.counters.insert(Counter::DefenseSwaps.name(), 0);
+        snap.raise_gauge(Gauge::ALL[0].name(), 9);
+        for v in [0, 5, 900, u64::MAX] {
+            snap.observe_hist(Hist::ALL[0].name(), v);
+        }
+        let line = format!("{{\"metrics\":{}}}", snap.to_json());
+        let record = Json::parse(&line).unwrap();
+        let converted = metrics_snapshot(record.get("metrics").unwrap());
+        assert_eq!(converted, Some(snap.clone()));
+
+        // A line naming an unknown metric does not convert and is skipped.
+        let bogus = line.replace("mem.cmd_issued", "mem.bogus");
+        let completed = BTreeMap::from([(0, line.clone()), (1, bogus), (2, line)]);
+        let mut doubled = snap.clone();
+        doubled.merge(&snap);
+        let expected = Json::parse(&doubled.to_json()).unwrap();
+        assert_eq!(merge_point_metrics(&completed), expected);
+    }
+
+    #[test]
+    fn merged_point_lines_match_the_harness_summary() {
+        let grid = tiny_grid();
+        let (harness, points) = build_harness(&grid);
+        let (_, summary) = harness.evaluate_all_streamed(&points, |_, _, _| true);
+        assert!(summary.counter("mem.cycles") > 0);
+        let merged = merge_point_metrics(&reference_lines(&grid, "m"));
+        assert_eq!(merged, Json::parse(&summary.to_json()).unwrap());
     }
 }

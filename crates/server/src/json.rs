@@ -9,6 +9,11 @@
 
 use std::collections::BTreeMap;
 
+/// Deepest array/object nesting [`Json::parse`] accepts, so no input can
+/// overflow the parser's stack. The deepest legitimate frame is a point or
+/// summary line, whose histogram bucket pairs sit 6 levels deep.
+const MAX_DEPTH: usize = 64;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -33,7 +38,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -205,8 +210,15 @@ fn expect_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Resu
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse the value at `pos`, inside `depth` enclosing arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth >= MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => expect_literal(bytes, pos, "null", Json::Null),
@@ -215,8 +227,8 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         Some(b'N') => expect_literal(bytes, pos, "NaN", Json::Num(f64::NAN)),
         Some(b'i') => expect_literal(bytes, pos, "inf", Json::Num(f64::INFINITY)),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'{') => parse_object(bytes, pos),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
         Some(_) => parse_number(bytes, pos),
     }
 }
@@ -309,7 +321,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -318,7 +330,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -331,7 +343,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '{'
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -350,7 +362,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected ':' at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -362,82 +374,6 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
         }
     }
-}
-
-/// Merge one rendered [`svard_obs::MetricsSnapshot`] object into another in
-/// the JSON domain, mirroring `MetricsSnapshot::merge` exactly: counters
-/// add, gauges keep the max, histogram `count`/`sum` add and buckets add
-/// per log2 index. This is how a resumed job folds journaled point metrics
-/// (where only the JSON survives the restart) into its summary without
-/// changing a single byte relative to a fresh run.
-pub fn merge_metric_objects(acc: &mut Json, other: &Json) {
-    let (Json::Obj(acc_map), Json::Obj(other_map)) = (acc, other) else {
-        return;
-    };
-    for family in ["counters", "gauges", "hists"] {
-        let Some(Json::Obj(theirs)) = other_map.get(family) else {
-            continue;
-        };
-        let mine = acc_map
-            .entry(family.to_string())
-            .or_insert_with(|| Json::Obj(BTreeMap::new()));
-        let Json::Obj(mine) = mine else { continue };
-        for (name, value) in theirs {
-            match family {
-                "counters" => {
-                    let delta = value.as_u64().unwrap_or(0);
-                    let slot = mine.entry(name.clone()).or_insert(Json::Int(0));
-                    if let Json::Int(existing) = slot {
-                        *existing += delta as i128;
-                    }
-                }
-                "gauges" => {
-                    let theirs_v = value.as_u64().unwrap_or(0);
-                    let slot = mine.entry(name.clone()).or_insert(Json::Int(0));
-                    if let Json::Int(existing) = slot {
-                        *existing = (*existing).max(theirs_v as i128);
-                    }
-                }
-                _ => {
-                    let slot = mine
-                        .entry(name.clone())
-                        .or_insert_with(|| Json::Obj(BTreeMap::new()));
-                    merge_hist_objects(slot, value);
-                }
-            }
-        }
-    }
-}
-
-/// Merge one rendered histogram (`{count, sum, buckets: [[log2, n], ...]}`)
-/// into another: count and sum add, buckets add per log2 index (kept sorted,
-/// zero buckets never appear because counts only grow).
-fn merge_hist_objects(acc: &mut Json, other: &Json) {
-    let (Json::Obj(acc_map), Json::Obj(other_map)) = (acc, other) else {
-        return;
-    };
-    for key in ["count", "sum"] {
-        let delta = other_map.get(key).and_then(Json::as_u64).unwrap_or(0);
-        let slot = acc_map.entry(key.to_string()).or_insert(Json::Int(0));
-        if let Json::Int(existing) = slot {
-            *existing += delta as i128;
-        }
-    }
-    let mut merged: BTreeMap<u64, u64> = BTreeMap::new();
-    for source in [acc_map.get("buckets"), other_map.get("buckets")] {
-        for entry in source.and_then(Json::as_array).unwrap_or(&[]) {
-            if let [log2, n] = entry.as_array().unwrap_or(&[]) {
-                if let (Some(log2), Some(n)) = (log2.as_u64(), n.as_u64()) {
-                    *merged.entry(log2).or_insert(0) += n;
-                }
-            }
-        }
-    }
-    let buckets = merged
-        .into_iter()
-        .map(|(log2, n)| Json::Arr(vec![Json::uint(log2), Json::uint(n)]))
-        .collect();
-    acc_map.insert("buckets".to_string(), Json::Arr(buckets));
 }
 
 #[cfg(test)]
@@ -498,27 +434,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_snapshot_merge_semantics() {
-        use svard_obs::MetricsSnapshot;
-        let mut a = MetricsSnapshot::default();
-        a.add_counter("mem.reads", 3);
-        a.raise_gauge("mem.queue_peak", 9);
-        a.hists.entry("mem.latency").or_default().observe(5);
-        a.hists.entry("mem.latency").or_default().observe(900);
-        let mut b = MetricsSnapshot::default();
-        b.add_counter("mem.reads", 4);
-        b.add_counter("mem.writes", 1);
-        b.raise_gauge("mem.queue_peak", 2);
-        b.hists.entry("mem.latency").or_default().observe(5);
-
-        let mut json_merged = Json::parse(&a.to_json()).unwrap();
-        merge_metric_objects(&mut json_merged, &Json::parse(&b.to_json()).unwrap());
-
-        let mut snapshot_merged = a.clone();
-        snapshot_merged.merge(&b);
-        assert_eq!(
-            json_merged.render(),
-            Json::parse(&snapshot_merged.to_json()).unwrap().render()
-        );
+    fn nesting_is_bounded() {
+        let err = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        assert!(Json::parse(&format!("{{\"a\":{at_limit}}}")).is_err());
     }
 }

@@ -146,8 +146,7 @@ fn a_killed_job_resumes_from_the_journal_with_byte_identical_lines() {
     assert_eq!(got, want, "resumed lines match the direct harness run");
 
     // A fresh job with the same grid produces the same points and the same
-    // summary metrics — the JSON-domain merge over replayed lines changes
-    // nothing.
+    // summary metrics — merging replayed lines changes nothing.
     let fresh = client.run_job("fresh", &grid).unwrap();
     let summary_metrics = |line: &str| {
         Json::parse(line)
@@ -324,6 +323,11 @@ fn ping_stats_and_malformed_requests_get_answers() {
     let server = start_server("misc");
     let addr = server.addr().to_string();
     let mut client = Client::connect(&addr).unwrap();
+
+    // Nesting past the parser's depth bound gets an error, not a crash.
+    client.send_line(&"[".repeat(200_000)).unwrap();
+    let err = client.read_line().unwrap().unwrap();
+    assert!(err.contains("\"type\":\"error\""), "{err}");
 
     client.send_line("{\"type\":\"ping\"}").unwrap();
     assert_eq!(

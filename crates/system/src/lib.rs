@@ -26,3 +26,4 @@ pub mod runner;
 
 pub use config::SystemConfig;
 pub use runner::{EvaluationHarness, EvaluationPoint, RunResult, SimMode, SweepPoint};
+pub use svard_memsim::MemStats;

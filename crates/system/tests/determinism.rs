@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use svard_cpusim::workload::WorkloadMix;
+use svard_cpusim::workload::{WorkloadMix, WorkloadSpec};
 use svard_defenses::provider::{SharedThresholdProvider, UniformThreshold};
 use svard_defenses::DefenseKind;
 use svard_system::runner::{run_mix, run_mix_percycle};
@@ -46,18 +46,31 @@ fn every_defense_is_deterministic_across_runs() {
 }
 
 /// Determinism also holds across the two simulation modes: fast-forwarding is
-/// not allowed to change results, only wall-clock time.
+/// not allowed to change results, only wall-clock time. The attacker-only mix
+/// covers the throttle stall fast-forward exists to skip: BlockHammer
+/// throttles every core until the cycle cap.
 #[test]
 fn fastforward_and_percycle_agree_for_every_defense() {
-    let config = small_config();
-    let mix = &WorkloadMix::generate(1, config.cores, 78)[0];
+    let mut config = small_config();
+    config.max_cycles = 200_000;
+    let benign = WorkloadMix::generate(1, config.cores, 78).remove(0);
+    let attack = WorkloadMix::adversarial(WorkloadSpec::adversarial_rrs(), config.cores);
     let rows = config.memory.geometry.rows_per_bank;
 
-    for defense in DefenseKind::ALL {
-        let provider = Arc::new(UniformThreshold::new(48));
-        let fast = run_mix(mix, &config, defense.build(provider.clone(), rows, 9));
-        let reference = run_mix_percycle(mix, &config, defense.build(provider.clone(), rows, 9));
-        assert_eq!(fast, reference, "{defense}: fast-forward diverged");
+    for (label, mix) in [("benign", &benign), ("adversarial_rrs", &attack)] {
+        for defense in DefenseKind::ALL {
+            let provider = Arc::new(UniformThreshold::new(48));
+            let fast = run_mix(mix, &config, defense.build(provider.clone(), rows, 9));
+            let reference =
+                run_mix_percycle(mix, &config, defense.build(provider.clone(), rows, 9));
+            assert_eq!(fast, reference, "{label} {defense}: fast-forward diverged");
+            let capped = label == "adversarial_rrs" && defense == DefenseKind::BlockHammer;
+            assert_eq!(
+                fast.cycles == config.max_cycles,
+                capped,
+                "{label} {defense}: only BlockHammer on the attack runs to the cycle cap"
+            );
+        }
     }
 }
 
