@@ -79,10 +79,13 @@ impl Client {
         for _ in 0..50 {
             match TcpStream::connect(addr) {
                 Ok(stream) => {
+                    // Requests go out one write per line; without this, a
+                    // line split across segments waits on a delayed ACK.
+                    let _ = stream.set_nodelay(true);
                     return Ok(Client {
                         stream,
                         acc: Vec::new(),
-                    })
+                    });
                 }
                 Err(e) => {
                     last_err = e.to_string();
@@ -108,11 +111,10 @@ impl Client {
             .map_err(|e| format!("set_read_timeout: {e}"))
     }
 
-    /// Send one request line.
+    /// Send one request line, newline included, in a single write.
     pub fn send_line(&mut self, line: &str) -> Result<(), String> {
         self.stream
-            .write_all(line.as_bytes())
-            .and_then(|()| self.stream.write_all(b"\n"))
+            .write_all(format!("{line}\n").as_bytes())
             .and_then(|()| self.stream.flush())
             .map_err(|e| format!("send: {e}"))
     }

@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -42,6 +42,11 @@ use crate::queue::{JobQueue, PushOutcome, QueuedJob};
 /// How long blocking reads and queue polls wait before re-checking the stop
 /// flag. Purely an operational liveness knob; never affects results.
 const POLL: Duration = Duration::from_millis(50);
+
+/// Longest request line (without its newline) a connection may send. A
+/// longer frame gets an error line and the connection is closed, so a client
+/// streaming bytes with no newline cannot grow server memory without bound.
+const MAX_FRAME: usize = 1 << 20;
 
 /// Terminator line of the `metrics` text exposition stream.
 pub const METRICS_EOF: &str = "# EOF";
@@ -307,6 +312,7 @@ impl ServerHandle {
     /// nothing completed is lost.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::Release);
+        wake_accept_loop(self.addr);
         self.queue.shutdown();
         for handle in self.threads.drain(..) {
             let _ = handle.join();
@@ -334,9 +340,6 @@ struct ExecCtx {
 pub fn serve(config: ServerConfig) -> Result<ServerHandle, String> {
     let listener =
         TcpListener::bind(&config.addr).map_err(|e| format!("bind {}: {e}", config.addr))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("set_nonblocking: {e}"))?;
     let addr = listener
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
@@ -389,6 +392,7 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, String> {
             profiler.clone(),
         );
         let conn = ConnSettings {
+            listen_addr: addr,
             idle_timeout: config.idle_timeout,
             write_timeout: config.write_timeout,
             chaos,
@@ -525,6 +529,9 @@ fn executor_loop(ctx: &ExecCtx) {
 /// Per-connection behavior knobs, shared by every connection thread.
 #[derive(Clone)]
 struct ConnSettings {
+    /// The listener's bound address, which a wire `shutdown` connects to in
+    /// order to wake the accept loop.
+    listen_addr: SocketAddr,
     idle_timeout: Duration,
     write_timeout: Duration,
     chaos: Option<Arc<FaultPlan>>,
@@ -541,40 +548,53 @@ fn accept_loop(
 ) {
     let mut spans = profiler.recorder();
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let accepted_us = profiler.now_us();
-                stats.count("server.connections");
-                let (queue, stats, stop, table, conn_profiler, conn) = (
-                    Arc::clone(queue),
-                    Arc::clone(stats),
-                    Arc::clone(stop),
-                    Arc::clone(table),
-                    profiler.clone(),
-                    conn.clone(),
-                );
-                connections.push(std::thread::spawn(move || {
-                    handle_connection(stream, &queue, &stats, &stop, &table, &conn_profiler, &conn)
-                }));
-                spans.record(
-                    "server.accept",
-                    accepted_us,
-                    profiler.now_us().saturating_sub(accepted_us),
-                    connections.len() as u64,
-                );
-                spans.flush();
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
-            }
-            Err(_) => break,
+    // `accept` blocks; whoever raises `stop` then wakes it with
+    // [`wake_accept_loop`], whose connection is dropped unserved here.
+    while let Ok((stream, _)) = listener.accept() {
+        if stop.load(Ordering::Acquire) {
+            break;
         }
+        let accepted_us = profiler.now_us();
+        stats.count("server.connections");
+        let (queue, stats, stop, table, conn_profiler, conn) = (
+            Arc::clone(queue),
+            Arc::clone(stats),
+            Arc::clone(stop),
+            Arc::clone(table),
+            profiler.clone(),
+            conn.clone(),
+        );
+        connections.push(std::thread::spawn(move || {
+            handle_connection(stream, &queue, &stats, &stop, &table, &conn_profiler, &conn)
+        }));
+        spans.record(
+            "server.accept",
+            accepted_us,
+            profiler.now_us().saturating_sub(accepted_us),
+            connections.len() as u64,
+        );
+        spans.flush();
         connections.retain(|c| !c.is_finished());
     }
+    // Refuse new clients at once rather than while the handlers drain.
+    drop(listener);
     for handle in connections {
         let _ = handle.join();
     }
+}
+
+/// Wake an accept loop blocked in `accept` by connecting to its listener
+/// (through loopback when it is bound to an unspecified address). Call it
+/// after raising the stop flag; once the loop has exited the connect is
+/// simply refused.
+fn wake_accept_loop(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
 }
 
 fn handle_connection(
@@ -592,6 +612,9 @@ fn handle_connection(
     if stream.set_read_timeout(Some(POLL)).is_err() {
         return;
     }
+    // Without this, Nagle holds a response's last small segment until the
+    // client's delayed ACK, up to 40 ms per request.
+    let _ = stream.set_nodelay(true);
     let Ok(writer) = stream.try_clone() else {
         return;
     };
@@ -605,22 +628,38 @@ fn handle_connection(
     };
     let mut spans = profiler.recorder();
     let mut acc: Vec<u8> = Vec::new();
+    // `acc[..scanned]` is known to hold no newline.
+    let mut scanned = 0;
     let mut chunk = [0u8; 4096];
     let mut last_activity = Instant::now();
     while !stop.load(Ordering::Acquire) {
-        while let Some(pos) = acc.iter().position(|&b| b == b'\n') {
-            let raw: Vec<u8> = acc.drain(..=pos).collect();
+        while let Some(end) = acc
+            .get(scanned..)
+            .and_then(|fresh| fresh.iter().position(|&b| b == b'\n'))
+            .map(|pos| scanned + pos)
+        {
+            scanned = 0;
+            if end > MAX_FRAME {
+                reject_oversized_frame(&mut io);
+                return;
+            }
+            let raw: Vec<u8> = acc.drain(..=end).collect();
             let line = String::from_utf8_lossy(&raw).trim().to_string();
             if line.is_empty() {
                 continue;
             }
-            let keep_going = handle_request(&line, &mut io, queue, stats, stop, table, &mut spans);
+            let keep_going = handle_request(&line, &mut io, queue, stop, table, &mut spans, conn);
             spans.flush();
             if !keep_going {
                 return;
             }
             // A request (however long its job ran) counts as activity.
             last_activity = Instant::now();
+        }
+        scanned = acc.len();
+        if scanned > MAX_FRAME {
+            reject_oversized_frame(&mut io);
+            return;
         }
         match stream.read(&mut chunk) {
             Ok(0) => return,
@@ -640,6 +679,13 @@ fn handle_connection(
             Err(_) => return,
         }
     }
+}
+
+/// Answer a request frame longer than [`MAX_FRAME`]; the caller then closes
+/// the connection, since the rest of the frame cannot be skipped reliably.
+fn reject_oversized_frame(io: &mut ConnIo<'_>) {
+    io.stats.count("server.errors");
+    let _ = io.write_line(&error_line(&format!("frame exceeds {MAX_FRAME} bytes")));
 }
 
 /// The response-writing half of a connection: the socket, the metric
@@ -680,7 +726,9 @@ impl ConnIo<'_> {
                 return ok;
             }
         }
-        self.write_all(line.as_bytes()) && self.write_all(b"\n")
+        // One write per line: a separate 1-byte newline write would sit in
+        // Nagle's buffer until the peer's delayed ACK (40 ms on Linux).
+        self.write_all(format!("{line}\n").as_bytes())
     }
 
     fn write_all(&mut self, bytes: &[u8]) -> bool {
@@ -705,11 +753,12 @@ fn handle_request(
     line: &str,
     io: &mut ConnIo<'_>,
     queue: &JobQueue,
-    stats: &ServerStats,
     stop: &AtomicBool,
     table: &JobTable,
     spans: &mut SpanRecorder,
+    conn: &ConnSettings,
 ) -> bool {
+    let stats = io.stats;
     spans.begin("server.parse");
     let parsed = Json::parse(line);
     spans.end(line.len() as u64);
@@ -755,10 +804,11 @@ fn handle_request(
             io.write_line(&cancel_ack_line(job_id, active))
         }
         Some("shutdown") => {
-            // Acknowledge, then raise the stop flag the accept loop,
-            // connection handlers and the `svard-server` binary all poll.
+            // Acknowledge, then raise the stop flag the connection handlers
+            // and the `svard-server` binary poll, and wake the accept loop.
             let _ = io.write_line("{\"type\":\"bye\"}");
             stop.store(true, Ordering::Release);
+            wake_accept_loop(conn.listen_addr);
             false
         }
         Some("submit") => handle_submit(&request, io, queue, stats, stop, table, spans),

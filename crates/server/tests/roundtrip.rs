@@ -1,11 +1,15 @@
 //! End-to-end round trips over a real TCP server: bit-identity of streamed
-//! point lines against a direct harness run at several worker counts, and
-//! kill-and-resume replay from the on-disk journal.
+//! point lines against a direct harness run at several worker counts,
+//! kill-and-resume replay from the on-disk journal, request latency, prompt
+//! shutdown and the request frame bound.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::mpsc::channel;
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use svard_defenses::DefenseKind;
 use svard_server::bridge;
@@ -43,6 +47,17 @@ fn start_server(tag: &str) -> svard_server::ServerHandle {
         ..ServerConfig::default()
     })
     .unwrap()
+}
+
+/// Shut `server` down on another thread; `false` if that takes longer than
+/// `limit` (the accept loop was never woken).
+fn shuts_down_within(server: svard_server::ServerHandle, limit: Duration) -> bool {
+    let (tx, rx) = channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(limit).is_ok()
 }
 
 /// Replace the job id so lines from different jobs compare equal, and
@@ -315,6 +330,84 @@ fn metrics_shutdown_and_enriched_stats_speak_the_wire_protocol() {
 
     // `shutdown` answers `bye` and stops the accept loop.
     client.request_shutdown().unwrap();
+    assert!(
+        shuts_down_within(server, Duration::from_secs(2)),
+        "shutdown after a wire shutdown hung"
+    );
+}
+
+#[test]
+fn a_server_that_never_saw_a_connection_shuts_down_promptly() {
+    // The accept loop is blocked in `accept` with no client to wake it, so
+    // only the shutdown's own wake-up connection can.
+    let server = start_server("idle");
+    assert!(
+        shuts_down_within(server, Duration::from_secs(2)),
+        "shutdown of an idle server hung"
+    );
+}
+
+#[test]
+fn back_to_back_requests_are_not_held_by_delayed_acks() {
+    // A line sent as two writes (text, then the newline) stalls on Nagle plus
+    // the peer's delayed ACK: about 40 ms per direction, so 20 pings would
+    // take well over a second.
+    let server = start_server("nodelay");
+    let addr = server.addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+    let start = Instant::now();
+    for _ in 0..20 {
+        client.send_line("{\"type\":\"ping\"}").unwrap();
+        assert_eq!(
+            client.read_line().unwrap().as_deref(),
+            Some("{\"type\":\"pong\"}")
+        );
+    }
+    let pings = start.elapsed();
+    assert!(
+        pings < Duration::from_millis(500),
+        "20 pings took {pings:?}"
+    );
+
+    // A fresh job and its replay stream every line over the same connection.
+    let fresh = client.run_job("nodelay-job", &tiny_grid(1)).unwrap();
+    assert_eq!((fresh.points, fresh.resumed), (4, 0));
+    let replay = client.run_job("nodelay-job", &tiny_grid(1)).unwrap();
+    assert_eq!((replay.points, replay.resumed), (4, 4));
+    server.shutdown();
+}
+
+#[test]
+fn an_oversized_frame_gets_an_error_and_the_server_keeps_serving() {
+    let server = start_server("frame");
+    let addr = server.addr().to_string();
+    let stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    // 2 MiB with no newline. The server stops reading past its frame bound,
+    // so the write may fail once it closes the connection.
+    let mut writer = stream.try_clone().unwrap();
+    let flood = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'x'; 2 << 20]);
+    });
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).unwrap();
+    assert!(reply.contains("\"type\":\"error\""), "{reply}");
+    assert!(reply.contains("frame exceeds"), "{reply}");
+    flood.join().unwrap();
+
+    let mut client = Client::connect(&addr).unwrap();
+    client.send_line("{\"type\":\"ping\"}").unwrap();
+    assert_eq!(
+        client.read_line().unwrap().as_deref(),
+        Some("{\"type\":\"pong\"}")
+    );
+    let metrics = client.fetch_metrics().unwrap();
+    assert!(
+        metrics.iter().any(|l| l == "server.errors 1"),
+        "{metrics:?}"
+    );
     server.shutdown();
 }
 
