@@ -152,10 +152,16 @@ impl SimpleCore {
     /// Advance the core by one cycle, issuing LLC misses into `memory`.
     ///
     /// Returns whether the tick made any progress: retired or issued an
-    /// instruction, enqueued a request, or mutated cache state while trying. A
-    /// `false` return means this tick was a pure stall — and the core will keep
-    /// stalling until the memory system's state changes, which is what the
-    /// system runner's fast-forwarding relies on.
+    /// instruction, enqueued a request, or mutated cache state while trying.
+    ///
+    /// A `false` return means this tick was a pure stall: it only counted the
+    /// cycle. Every later tick stays a pure stall until one of two events: one
+    /// of the core's own requests completes ([`on_completion`](Self::on_completion)),
+    /// or the controller issues a request (freeing a queue slot) while the core
+    /// holds a rejected one ([`has_rejected_request`](Self::has_rejected_request)).
+    /// The system runner relies on this contract: it parks a core after a
+    /// `false` tick, wakes it only on those events, and credits the ticks it
+    /// skipped with [`skip_stalled_cycles`](Self::skip_stalled_cycles).
     pub fn tick<S: ObsSink>(&mut self, memory: &mut MemorySystem<S>) -> bool {
         if self.finished() {
             return false;
@@ -205,7 +211,16 @@ impl SimpleCore {
             if self.issued - self.retired >= self.config.window {
                 break; // instruction window full
             }
-            // Retry a request the memory controller previously rejected.
+            // Retry a request the memory controller previously rejected, once
+            // its queue has room (checked first so a still-full queue costs no
+            // request moves).
+            if self
+                .pending_request
+                .as_ref()
+                .is_some_and(|req| !queue_has_room(memory, req.kind))
+            {
+                break;
+            }
             if let Some(req) = self.pending_request.take() {
                 let req_id = req.id;
                 match memory.enqueue(req) {
@@ -347,11 +362,7 @@ impl SimpleCore {
                 Some(req) => {
                     // A previously rejected request is retried first; it makes
                     // progress iff the corresponding queue has room.
-                    let accepted = match req.kind {
-                        RequestKind::Read => memory.can_accept_read(),
-                        RequestKind::Write => memory.can_accept_write(),
-                    };
-                    if accepted {
+                    if queue_has_room(memory, req.kind) {
                         return true;
                     }
                 }
@@ -411,6 +422,12 @@ impl SimpleCore {
         }
     }
 
+    /// Whether the core holds a request the memory controller rejected, to be
+    /// retried once its queue has room.
+    pub fn has_rejected_request(&self) -> bool {
+        self.pending_request.is_some()
+    }
+
     fn alloc_request_id(&mut self) -> u64 {
         let id = self.next_request_id;
         self.next_request_id += 1;
@@ -421,6 +438,14 @@ impl SimpleCore {
         let event = self.trace.next_event();
         self.non_mem_remaining = event.non_mem_instructions;
         self.next_access = Some((event.address, event.is_write));
+    }
+}
+
+/// Whether `memory` has room in the queue a request of `kind` joins.
+fn queue_has_room<S: ObsSink>(memory: &MemorySystem<S>, kind: RequestKind) -> bool {
+    match kind {
+        RequestKind::Read => memory.can_accept_read(),
+        RequestKind::Write => memory.can_accept_write(),
     }
 }
 

@@ -101,9 +101,10 @@ pub struct MemorySystem<S: ObsSink = NoopSink> {
     draining_writes: bool,
     next_refresh: u64,
     /// Cycle before which a scheduling scan is known to be fruitless (computed
-    /// by the last fruitless scan; reset to 0 by anything that could enable an
-    /// earlier schedule: an enqueue, an issue, or a refresh). Lets per-cycle
-    /// ticking skip the FR-FCFS scan on cycles where nothing can issue.
+    /// by the last fruitless scan; lowered by an enqueue into the examined
+    /// queue; reset to 0 by an issue, a refresh, or an enqueue that changes
+    /// which queue is examined). Lets per-cycle ticking skip the FR-FCFS scan
+    /// on cycles where nothing can issue.
     no_schedule_before: u64,
     cycle: u64,
     stats: MemStats,
@@ -249,6 +250,9 @@ impl<S: ObsSink> MemorySystem<S> {
         request.flat_bank = self.config.geometry.flatten_bank(&request.dram_addr);
         request.rank_idx = request.dram_addr.channel * self.config.geometry.ranks_per_channel
             + request.dram_addr.rank;
+        let writes_examined = self.writes_selected_next();
+        let earliest_issue = self.earliest_issue_cycle(&request);
+        let joins_writes = request.kind == RequestKind::Write;
         match request.kind {
             RequestKind::Read => {
                 self.read_queue.push_back(request);
@@ -267,10 +271,29 @@ impl<S: ObsSink> MemorySystem<S> {
                 }
             }
         }
-        // A new request (or the queue-selection change it causes) can enable an
-        // earlier schedule.
-        self.no_schedule_before = 0;
+        // The bound covers only the queue FR-FCFS examines. A request joining
+        // that queue can lower it to the request's own earliest issue cycle; one
+        // joining the other queue cannot issue next tick; one that changes which
+        // queue is examined invalidates the bound.
+        if self.writes_selected_next() != writes_examined {
+            self.no_schedule_before = 0;
+        } else if joins_writes == writes_examined {
+            self.no_schedule_before = self.no_schedule_before.min(earliest_issue);
+        }
         Ok(())
+    }
+
+    /// Earliest cycle at which `req` passes the bank, rank and activation
+    /// timing checks of `schedule_one` (throttles aside).
+    fn earliest_issue_cycle(&self, req: &MemoryRequest) -> u64 {
+        let bank = self.bank_at(req.flat_bank);
+        let rank = self.rank_at(req.rank_idx);
+        let ready = bank.ready_cycle.max(rank.refresh_busy_until);
+        if bank.is_open(req.dram_addr.row) {
+            ready
+        } else {
+            ready.max(rank.next_act_allowed_cycles(self.t.t_rrd_l, self.t.t_faw))
+        }
     }
 
     /// Advance the memory system by one controller cycle and return any requests
@@ -367,16 +390,11 @@ impl<S: ObsSink> MemorySystem<S> {
                 &self.read_queue
             };
             for req in queue {
-                let bank = self.bank_at(req.flat_bank);
-                let rank = self.rank_at(req.rank_idx);
-                let mut c = bank.ready_cycle.max(rank.refresh_busy_until);
+                let mut c = self.earliest_issue_cycle(req);
                 if check_throttles {
                     if let Some(&until) = self.throttled.get(&(req.flat_bank, req.dram_addr.row)) {
                         c = c.max(until);
                     }
-                }
-                if !bank.is_open(req.dram_addr.row) {
-                    c = c.max(rank.next_act_allowed_cycles(self.t.t_rrd_l, self.t.t_faw));
                 }
                 consider(c);
             }
@@ -554,8 +572,8 @@ impl<S: ObsSink> MemorySystem<S> {
     fn schedule_one(&mut self) {
         let check_throttles = !self.throttled.is_empty();
         // A previous fruitless scan proved nothing can issue before
-        // `no_schedule_before` (and nothing that could enable an earlier issue
-        // has happened since — enqueue/issue/refresh reset the bound). Skipping
+        // `no_schedule_before` (and everything since that could enable an
+        // earlier issue has lowered or reset the bound). Skipping
         // is only exact with no active throttles, because a scan over throttled
         // requests records per-cycle stall statistics.
         if !check_throttles && self.cycle < self.no_schedule_before {
@@ -1396,5 +1414,73 @@ mod tests {
         assert_eq!(slow_done, fast_done);
         assert_eq!(slow.stats(), fast.stats());
         assert_eq!(slow.cycle(), fast.cycle());
+    }
+
+    /// Earliest cycle at which a request in the queue the next tick examines
+    /// can issue (`u64::MAX` when that queue is empty).
+    fn earliest_examined_issue(mem: &MemorySystem) -> u64 {
+        let queue = if mem.writes_selected_next() {
+            &mem.write_queue
+        } else {
+            &mem.read_queue
+        };
+        queue
+            .iter()
+            .map(|req| mem.earliest_issue_cycle(req))
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    #[test]
+    fn enqueue_keeps_the_schedule_bound_below_every_examined_request() {
+        // 4-entry queues with a low drain watermark, so enqueues keep flipping
+        // which queue FR-FCFS examines; a narrow address range keeps banks busy.
+        let mut config = MemoryConfig::small(1024);
+        config.read_queue_entries = 4;
+        config.write_queue_entries = 4;
+        config.write_drain_high = 3;
+        config.write_drain_low = 1;
+        let mut mem = MemorySystem::new(config);
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut id = 0u64;
+        let mut skipped_after_enqueue = 0;
+        for _ in 0..20_000 {
+            let mut enqueued = false;
+            // Sparse bursts of 1-4 requests, half of them writes, so the
+            // queues fill, drain and empty again.
+            let burst = if next() % 24 == 0 { 1 + next() % 4 } else { 0 };
+            for _ in 0..burst {
+                let addr = (next() % (1 << 22)) & !63;
+                let req = if next() % 2 == 0 {
+                    MemoryRequest::write(id, addr, 0)
+                } else {
+                    MemoryRequest::read(id, addr, 0)
+                };
+                id += 1;
+                enqueued |= mem.enqueue(req).is_ok();
+            }
+            // The next scan is skipped while `cycle + 1 < no_schedule_before`;
+            // that is sound only if no examined request can issue that early.
+            assert!(
+                mem.no_schedule_before <= earliest_examined_issue(&mem),
+                "cycle {}: bound {} exceeds an examined request's earliest issue",
+                mem.cycle,
+                mem.no_schedule_before
+            );
+            if enqueued && mem.no_schedule_before > mem.cycle + 1 {
+                skipped_after_enqueue += 1;
+            }
+            mem.tick();
+        }
+        assert!(
+            skipped_after_enqueue > 0,
+            "no enqueue ever kept a scan-skipping bound"
+        );
     }
 }

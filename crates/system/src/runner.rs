@@ -1,10 +1,23 @@
 //! Running multiprogrammed mixes and collecting Fig. 12-style data points.
 //!
 //! [`run_mix_with_sink`] simulates one mix cycle by cycle. In
-//! [`SimMode::FastForward`] it jumps over *stall windows* (no core can progress
-//! until the memory system's next event), advancing every counter exactly as
-//! per-cycle ticking would; [`run_mix`] and [`run_mix_percycle`] are its two
-//! sink-less modes, and the equivalence tests assert they agree.
+//! [`SimMode::FastForward`] it saves work in two ways, advancing every counter
+//! exactly as per-cycle ticking would:
+//!
+//! - It jumps over *stall windows* (no core can progress until the memory
+//!   system's next event).
+//! - It *parks* each unfinished core whose [`SimpleCore::tick`] returned
+//!   `false` and stops ticking it. `tick`'s contract is that such a core stays
+//!   stalled until one of its own requests completes, or until the controller
+//!   issues a request while the core holds a rejected one
+//!   ([`SimpleCore::has_rejected_request`]). The loop wakes a parked core on
+//!   exactly those events, and again at the end of the run. On waking, the
+//!   ticks it missed are credited with [`SimpleCore::skip_stalled_cycles`], so
+//!   its cycle count and IPC match ticking every cycle.
+//!
+//! [`SimMode::PerCycle`] ticks every core every cycle and is the reference;
+//! [`run_mix`] and [`run_mix_percycle`] are the two sink-less modes, and the
+//! equivalence tests assert they agree.
 //!
 //! [`EvaluationHarness`] has one sweep core, the private `sweep`: it fans the
 //! selected `(point, mix)` simulations out across OS threads, times each as a
@@ -145,44 +158,60 @@ pub fn run_mix_with_sink<S: ObsSink>(
         .collect();
     let mut cycles = 0u64;
     let mut completions: Vec<CompletedRequest> = Vec::new();
+    let fast_forward = mode == SimMode::FastForward;
+    // Fast-forward only: cores whose last tick was a pure stall and that no
+    // wake event has reached since. They are skipped until woken.
+    let mut parked = vec![false; cores.len()];
     while cycles < config.max_cycles && cores.iter().any(|c| !c.finished()) {
         let mut any_core_progress = false;
-        for core in &mut cores {
-            any_core_progress |= core.tick(&mut memory);
+        for (core, parked) in cores.iter_mut().zip(parked.iter_mut()) {
+            if *parked {
+                continue;
+            }
+            let progressed = core.tick(&mut memory);
+            *parked = fast_forward && !progressed && !core.finished();
+            any_core_progress |= progressed;
         }
-        // One issue increments exactly one of activations/row_hits; together with
-        // refreshes this detects any scheduling or refresh activity of the tick.
-        let sched_before = {
-            let s = memory.stats();
-            s.activations + s.row_hits + s.refreshes
-        };
+        let issues_before = issue_count(memory.stats());
+        let refreshes_before = memory.stats().refreshes;
         completions.clear();
         memory.tick_into(&mut completions);
+        cycles += 1;
         for done in &completions {
-            if let Some(core) = cores.get_mut(done.core) {
+            if let (Some(core), Some(parked)) =
+                (cores.get_mut(done.core), parked.get_mut(done.core))
+            {
                 core.on_completion(done.id);
+                wake(core, parked, cycles);
             }
         }
-        cycles += 1;
+        // An issue frees a queue slot, which unblocks cores holding a
+        // rejected request.
+        let issued = issue_count(memory.stats()) != issues_before;
+        if issued {
+            for (core, parked) in cores.iter_mut().zip(parked.iter_mut()) {
+                if core.has_rejected_request() {
+                    wake(core, parked, cycles);
+                }
+            }
+        }
 
         // Fast-forward: if neither the cores nor the memory system did anything
         // this cycle, the whole system is stalled and its state is frozen until
         // the memory system's next event — jump to the cycle just before it. The
         // skipped cycles are no-ops for cores and memory alike, so statistics
         // stay cycle-identical (see the equivalence tests).
-        if mode == SimMode::FastForward && !any_core_progress && completions.is_empty() {
-            let sched_after = {
-                let s = memory.stats();
-                s.activations + s.row_hits + s.refreshes
-            };
+        if fast_forward && !any_core_progress && completions.is_empty() {
             // If the memory system was also quiet, the system state is unchanged
             // and every core is still stalled — no further check needed. If the
             // memory did schedule something (e.g. freed a queue slot), fall back
-            // to asking each core whether the new state unblocks it.
-            let all_stalled = sched_after == sched_before
+            // to asking each unparked core whether the new state unblocks it.
+            let memory_quiet = !issued && memory.stats().refreshes == refreshes_before;
+            let all_stalled = memory_quiet
                 || cores
                     .iter()
-                    .all(|c| c.next_ready_cycle(cycles, &memory).is_none());
+                    .zip(&parked)
+                    .all(|(c, &p)| p || c.next_ready_cycle(cycles, &memory).is_none());
             if all_stalled && cores.iter().any(|c| !c.finished()) {
                 if let Some(next_event) = memory.next_event_cycle() {
                     let target = (next_event - 1).min(config.max_cycles);
@@ -198,6 +227,10 @@ pub fn run_mix_with_sink<S: ObsSink>(
             }
         }
     }
+    // Cores still parked at the cycle cap stalled through every cycle since.
+    for (core, parked) in cores.iter_mut().zip(parked.iter_mut()) {
+        wake(core, parked, cycles);
+    }
     let result = RunResult {
         per_core_ipc: cores.iter().map(|c| c.ipc()).collect(),
         mem_stats: memory.stats().clone(),
@@ -205,6 +238,22 @@ pub fn run_mix_with_sink<S: ObsSink>(
         cycles,
     };
     (result, memory.into_sink())
+}
+
+/// Requests the controller has issued: one issue increments exactly one of
+/// `activations`/`row_hits`.
+fn issue_count(stats: &MemStats) -> u64 {
+    stats.activations + stats.row_hits
+}
+
+/// Unpark `core` (a no-op unless `parked`) at loop cycle `cycles`, crediting
+/// the stall ticks it missed while parked so its cycle count, and so its IPC,
+/// matches ticking every cycle.
+fn wake(core: &mut SimpleCore, parked: &mut bool, cycles: u64) {
+    if *parked {
+        *parked = false;
+        core.skip_stalled_cycles(cycles.saturating_sub(core.cycles()));
+    }
 }
 
 /// Simulate one workload running alone on one core of the baseline system (the

@@ -14,6 +14,7 @@ use std::sync::Arc;
 use svard_cpusim::workload::{WorkloadMix, WorkloadSpec};
 use svard_defenses::provider::{SharedThresholdProvider, UniformThreshold};
 use svard_defenses::DefenseKind;
+use svard_memsim::NoMitigation;
 use svard_system::runner::{run_mix, run_mix_percycle};
 use svard_system::{EvaluationHarness, SimMode, SweepPoint, SystemConfig};
 
@@ -72,6 +73,83 @@ fn fastforward_and_percycle_agree_for_every_defense() {
             );
         }
     }
+}
+
+/// `small_config` with 4-entry read and write queues, so cores regularly find
+/// their queue full and hold a rejected request.
+fn tiny_queue_config(cores: usize) -> SystemConfig {
+    let mut config = small_config().with_cores(cores);
+    config.memory.read_queue_entries = 4;
+    config.memory.write_queue_entries = 4;
+    config.memory.write_drain_high = 3;
+    config.memory.write_drain_low = 1;
+    config
+}
+
+/// Fast-forward parks a core after a stalled tick and wakes it on its own
+/// completion or on a freed queue slot. With 4-entry queues most stalls are
+/// rejected requests, so every wake path carries the run.
+#[test]
+fn parked_cores_wake_on_freed_queue_slots() {
+    let config = tiny_queue_config(4);
+    let rows = config.memory.geometry.rows_per_bank;
+    let benign = WorkloadMix::generate(1, config.cores, 79).remove(0);
+    let attack = WorkloadMix::adversarial(WorkloadSpec::adversarial_rrs(), config.cores);
+    for (label, mix) in [("benign", &benign), ("adversarial_rrs", &attack)] {
+        for defense in [DefenseKind::Para, DefenseKind::Hydra] {
+            let provider = Arc::new(UniformThreshold::new(48));
+            let fast = run_mix(mix, &config, defense.build(provider.clone(), rows, 5));
+            let reference = run_mix_percycle(mix, &config, defense.build(provider, rows, 5));
+            assert!(fast.all_finished(), "{label} {defense}: run did not finish");
+            assert_eq!(fast, reference, "{label} {defense}: parked run diverged");
+        }
+    }
+}
+
+/// Cores that finish early stop being ticked while the rest keep running; the
+/// finished cores' IPC and the stragglers' must both match per-cycle ticking.
+#[test]
+fn parked_cores_match_percycle_when_cores_finish_at_different_cycles() {
+    let config = small_config().with_cores(4);
+    let catalogue = WorkloadSpec::catalogue();
+    let pick = |name: &str| {
+        catalogue
+            .iter()
+            .find(|w| w.name == name)
+            .cloned()
+            .unwrap_or_else(|| panic!("{name} is not in the catalogue"))
+    };
+    let mix = WorkloadMix {
+        id: 0,
+        workloads: vec![
+            pick("mediabench-jpeg-like"),
+            pick("spec17-lbm-like"),
+            pick("spec06-gcc-like"),
+            pick("ycsb-a-like"),
+        ],
+    };
+    let fast = run_mix(&mix, &config, Box::new(NoMitigation));
+    let reference = run_mix_percycle(&mix, &config, Box::new(NoMitigation));
+    assert!(fast.all_finished(), "run did not finish");
+    // Equal instruction budgets, so distinct IPCs mean distinct finish cycles.
+    let mut ipcs = fast.per_core_ipc.clone();
+    ipcs.sort_by(f64::total_cmp);
+    ipcs.dedup();
+    assert_eq!(ipcs.len(), config.cores, "cores finished together");
+    assert_eq!(fast, reference, "parked run diverged");
+}
+
+/// A run cut by the cycle cap while cores sit parked on full queues: the
+/// parked cores' missed cycles are credited at the end, so their IPC matches.
+#[test]
+fn parked_cores_are_credited_at_the_cycle_cap() {
+    let mut config = tiny_queue_config(4);
+    config.max_cycles = 20_000;
+    let mix = WorkloadMix::adversarial(WorkloadSpec::adversarial_rrs(), config.cores);
+    let fast = run_mix(&mix, &config, Box::new(NoMitigation));
+    let reference = run_mix_percycle(&mix, &config, Box::new(NoMitigation));
+    assert_eq!(fast.cycles, config.max_cycles, "run did not reach the cap");
+    assert_eq!(fast, reference, "capped parked run diverged");
 }
 
 /// The traced harness emits a byte-identical canonical event stream for every
