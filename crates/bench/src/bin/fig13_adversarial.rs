@@ -8,36 +8,45 @@
 //! skewed-popularity victim.
 
 use svard_bench::*;
-use svard_core::Svard;
 use svard_cpusim::workload::{WorkloadMix, WorkloadSpec};
-use svard_defenses::provider::SharedThresholdProvider;
 use svard_defenses::DefenseKind;
-use svard_system::{EvaluationHarness, SweepPoint, SystemConfig};
-use svard_vulnerability::ModuleSpec;
+use svard_server::{bridge, GridSpec};
+use svard_system::{EvaluationHarness, EvaluationPoint};
 
 fn main() {
     banner(
         "Fig. 13",
         "adversarial access patterns vs. Hydra and RRS at HC_first = 64",
     );
-    let instructions = arg_u64("instructions", 20_000);
-    let rows = arg_usize("rows", 1024);
-    let seed = arg_u64("seed", DEFAULT_SEED);
-    let hc = arg_u64("hc", 64);
-
-    let mut config = SystemConfig::table4_scaled().with_instructions(instructions);
-    config.memory.geometry.rows_per_bank = rows;
-    config.seed = seed;
+    let attacks = [
+        (DefenseKind::Hydra, WorkloadSpec::adversarial_hydra()),
+        (DefenseKind::Rrs, WorkloadSpec::adversarial_rrs()),
+    ];
+    // The grid's own mixes go unused: each defense runs its attacker mix.
+    let grid = GridSpec {
+        defenses: attacks.iter().map(|(defense, _)| *defense).collect(),
+        hc_values: vec![arg_u64("hc", 64)],
+        mixes: 1,
+        instructions: arg_u64("instructions", 20_000),
+        rows: arg_usize("rows", 1024),
+        seed: arg_u64("seed", DEFAULT_SEED),
+        ..GridSpec::default()
+    };
+    or_exit(grid.validate());
+    let zipf = arg_string("zipf").map(|v| or_exit(parse_arg("zipf", Some(&v), 0.0)));
+    let config = bridge::system_config(&grid);
+    let points = bridge::sweep_points(&grid);
 
     let trace_path = arg_string("trace");
     let mut trace_out = String::new();
 
+    // "Slowdown" in Fig. 13 is the performance loss vs. the unprotected
+    // baseline; use the inverse of normalized weighted speedup.
+    let slowdown = |point: &EvaluationPoint| 1.0 / point.normalized.weighted_speedup.max(1e-6);
     header(&["defense", "provider", "slowdown_norm_to_no_svard"]);
-    for (defense, adversary) in [
-        (DefenseKind::Hydra, WorkloadSpec::adversarial_hydra()),
-        (DefenseKind::Rrs, WorkloadSpec::adversarial_rrs()),
-    ] {
-        let mix = match arg_string("zipf").and_then(|v| v.parse::<f64>().ok()) {
+    // One chunk per defense: No Svärd, then Svärd on S0, M0 and H1.
+    for ((_, adversary), points) in attacks.into_iter().zip(points.chunks(grid.providers.len())) {
+        let mix = match zipf {
             Some(exponent) => WorkloadMix::adversarial_with_background(
                 adversary,
                 WorkloadSpec::zipf(exponent),
@@ -46,48 +55,20 @@ fn main() {
             None => WorkloadMix::adversarial(adversary, config.cores),
         };
         let harness = EvaluationHarness::new(config.clone(), vec![mix]);
-
-        let reference = Svard::build(&scaled_profile(&ModuleSpec::s0(), rows, 1, seed), hc, 16);
-        let mut configurations: Vec<(String, SharedThresholdProvider)> =
-            vec![("No Svärd".into(), reference.baseline_provider())];
-        for label in ["S0", "M0", "H1"] {
-            let profile = scaled_profile(&ModuleSpec::by_label(label).unwrap(), rows, 1, seed);
-            configurations.push((
-                format!("Svärd-{label}"),
-                Svard::build(&profile, hc, 16).provider(),
-            ));
-        }
-        // Fan the four provider configurations out across cores in one sweep.
-        let points: Vec<SweepPoint> = configurations
-            .iter()
-            .map(|(_, provider)| SweepPoint {
-                defense,
-                provider: provider.clone(),
-                hc_first: hc,
-            })
-            .collect();
         let results = if trace_path.is_some() {
-            let (results, trace) = harness.evaluate_all_traced(&points);
+            let (results, trace) = harness.evaluate_all_traced(points);
             trace_out.push_str(&trace);
             results
         } else {
-            harness.evaluate_all(&points)
+            harness.evaluate_all(points)
         };
-        let slowdowns: Vec<(String, f64)> = configurations
-            .iter()
-            .zip(results)
-            .map(|((name, _), point)| {
-                // "Slowdown" in Fig. 13 is the performance loss vs. the unprotected
-                // baseline; use the inverse of normalized weighted speedup.
-                (
-                    name.clone(),
-                    1.0 / point.normalized.weighted_speedup.max(1e-6),
-                )
-            })
-            .collect();
-        let no_svard = slowdowns[0].1;
-        for (name, slowdown) in slowdowns {
-            row(&[defense.to_string(), name, fmt(slowdown / no_svard)]);
+        let no_svard = slowdown(&results[0]);
+        for point in &results {
+            row(&[
+                point.defense.to_string(),
+                point.provider.clone(),
+                fmt(slowdown(point) / no_svard),
+            ]);
         }
     }
     if let Some(path) = trace_path {

@@ -13,6 +13,10 @@ use svard_bender::TestInfrastructure;
 use svard_chip::{ChipConfig, SimChip};
 use svard_vulnerability::{ModuleSpec, ModuleVulnerabilityProfile, ProfileGenerator};
 
+pub use svard_server::cli::{
+    arg_flag, arg_list_parsed, arg_string, arg_u64, arg_usize, or_exit, parse_arg,
+};
+
 /// Default number of rows per bank for characterization experiments.
 pub const DEFAULT_ROWS: usize = 2048;
 /// Default number of banks to characterize.
@@ -21,33 +25,6 @@ pub const DEFAULT_BANKS: usize = 2;
 pub const DEFAULT_STRIDE: usize = 4;
 /// Default seed for all experiments.
 pub const DEFAULT_SEED: u64 = 42;
-
-/// Minimal command-line option reader: `--name value` pairs, with a default.
-pub fn arg_usize(name: &str, default: usize) -> usize {
-    arg_string(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Like [`arg_usize`] for `u64` values.
-pub fn arg_u64(name: &str, default: u64) -> u64 {
-    arg_string(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Raw string value of `--name`, if present.
-pub fn arg_string(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == &format!("--{name}"))
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Whether a bare `--flag` is present.
-pub fn arg_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == format!("--{name}"))
-}
 
 /// Generate the vulnerability profile of one module at experiment scale.
 pub fn scaled_profile(
@@ -101,12 +78,5 @@ mod tests {
         let p = scaled_profile(&ModuleSpec::s0(), 128, 2, 1);
         assert_eq!(p.rows_per_bank(), 128);
         assert_eq!(p.num_banks(), 2);
-    }
-
-    #[test]
-    fn arg_helpers_fall_back_to_defaults() {
-        assert_eq!(arg_usize("definitely-not-passed", 7), 7);
-        assert_eq!(arg_u64("also-not-passed", 9), 9);
-        assert!(!arg_flag("missing-flag"));
     }
 }

@@ -28,7 +28,9 @@
 //! else is done.
 
 use svard_server::bridge;
-use svard_server::cli::{arg_flag, arg_list, arg_string, arg_u64, arg_usize};
+use svard_server::cli::{
+    arg_flag, arg_list, arg_list_parsed, arg_string, arg_u64, arg_usize, or_exit,
+};
 use svard_server::json::Json;
 use svard_server::protocol::parse_defense;
 use svard_server::{run_job_with_retry, run_load_retrying, Client, GridSpec, RetryPolicy};
@@ -41,10 +43,7 @@ fn grid_from_args(workers: usize) -> Result<GridSpec, String> {
     let grid = GridSpec {
         defenses,
         providers: arg_list("providers", &["none", "S0"]),
-        hc_values: arg_list("hc-values", &["64"])
-            .iter()
-            .map(|v| v.parse().map_err(|_| format!("bad hc value {v:?}")))
-            .collect::<Result<_, String>>()?,
+        hc_values: arg_list_parsed("hc-values", &["64"])?,
         mixes: arg_usize("mixes", 1),
         cores: arg_usize("cores", 2),
         instructions: arg_u64("instructions", 2_000),
@@ -140,15 +139,9 @@ fn chaos_check(
 
 fn main() {
     let addr = arg_string("addr").unwrap_or_else(|| "127.0.0.1:7979".to_string());
-    let connections: Vec<usize> = arg_list("connections", &["1", "2"])
-        .iter()
-        .filter_map(|v| v.parse().ok())
-        .filter(|&c| c > 0)
-        .collect();
-    let workers_list: Vec<usize> = arg_list("workers", &["1"])
-        .iter()
-        .filter_map(|v| v.parse().ok())
-        .collect();
+    let mut connections: Vec<usize> = or_exit(arg_list_parsed("connections", &["1", "2"]));
+    connections.retain(|&c| c > 0);
+    let workers_list: Vec<usize> = or_exit(arg_list_parsed("workers", &["1"]));
     let jobs = arg_usize("jobs", 1);
     let prefix = arg_string("prefix").unwrap_or_else(|| "load".to_string());
     let retries = arg_usize("retries", 0);
@@ -163,13 +156,7 @@ fn main() {
         "connections,workers,jobs,points,wall_seconds,points_per_second,mean_point_latency_s,p50_point_latency_s,p95_point_latency_s,p99_point_latency_s\n",
     );
     for &workers in &workers_list {
-        let grid = match grid_from_args(workers) {
-            Ok(grid) => grid,
-            Err(e) => {
-                eprintln!("svard-load: {e}");
-                std::process::exit(2);
-            }
-        };
+        let grid = or_exit(grid_from_args(workers));
         for &conns in &connections {
             match run_load_retrying(
                 &addr,
@@ -218,13 +205,7 @@ fn main() {
         }
     }
     if arg_flag("check") {
-        let grid = match grid_from_args(workers_list.first().copied().unwrap_or(1)) {
-            Ok(grid) => grid,
-            Err(e) => {
-                eprintln!("svard-load: {e}");
-                std::process::exit(2);
-            }
-        };
+        let grid = or_exit(grid_from_args(workers_list.first().copied().unwrap_or(1)));
         match check(&addr, &grid, &prefix) {
             Ok(()) => eprintln!("# check passed: fresh and resumed jobs are bit-identical"),
             Err(e) => {
@@ -234,13 +215,7 @@ fn main() {
         }
     }
     if arg_flag("chaos-check") {
-        let grid = match grid_from_args(workers_list.first().copied().unwrap_or(1)) {
-            Ok(grid) => grid,
-            Err(e) => {
-                eprintln!("svard-load: {e}");
-                std::process::exit(2);
-            }
-        };
+        let grid = or_exit(grid_from_args(workers_list.first().copied().unwrap_or(1)));
         // Chaos soaks need headroom: default to a generous retry budget when
         // the user didn't size one with --retries.
         let policy = retry.unwrap_or(RetryPolicy {

@@ -28,9 +28,7 @@ use svard_vulnerability::{ModuleSpec, ProfileGenerator};
 use crate::chaos::{FaultPlan, FaultSite};
 use crate::jobstore::{JobJournal, JobStore};
 use crate::json::Json;
-use crate::protocol::{
-    accepted_line, cancelled_line, point_line, summary_line, GridSpec, PROVIDER_NONE,
-};
+use crate::protocol::{accepted_line, cancelled_line, point_line, summary_line, GridSpec};
 use crate::server::ServerStats;
 
 /// The watchdog stays quiet until the execute-time histogram has at least
@@ -161,63 +159,72 @@ pub fn build_harness_with_profiler(
     grid: &GridSpec,
     profiler: Profiler,
 ) -> (EvaluationHarness, Vec<SweepPoint>) {
+    let config = system_config(grid);
+    let mixes = WorkloadMix::generate(grid.mixes, config.cores, grid.seed);
+    let harness = EvaluationHarness::with_threads_mode_profiler(
+        config,
+        mixes,
+        worker_threads(grid),
+        SimMode::FastForward,
+        profiler,
+    );
+    (harness, sweep_points(grid))
+}
+
+/// The system a grid simulates: Table 4 (scaled) with the grid's
+/// instruction budget, core count, rows per bank and seed.
+pub fn system_config(grid: &GridSpec) -> SystemConfig {
     let mut config = SystemConfig::table4_scaled()
         .with_instructions(grid.instructions)
         .with_cores(grid.cores);
     config.memory.geometry.rows_per_bank = grid.rows;
     config.seed = grid.seed;
-    let mixes = WorkloadMix::generate(grid.mixes, config.cores, grid.seed);
-    let workers = if grid.workers == 0 {
-        default_threads()
-    } else {
-        grid.workers
-    };
-    let harness = EvaluationHarness::with_threads_mode_profiler(
-        config,
-        mixes,
-        workers,
-        SimMode::FastForward,
-        profiler,
-    );
+    config
+}
 
-    // One vulnerability profile per referenced module label, then one provider
-    // per (label, HC_first) pair, shared across defenses.
-    let mut profiles: BTreeMap<&str, _> = BTreeMap::new();
-    for label in &grid.providers {
-        if label.eq_ignore_ascii_case(PROVIDER_NONE) {
-            continue;
-        }
-        if let Some(spec) = ModuleSpec::by_label(label) {
-            profiles.insert(
-                label.as_str(),
-                ProfileGenerator::new(grid.seed).generate(&spec.scaled(grid.rows), 1),
-            );
-        }
-    }
+/// The grid's sweep points, in [`GridSpec::points`] order. Each module label
+/// gets one vulnerability profile and each (label, `HC_first`) pair one
+/// threshold provider, shared across defenses;
+/// [`crate::protocol::PROVIDER_NONE`] is the uniform No-Svärd threshold.
+pub fn sweep_points(grid: &GridSpec) -> Vec<SweepPoint> {
+    let profiles: BTreeMap<&str, _> = grid
+        .providers
+        .iter()
+        .filter_map(|label| Some((label.as_str(), ModuleSpec::by_label(label)?)))
+        .map(|(label, spec)| {
+            // One bank although the geometry has 32 (ROADMAP item 2): every
+            // bank reads bank 0's bins.
+            let profile = ProfileGenerator::new(grid.seed).generate(&spec.scaled(grid.rows), 1);
+            (label, profile)
+        })
+        .collect();
     let mut providers: BTreeMap<(String, u64), SharedThresholdProvider> = BTreeMap::new();
-    let mut points = Vec::new();
-    for spec in grid.points() {
-        let key = (spec.provider.clone(), spec.hc_first);
-        let provider = providers
-            .entry(key)
-            .or_insert_with(|| {
-                if spec.provider.eq_ignore_ascii_case(PROVIDER_NONE) {
-                    Arc::new(UniformThreshold::new(spec.hc_first))
-                } else {
-                    profiles
-                        .get(spec.provider.as_str())
-                        .map(|profile| Svard::build(profile, spec.hc_first, grid.bins).provider())
-                        .unwrap_or_else(|| Arc::new(UniformThreshold::new(spec.hc_first)))
-                }
-            })
-            .clone();
-        points.push(SweepPoint {
-            defense: spec.defense,
-            provider,
-            hc_first: spec.hc_first,
-        });
+    grid.points()
+        .into_iter()
+        .map(|spec| {
+            let provider = providers
+                .entry((spec.provider.clone(), spec.hc_first))
+                .or_insert_with(|| match profiles.get(spec.provider.as_str()) {
+                    Some(profile) => Svard::build(profile, spec.hc_first, grid.bins).provider(),
+                    None => Arc::new(UniformThreshold::new(spec.hc_first)),
+                })
+                .clone();
+            SweepPoint {
+                defense: spec.defense,
+                provider,
+                hc_first: spec.hc_first,
+            }
+        })
+        .collect()
+}
+
+/// Harness worker threads for a grid: `workers`, or one per hardware thread
+/// when it is 0.
+fn worker_threads(grid: &GridSpec) -> usize {
+    match grid.workers {
+        0 => default_threads(),
+        n => n,
     }
-    (harness, points)
 }
 
 /// The point lines a fault-free server streams for `grid`, rendered under
@@ -454,11 +461,7 @@ pub fn run_job(
             // Per-task busy time is not tracked on the streamed path; the
             // profile reports span + throughput only.
             busy_seconds: 0.0,
-            threads: if grid.workers == 0 {
-                default_threads()
-            } else {
-                grid.workers
-            },
+            threads: worker_threads(grid),
         };
         let completed = sink.journal.completed.range(..n).count();
         if sink.failed || ctrl.stop.load(Ordering::Acquire) || completed < n {
@@ -817,6 +820,21 @@ mod tests {
         doubled.merge(&snap);
         let expected = Json::parse(&doubled.to_json()).unwrap();
         assert_eq!(merge_point_metrics(&completed), expected);
+    }
+
+    #[test]
+    fn default_grid_yields_the_fig12_sweep_with_named_providers() {
+        let grid = GridSpec::default();
+        let points = sweep_points(&grid);
+        assert_eq!(points.len(), 80);
+        let names = ["No Svärd", "Svärd-S0", "Svärd-M0", "Svärd-H1"];
+        for (i, (point, spec)) in points.iter().zip(grid.points()).enumerate() {
+            assert_eq!(point.defense, spec.defense, "point {i}");
+            assert_eq!(point.hc_first, spec.hc_first, "point {i}");
+            assert_eq!(point.provider.name(), names[i % names.len()], "point {i}");
+        }
+        let tiny = tiny_grid();
+        assert_eq!(build_harness(&tiny).0.config(), &system_config(&tiny));
     }
 
     #[test]

@@ -1,6 +1,11 @@
-//! Minimal `--name value` command-line helpers for the server and load bins
-//! (kept local so the server crate does not pull the characterization stack
-//! that `svard-bench`'s helpers live next to).
+//! Minimal `--name value` command-line helpers, shared by the server and
+//! load bins and (re-exported by `svard-bench`) by every experiment bin.
+//!
+//! A flag that is present but does not parse is a usage error: the numeric
+//! readers exit with status 2 and name the flag rather than fall back to the
+//! default.
+
+use std::str::FromStr;
 
 /// Raw string value of `--name`, if present.
 pub fn arg_string(name: &str) -> Option<String> {
@@ -12,16 +17,33 @@ pub fn arg_string(name: &str) -> Option<String> {
 
 /// `--name value` parsed as `usize`, with a default.
 pub fn arg_usize(name: &str, default: usize) -> usize {
-    arg_string(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    or_exit(parse_arg(name, arg_string(name).as_deref(), default))
 }
 
 /// `--name value` parsed as `u64`, with a default.
 pub fn arg_u64(name: &str, default: u64) -> u64 {
-    arg_string(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    or_exit(parse_arg(name, arg_string(name).as_deref(), default))
+}
+
+/// Parse the raw value of `--name`: `default` when absent, an error naming
+/// the flag when present but unparsable.
+pub fn parse_arg<T: FromStr>(name: &str, raw: Option<&str>, default: T) -> Result<T, String> {
+    raw.map_or(Ok(default), |v| parse_value(name, v))
+}
+
+fn parse_value<T: FromStr>(name: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("--{name}: cannot parse {value:?}"))
+}
+
+/// The value of a command-line result, or print its error and exit with
+/// status 2 (a usage error).
+pub fn or_exit<T>(result: Result<T, String>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// Whether a bare `--flag` is present.
@@ -42,6 +64,15 @@ pub fn arg_list(name: &str, default: &[&str]) -> Vec<String> {
     }
 }
 
+/// [`arg_list`] with every element parsed; the first unparsable element is
+/// an error naming the flag.
+pub fn arg_list_parsed<T: FromStr>(name: &str, default: &[&str]) -> Result<Vec<T>, String> {
+    arg_list(name, default)
+        .iter()
+        .map(|v| parse_value(name, v))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,5 +83,20 @@ mod tests {
         assert_eq!(arg_u64("not-passed", 9), 9);
         assert!(!arg_flag("not-passed"));
         assert_eq!(arg_list("not-passed", &["a", "b"]), vec!["a", "b"]);
+        assert_eq!(
+            arg_list_parsed("not-passed", &["4", "16"]),
+            Ok(vec![4_u64, 16])
+        );
+        assert!(arg_list_parsed::<u64>("not-passed", &["4", "x"]).is_err());
+    }
+
+    #[test]
+    fn parse_arg_takes_the_default_only_when_absent() {
+        assert_eq!(parse_arg("rows", None, 1024_usize), Ok(1024));
+        assert_eq!(parse_arg("rows", Some("512"), 1024_usize), Ok(512));
+        let err = parse_arg("rows", Some("abc"), 1024_usize).unwrap_err();
+        assert!(err.contains("--rows") && err.contains("abc"), "{err}");
+        assert!(parse_arg("seed", Some("-1"), 42_u64).is_err());
+        assert!(parse_arg("zipf", Some("1.5"), 0.0_f64).is_ok());
     }
 }
