@@ -79,4 +79,11 @@ mod tests {
         assert_eq!(p.rows_per_bank(), 128);
         assert_eq!(p.num_banks(), 2);
     }
+
+    #[test]
+    fn arg_helpers_fall_back_to_defaults() {
+        assert_eq!(arg_usize("definitely-not-passed", 7), 7);
+        assert_eq!(arg_u64("also-not-passed", 9), 9);
+        assert!(!arg_flag("missing-flag"));
+    }
 }
