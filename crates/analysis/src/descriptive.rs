@@ -118,11 +118,15 @@ impl BoxSummary {
     }
 }
 
-/// Normalize every value to the minimum of the slice (used for the "normalized to
-/// the minimum BER/HC_first" y-axes of Figs. 4 and 6). Panics if the minimum is 0.
+/// Normalize every value to the smallest non-zero value of the slice (used for
+/// the "normalized to the minimum BER/HC_first" y-axes of Figs. 4 and 6). Zeros,
+/// such as rows without a bitflip, stay 0.
 pub fn normalize_to_min(values: &[f64]) -> Vec<f64> {
-    let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
-    assert!(min > 0.0, "cannot normalize to a zero minimum");
+    let min = values
+        .iter()
+        .copied()
+        .filter(|&v| v > 0.0)
+        .fold(f64::INFINITY, f64::min);
     values.iter().map(|v| v / min).collect()
 }
 
@@ -171,6 +175,13 @@ mod tests {
     fn normalize_to_min_makes_minimum_one() {
         let v = [2.0, 4.0, 8.0];
         assert_eq!(normalize_to_min(&v), vec![1.0, 2.0, 4.0]);
+    }
+
+    #[test]
+    fn normalize_to_min_skips_zeros() {
+        let v = [0.0, 4.0, 2.0, 0.0, 8.0];
+        assert_eq!(normalize_to_min(&v), vec![0.0, 2.0, 1.0, 0.0, 4.0]);
+        assert_eq!(normalize_to_min(&[0.0, 0.0]), vec![0.0, 0.0]);
     }
 
     #[test]

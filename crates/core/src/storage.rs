@@ -35,6 +35,8 @@ pub enum BinStorage {
         filters: Vec<BloomSet>,
         /// Number of bins represented.
         num_bins: usize,
+        /// Number of banks the filters hold rows of.
+        banks: usize,
     },
 }
 
@@ -61,7 +63,11 @@ impl BinStorage {
                 }
             }
         }
-        BinStorage::Bloom { filters, num_bins }
+        BinStorage::Bloom {
+            filters,
+            num_bins,
+            banks: bins.len(),
+        }
     }
 
     /// Look up the bin id of a row. Out-of-range banks/rows wrap (scaled-down
@@ -72,7 +78,12 @@ impl BinStorage {
                 let bank = &bins[bank_index % bins.len()];
                 bank[row % bank.len()]
             }
-            BinStorage::Bloom { filters, num_bins } => {
+            BinStorage::Bloom {
+                filters,
+                num_bins,
+                banks,
+            } => {
+                let bank_index = bank_index % (*banks).max(1);
                 for (level, filter) in filters.iter().enumerate() {
                     if filter.contains(bank_index, row) {
                         return level as u8;
@@ -198,6 +209,16 @@ mod tests {
             .filter(|&(bank, row)| storage.bin_of(bank, row) == bins[bank][row])
             .count();
         assert!(exact_matches > 100, "only {exact_matches} of 128 exact");
+    }
+
+    #[test]
+    fn bloom_storage_wraps_out_of_range_banks_like_exact() {
+        let bins = sample_bins();
+        let storage = BinStorage::bloom(&bins, 16, 1 << 16);
+        for row in 0..64 {
+            assert_eq!(storage.bin_of(2, row), storage.bin_of(0, row));
+            assert_eq!(storage.bin_of(5, row), storage.bin_of(1, row));
+        }
     }
 
     #[test]

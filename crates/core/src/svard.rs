@@ -3,6 +3,7 @@
 use std::sync::Arc;
 
 use svard_defenses::provider::{SharedThresholdProvider, UniformThreshold};
+use svard_dram::geometry::DramGeometry;
 use svard_vulnerability::ModuleVulnerabilityProfile;
 
 use crate::bins::VulnerabilityBins;
@@ -139,15 +140,19 @@ impl Svard {
     /// (scaled) threshold of either of its neighbours. Returns the number of rows
     /// checked. Panics on violation.
     pub fn assert_security_invariant(&self) -> usize {
+        self.assert_security_invariant_in_banks(self.scaled_thresholds.len())
+    }
+
+    /// [`assert_security_invariant`](Self::assert_security_invariant) for the
+    /// first `banks` banks of the Table 4 system. Banks beyond the profile's
+    /// reuse its banks in turn, as the provider's lookups do.
+    fn assert_security_invariant_in_banks(&self, banks: usize) -> usize {
+        let geometry = DramGeometry::table4_system();
         let provider = self.provider();
         let mut checked = 0;
-        for (bank_index, bank) in self.scaled_thresholds.iter().enumerate() {
-            let bank_id = svard_dram::address::BankId {
-                channel: 0,
-                rank: bank_index / 16,
-                bank_group: (bank_index % 16) / 4,
-                bank: bank_index % 4,
-            };
+        let profile_banks = self.scaled_thresholds.iter().cycle().take(banks);
+        for (bank_index, bank) in profile_banks.enumerate() {
+            let bank_id = geometry.unflatten_bank(bank_index).bank_id();
             for row in 0..bank.len() {
                 let below = row.saturating_sub(1);
                 let above = (row + 1).min(bank.len() - 1);
@@ -201,6 +206,24 @@ mod tests {
                 let checked = svard.assert_security_invariant();
                 assert_eq!(checked, 2 * 2048);
             }
+        }
+    }
+
+    #[test]
+    fn security_invariant_holds_in_every_table4_bank() {
+        // A one-bank profile, as the sweeps build: every bank of the Table 4
+        // system reads bank 0's bins.
+        let spec = ModuleSpec::by_label("S0").unwrap().scaled(1024);
+        let profile = ProfileGenerator::new(42).generate(&spec, 1);
+        let banks = DramGeometry::table4_system().total_banks();
+        for storage in [
+            StorageKind::ControllerTable,
+            StorageKind::BloomCompressed,
+            StorageKind::InDramMetadata,
+        ] {
+            let svard = Svard::build_with_storage(&profile, 64, 16, storage);
+            let checked = svard.assert_security_invariant_in_banks(banks);
+            assert_eq!(checked, banks * 1024);
         }
     }
 

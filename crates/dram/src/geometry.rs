@@ -1,7 +1,7 @@
 //! DRAM organization: how many channels, ranks, bank groups, banks, rows and
 //! columns a memory system has (Fig. 1 of the paper).
 
-use crate::address::DramAddress;
+use crate::address::{BankId, DramAddress};
 use crate::error::DramError;
 
 /// Static description of a DRAM memory system's organization.
@@ -116,10 +116,24 @@ impl DramGeometry {
     /// Flatten the (channel, rank, bank group, bank) part of an address into a
     /// single dense bank index in `[0, total_banks())`.
     pub fn flatten_bank(&self, addr: &DramAddress) -> usize {
-        ((addr.channel * self.ranks_per_channel + addr.rank) * self.bank_groups_per_rank
-            + addr.bank_group)
+        self.flat_bank_of(addr.bank_id())
+    }
+
+    /// [`flatten_bank`](Self::flatten_bank) for a [`BankId`], or `None` when
+    /// any of its coordinates lies outside this geometry.
+    pub fn bank_index(&self, bank: BankId) -> Option<usize> {
+        let in_range = bank.channel < self.channels
+            && bank.rank < self.ranks_per_channel
+            && bank.bank_group < self.bank_groups_per_rank
+            && bank.bank < self.banks_per_group;
+        in_range.then(|| self.flat_bank_of(bank))
+    }
+
+    fn flat_bank_of(&self, bank: BankId) -> usize {
+        ((bank.channel * self.ranks_per_channel + bank.rank) * self.bank_groups_per_rank
+            + bank.bank_group)
             * self.banks_per_group
-            + addr.bank
+            + bank.bank
     }
 
     /// Inverse of [`flatten_bank`](Self::flatten_bank): reconstruct the bank
@@ -202,6 +216,17 @@ mod tests {
             let a = g.unflatten_bank(flat);
             assert_eq!(g.flatten_bank(&a), flat);
         }
+    }
+
+    #[test]
+    fn bank_index_matches_flatten_and_rejects_out_of_range() {
+        let g = DramGeometry::table4_system();
+        for flat in 0..g.total_banks() {
+            assert_eq!(g.bank_index(g.unflatten_bank(flat).bank_id()), Some(flat));
+        }
+        let mut bank = g.unflatten_bank(0).bank_id();
+        bank.rank = g.ranks_per_channel;
+        assert_eq!(g.bank_index(bank), None);
     }
 
     #[test]
