@@ -1,6 +1,8 @@
 //! A simple core model: 4-wide issue/retire, 128-entry instruction window, in-order
 //! retirement past outstanding LLC misses (Table 4).
 
+use std::collections::VecDeque;
+
 use svard_memsim::{MemoryRequest, MemorySystem, RequestKind};
 use svard_obs::ObsSink;
 
@@ -35,11 +37,12 @@ impl Default for CoreConfig {
     }
 }
 
+/// An incomplete LLC miss that blocks retirement: the instruction's sequence
+/// number and its memory request.
 #[derive(Debug, Clone, Copy)]
 struct OutstandingMiss {
     seq: u64,
     request_id: u64,
-    done: bool,
 }
 
 /// One simulated core executing a synthetic trace against a shared memory system.
@@ -60,7 +63,9 @@ pub struct SimpleCore {
     next_access: Option<(u64, bool)>,
     pending_request: Option<MemoryRequest>,
     pending_is_demand: bool,
-    outstanding: Vec<OutstandingMiss>,
+    /// Incomplete demand misses in issue (`seq`) order: the front is the
+    /// oldest, which bounds retirement, and the length is the MSHR count.
+    outstanding: VecDeque<OutstandingMiss>,
     next_request_id: u64,
     cycles: u64,
     finish_cycle: Option<u64>,
@@ -94,7 +99,7 @@ impl SimpleCore {
             next_access: None,
             pending_request: None,
             pending_is_demand: false,
-            outstanding: Vec::new(),
+            outstanding: VecDeque::new(),
             next_request_id: (id as u64) << 48,
             cycles: 0,
             finish_cycle: None,
@@ -139,12 +144,12 @@ impl SimpleCore {
 
     /// Notify the core that one of its memory requests completed.
     pub fn on_completion(&mut self, request_id: u64) {
-        if let Some(m) = self
+        if let Some(pos) = self
             .outstanding
-            .iter_mut()
-            .find(|m| m.request_id == request_id)
+            .iter()
+            .position(|m| m.request_id == request_id)
         {
-            m.done = true;
+            self.outstanding.remove(pos);
             self.retire_quiet = false;
         }
     }
@@ -173,19 +178,7 @@ impl SimpleCore {
         // Skipped while quiescent: a fruitless retire attempt stays fruitless
         // until a completion arrives or an instruction issues.
         if !self.retire_quiet {
-            // One pass: drop retired completed misses and find the oldest
-            // incomplete.
-            let retired_now = self.retired;
-            let mut oldest_incomplete: Option<u64> = None;
-            self.outstanding.retain(|m| {
-                if !m.done {
-                    oldest_incomplete = Some(oldest_incomplete.map_or(m.seq, |o| o.min(m.seq)));
-                    true
-                } else {
-                    m.seq > retired_now + 1
-                }
-            });
-            let retire_limit = oldest_incomplete.map_or(self.issued, |seq| seq.saturating_sub(1));
+            let retire_limit = self.retire_limit();
             let retire_to = (self.retired + self.config.width as u64)
                 .min(retire_limit)
                 .min(self.issued)
@@ -226,10 +219,9 @@ impl SimpleCore {
                 match memory.enqueue(req) {
                     Ok(()) => {
                         if self.pending_is_demand {
-                            self.outstanding.push(OutstandingMiss {
+                            self.outstanding.push_back(OutstandingMiss {
                                 seq: self.issued + 1,
                                 request_id: req_id,
-                                done: false,
                             });
                         }
                         self.issued += 1;
@@ -281,9 +273,7 @@ impl SimpleCore {
                     self.advance_trace();
                 }
                 CacheOutcome::Miss { writeback } => {
-                    if self.outstanding.iter().filter(|m| !m.done).count()
-                        >= self.config.max_outstanding_misses
-                    {
+                    if self.outstanding.len() >= self.config.max_outstanding_misses {
                         break; // MSHRs full; retry next cycle
                     }
                     // Past the MSHR check the tick always mutates state (request
@@ -315,10 +305,9 @@ impl SimpleCore {
                     match memory.enqueue(req) {
                         Ok(()) => {
                             if demand {
-                                self.outstanding.push(OutstandingMiss {
+                                self.outstanding.push_back(OutstandingMiss {
                                     seq: self.issued + 1,
                                     request_id: id,
-                                    done: false,
                                 });
                             }
                             self.issued += 1;
@@ -379,9 +368,7 @@ impl SimpleCore {
                     // Adversarial cores miss on every access without touching the
                     // LLC, so a full MSHR list genuinely blocks them with no state
                     // change.
-                    if self.outstanding.iter().filter(|m| !m.done).count()
-                        < self.config.max_outstanding_misses
-                    {
+                    if self.outstanding.len() < self.config.max_outstanding_misses {
                         return true;
                     }
                 }
@@ -389,13 +376,7 @@ impl SimpleCore {
         }
         // Issue is blocked; can anything retire this cycle? (Mirrors the retire
         // section of `tick`.)
-        let oldest_incomplete = self
-            .outstanding
-            .iter()
-            .filter(|m| !m.done)
-            .map(|m| m.seq)
-            .min();
-        let retire_limit = oldest_incomplete.map_or(self.issued, |seq| seq.saturating_sub(1));
+        let retire_limit = self.retire_limit();
         let retire_to = (self.retired + self.config.width as u64)
             .min(retire_limit)
             .min(self.issued)
@@ -426,6 +407,13 @@ impl SimpleCore {
     /// retried once its queue has room.
     pub fn has_rejected_request(&self) -> bool {
         self.pending_request.is_some()
+    }
+
+    /// Retirement stops before the oldest incomplete miss.
+    fn retire_limit(&self) -> u64 {
+        self.outstanding
+            .front()
+            .map_or(self.issued, |m| m.seq.saturating_sub(1))
     }
 
     fn alloc_request_id(&mut self) -> u64 {

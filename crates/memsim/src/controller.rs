@@ -1,20 +1,42 @@
 //! The memory controller: request queues, FR-FCFS scheduling, refresh, and
 //! preventive-action execution.
 //!
-//! # One FR-FCFS scan
+//! # One FR-FCFS scan, decided from per-bank tallies
 //!
-//! Each tick, `schedule_one` makes one pass over the queue it examines (the
-//! write queue while draining writes or when no read is pending, else the
-//! read queue). A request is eligible once its `earliest_issue_cycle` has
-//! passed and its row is not throttled. Both queues stay in arrival order, so
-//! the oldest eligible row hit is the first one in scan order: with no active
-//! throttle it ends the scan. While throttles are active the scan visits every
-//! entry, counting one throttle stall per throttled entry per cycle.
+//! Each tick, `schedule_one` decides from the queue it examines (the write
+//! queue while draining writes or when no read is pending, else the read
+//! queue). A request is eligible once its `earliest_issue_cycle` has passed
+//! and its row is not throttled; FR-FCFS issues the oldest eligible row hit
+//! under the column cap, else the oldest eligible request.
 //!
-//! A fruitless scan records in `no_schedule_before` the earliest cycle at
-//! which an unthrottled request could issue, and later ticks skip the scan
-//! until then. The bound is read only while the throttle table is empty, so
-//! throttled entries never contribute to it.
+//! `earliest_issue_cycle` depends on a request only through its bank,
+//! whether its row is the bank's open row, and the bank's rank; whether it
+//! is a hit under the cap adds only the bank's `consecutive_hits`. So the
+//! requests of one queue fall into two classes per bank, (bank, row open)
+//! and (bank, row closed), and every request of a class is eligible, or a
+//! hit, exactly when the class is. Each queue keeps per-bank tallies
+//! (`QueueTally`: entries, entries to the open row, entries per row, and
+//! bitsets of the banks with any), updated on enqueue and dequeue and
+//! recounted whenever a bank's open row changes (an activation, a row
+//! migration or a row swap). A decision first classifies banks, computing
+//! each rank's activation bound once:
+//!
+//! * if some bank with open-row requests is under the column cap and ready,
+//!   the pick is the first request in such a bank whose row is open;
+//! * else, if some class of some bank is eligible, the pick is the first
+//!   request of an eligible class;
+//! * else nothing is eligible, and the minimum over the classes becomes the
+//!   `no_schedule_before` bound without visiting the queue; later ticks skip
+//!   deciding until then. [`MemorySystem::next_event_cycle`] takes the same
+//!   per-bank minimum.
+//!
+//! Both queues stay in arrival order, so the first request of an eligible
+//! class is the one a per-entry scan would pick. Throttles are per row, not
+//! per class: while any is active the walk visits every entry, counting one
+//! throttle stall per throttled entry per cycle, and `next_event_cycle`
+//! takes its per-entry minimum with each throttle's expiry. The bound is
+//! read only while the throttle table is empty, so throttled entries never
+//! make it unsound.
 //!
 //! # Event-driven fast-forwarding
 //!
@@ -47,6 +69,7 @@ use crate::bank::{BankTiming, RankTiming};
 use crate::config::MemoryConfig;
 use crate::request::{CompletedRequest, MemoryRequest, RequestKind};
 use crate::stats::MemStats;
+use crate::tally::QueueTally;
 
 /// DDR timing parameters pre-converted to controller cycles, so the scheduler
 /// hot path never repeats the picosecond-to-cycle divisions.
@@ -86,6 +109,26 @@ impl TimingCycles {
     }
 }
 
+/// Flags of one bank in [`MemorySystem::classify`]'s verdict: its queued
+/// requests to the open row issue now as row hits under the column cap
+/// (`READY_HIT`) or at all (`READY_OPEN`); its requests to other rows issue
+/// now (`READY_CLOSED`).
+const READY_HIT: u8 = 1;
+const READY_OPEN: u8 = 2;
+const READY_CLOSED: u8 = 4;
+
+/// What [`MemorySystem::classify`] found.
+#[derive(Debug, Clone, Copy)]
+struct Verdict {
+    /// Some bank has a ready row hit.
+    any_hit: bool,
+    /// Some class of some bank can issue now.
+    any_eligible: bool,
+    /// Earliest issue cycle over the classes that cannot issue now; exact
+    /// only when nothing is eligible.
+    earliest: u64,
+}
+
 /// The simulated memory system: one controller driving one DDR4 channel.
 ///
 /// The `S` parameter is the observability sink (see `svard-obs`): the
@@ -103,6 +146,14 @@ pub struct MemorySystem<S: ObsSink = NoopSink> {
     bus_free_at: u64,
     read_queue: VecDeque<MemoryRequest>,
     write_queue: VecDeque<MemoryRequest>,
+    /// Per-bank tallies of `read_queue` and `write_queue`.
+    read_tally: QueueTally,
+    write_tally: QueueTally,
+    /// `READY_*` flags per bank, written by `classify` for the banks each
+    /// decision reads.
+    ready: Vec<u8>,
+    /// Rank index of each flat bank.
+    bank_rank: Vec<usize>,
     in_flight: Vec<(MemoryRequest, u64)>,
     /// Earliest completion cycle among `in_flight` (`u64::MAX` when empty); lets
     /// ticks skip the completion drain scan until something can complete.
@@ -167,8 +218,8 @@ impl<S: ObsSink> MemorySystem<S> {
         let migration_cost =
             2 * (t.t_rcd + config.geometry.columns_per_row as u64 * t.t_ccd_l + t.t_rp);
         let next_refresh = t.t_refi;
+        let total_banks = banks.len();
         Self {
-            config,
             t,
             migration_cost,
             banks,
@@ -176,6 +227,13 @@ impl<S: ObsSink> MemorySystem<S> {
             bus_free_at: 0,
             read_queue: VecDeque::new(),
             write_queue: VecDeque::new(),
+            read_tally: QueueTally::new(total_banks),
+            write_tally: QueueTally::new(total_banks),
+            ready: vec![0; total_banks],
+            bank_rank: (0..total_banks)
+                .map(|bank| bank / config.geometry.banks_per_rank())
+                .collect(),
+            config,
             in_flight: Vec::new(),
             in_flight_min_completion: u64::MAX,
             throttled: HashMap::new(),
@@ -267,6 +325,9 @@ impl<S: ObsSink> MemorySystem<S> {
         let writes_examined = self.writes_selected(self.draining_writes_next());
         let earliest_issue = self.earliest_issue_cycle(&request);
         let joins_writes = request.kind == RequestKind::Write;
+        let (bank, row) = (request.flat_bank, request.dram_addr.row);
+        let open = self.bank_at(bank).is_open(row);
+        self.tally_mut(joins_writes).add(bank, row, open);
         match request.kind {
             RequestKind::Read => {
                 self.read_queue.push_back(request);
@@ -320,22 +381,35 @@ impl<S: ObsSink> MemorySystem<S> {
 
     /// [`tick`](Self::tick) without allocating: completions are appended to `out`.
     pub fn tick_into(&mut self, out: &mut Vec<CompletedRequest>) {
+        self.begin_cycle();
+        self.schedule();
+        self.collect_completions(out);
+    }
+
+    /// The first step of a tick: advance the cycle, fire a due refresh and
+    /// settle the drain flag.
+    fn begin_cycle(&mut self) {
         self.cycle += 1;
         self.stats.cycles += 1;
-
         self.maybe_refresh();
         self.update_drain_mode();
-        // One scan, compiled per case so the common no-throttle scan carries no
-        // throttle-table code: a shared copy simulated attacker mixes about 13%
-        // slower on a 2-vCPU x86-64 host.
+    }
+
+    /// The scheduling step of a tick. One scan, compiled per case so the
+    /// common no-throttle scan carries no throttle-table code: a shared copy
+    /// simulated attacker mixes about 13% slower on a 2-vCPU x86-64 host.
+    fn schedule(&mut self) {
         if self.throttled.is_empty() {
             self.schedule_one::<false>();
         } else {
             self.schedule_one::<true>();
         }
+    }
 
-        // Collect completions (skip the scan entirely while nothing can have
-        // completed yet).
+    /// The last step of a tick: move every transfer that finished by now
+    /// from `in_flight` to `out` (skipping the scan entirely while nothing
+    /// can have completed yet).
+    fn collect_completions(&mut self, out: &mut Vec<CompletedRequest>) {
         let cycle = self.cycle;
         if cycle < self.in_flight_min_completion {
             return;
@@ -396,20 +470,24 @@ impl<S: ObsSink> MemorySystem<S> {
         }
         // Earliest cycle at which FR-FCFS could issue a request from the queue
         // it will examine (after the next tick's drain-mode update).
-        let check_throttles = !self.throttled.is_empty();
-        if !check_throttles && self.no_schedule_before > self.cycle {
-            // The last scheduling scan already proved nothing can issue before
-            // this bound (and nothing has invalidated it since).
-            if self.no_schedule_before != u64::MAX {
-                consider(self.no_schedule_before);
+        let examined = self.writes_selected(self.draining_writes_next());
+        if self.throttled.is_empty() {
+            // The last scheduling scan may already have proved nothing can
+            // issue before its bound (and nothing has invalidated it since);
+            // otherwise take the minimum over the examined queue's banks.
+            let earliest = if self.no_schedule_before > self.cycle {
+                self.no_schedule_before
+            } else {
+                self.earliest_queued_issue(examined)
+            };
+            if earliest != u64::MAX {
+                consider(earliest);
             }
         } else {
-            for req in self.queue(self.writes_selected(self.draining_writes_next())) {
+            for req in self.queue(examined) {
                 let mut c = self.earliest_issue_cycle(req);
-                if check_throttles {
-                    if let Some(&until) = self.throttled.get(&(req.flat_bank, req.dram_addr.row)) {
-                        c = c.max(until);
-                    }
+                if let Some(&until) = self.throttled.get(&(req.flat_bank, req.dram_addr.row)) {
+                    c = c.max(until);
                 }
                 consider(c);
             }
@@ -568,6 +646,118 @@ impl<S: ObsSink> MemorySystem<S> {
         }
     }
 
+    /// The tallies of the write queue if `writes`, else of the read queue.
+    fn tally(&self, writes: bool) -> &QueueTally {
+        if writes {
+            &self.write_tally
+        } else {
+            &self.read_tally
+        }
+    }
+
+    fn tally_mut(&mut self, writes: bool) -> &mut QueueTally {
+        if writes {
+            &mut self.write_tally
+        } else {
+            &mut self.read_tally
+        }
+    }
+
+    /// Every bank with a request in the write queue if `writes`, else the
+    /// read queue, with the earliest issue cycles of its two request
+    /// classes: the requests to its open row, then the rest (`u64::MAX` for
+    /// an empty class). Banks come in index order, which is rank-major, so
+    /// each rank's activation bound is computed once per pass.
+    #[inline]
+    fn class_issue_cycles(&self, writes: bool) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
+        let tally = self.tally(writes);
+        // (rank, its refresh end, its activation bound)
+        let mut rank_state = (usize::MAX, 0, 0);
+        tally.nonempty().iter().map(move |bank| {
+            let rank_idx = self.rank_of(bank);
+            if rank_idx != rank_state.0 {
+                let rank = self.rank_at(rank_idx);
+                let act = rank.next_act_allowed_cycles(self.t.t_rrd_l, self.t.t_faw);
+                rank_state = (rank_idx, rank.refresh_busy_until, act);
+            }
+            let ready = self.bank_at(bank).ready_cycle.max(rank_state.1);
+            let open = tally.open(bank);
+            let open_at = if open > 0 { ready } else { u64::MAX };
+            let closed_at = if tally.entries(bank) > open {
+                ready.max(rank_state.2)
+            } else {
+                u64::MAX
+            };
+            (bank, open_at, closed_at)
+        })
+    }
+
+    /// Minimum `earliest_issue_cycle` over the write queue if `writes`, else
+    /// the read queue (`u64::MAX` when it is empty), from the bank tallies.
+    fn earliest_queued_issue(&self, writes: bool) -> u64 {
+        self.class_issue_cycles(writes)
+            .map(|(_, open_at, closed_at)| open_at.min(closed_at))
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// Write into `ready` which request classes of each bank of the examined
+    /// queue can issue this cycle. With no active throttle (`!THROTTLES`) a
+    /// ready row hit settles the decision, so the banks with open-row
+    /// requests are tried first and, if one has a ready hit, only their
+    /// `READY_HIT` flags are written: the walk then reads nothing else.
+    /// Otherwise every non-empty bank gets all its flags.
+    fn classify<const THROTTLES: bool>(&self, writes: bool, ready: &mut [u8]) -> Verdict {
+        let cycle = self.cycle;
+        let cap = self.config.column_cap;
+        let tally = self.tally(writes);
+        if !THROTTLES {
+            let mut any_hit = false;
+            for bank in tally.with_open().iter() {
+                let b = self.bank_at(bank);
+                let refresh_busy_until = self.rank_at(self.rank_of(bank)).refresh_busy_until;
+                let hit =
+                    b.consecutive_hits < cap && b.ready_cycle.max(refresh_busy_until) <= cycle;
+                if let Some(flags) = ready.get_mut(bank) {
+                    *flags = if hit { READY_HIT } else { 0 };
+                }
+                any_hit |= hit;
+            }
+            if any_hit {
+                return Verdict {
+                    any_hit,
+                    any_eligible: true,
+                    earliest: u64::MAX,
+                };
+            }
+        }
+        let (mut any_hit, mut any_eligible) = (false, false);
+        let mut earliest = u64::MAX;
+        for (bank, open_at, closed_at) in self.class_issue_cycles(writes) {
+            // Branch-free: whether a class is ready is data-dependent.
+            let open_ready = open_at <= cycle;
+            let closed_ready = closed_at <= cycle;
+            let hit = open_ready && self.bank_at(bank).consecutive_hits < cap;
+            earliest = earliest
+                .min(if open_ready { u64::MAX } else { open_at })
+                .min(if closed_ready { u64::MAX } else { closed_at });
+            let flag = |on: bool, flag: u8| if on { flag } else { 0 };
+            let flags = flag(hit, READY_HIT)
+                | flag(open_ready, READY_OPEN)
+                | flag(closed_ready, READY_CLOSED);
+            if let Some(f) = ready.get_mut(bank) {
+                *f = flags;
+            }
+            any_hit |= hit;
+            any_eligible |= flags != 0;
+        }
+        Verdict {
+            any_hit,
+            any_eligible,
+            earliest,
+        }
+    }
+
     /// FR-FCFS: issue the oldest eligible row hit under the column cap, else the
     /// oldest eligible request (see the module docs for the single scan).
     /// `THROTTLES` says whether the throttle table is non-empty.
@@ -580,15 +770,60 @@ impl<S: ObsSink> MemorySystem<S> {
         if !THROTTLES && self.cycle < self.no_schedule_before {
             return;
         }
-        let cycle = self.cycle;
         let from_writes = self.writes_selected(self.draining_writes);
+        let mut ready = std::mem::take(&mut self.ready);
+        let verdict = self.classify::<THROTTLES>(from_writes, &mut ready);
+        // With nothing eligible and no throttle stall to count, the queue is
+        // not visited at all.
+        let chosen = if THROTTLES || verdict.any_eligible {
+            self.walk::<THROTTLES>(from_writes, &ready, THROTTLES || !verdict.any_hit)
+        } else {
+            None
+        };
+        self.ready = ready;
+
+        let Some(chosen) = chosen else {
+            // The earliest cycle at which some ineligible class could issue.
+            // It also covers throttled entries, which is harmless: it is read
+            // only while the throttle table is empty, and a scan that leaves
+            // the table empty has seen no active throttle.
+            self.no_schedule_before = verdict.earliest;
+            return;
+        };
+        let queue = if from_writes {
+            &mut self.write_queue
+        } else {
+            &mut self.read_queue
+        };
+        // `chosen` came from enumerating this queue above, so `remove` cannot
+        // miss; a defensive `return` beats a panic in library code.
+        let Some(req) = queue.remove(chosen) else {
+            return;
+        };
+        let (bank, row) = (req.flat_bank, req.dram_addr.row);
+        let open = self.bank_at(bank).is_open(row);
+        self.tally_mut(from_writes).remove(bank, row, open);
+        // Issuing changes bank and rank state (and may open a row), which can
+        // make other requests schedulable immediately.
+        self.no_schedule_before = 0;
+        self.issue(req);
+    }
+
+    /// Walk the queue `from_writes` selects for the request to issue, given
+    /// `classify`'s flags in `ready`: the first ready row hit, else (if
+    /// `any_class`) the first request of a ready class. With no active
+    /// throttle that first match ends the walk. While throttles are active
+    /// every entry is visited to count its stall, and a younger unthrottled
+    /// hit beats an older non-hit.
+    fn walk<const THROTTLES: bool>(
+        &mut self,
+        from_writes: bool,
+        ready: &[u8],
+        any_class: bool,
+    ) -> Option<usize> {
+        let cycle = self.cycle;
         let mut oldest: Option<usize> = None;
         let mut oldest_hit: Option<usize> = None;
-        // Earliest cycle at which some ineligible request could become
-        // schedulable; needed only when nothing is eligible. Throttled entries
-        // need no bound: it is read only while the throttle table is empty, and
-        // a scan that leaves the table empty has seen no active throttle.
-        let mut earliest_candidate = u64::MAX;
         let mut throttle_stalls = 0u64;
         let mut saw_expired_throttle = false;
         for (idx, req) in self.queue(from_writes).iter().enumerate() {
@@ -605,23 +840,21 @@ impl<S: ObsSink> MemorySystem<S> {
                 // Still counting throttle stalls; the choice is made.
                 continue;
             }
-            let bank = self.bank_at(req.flat_bank);
-            let hit =
-                bank.is_open(req.dram_addr.row) && bank.consecutive_hits < self.config.column_cap;
-            // Once something is eligible, only a younger row hit can win.
-            if oldest.is_some() && !hit {
-                continue;
-            }
-            let issue_at = self.earliest_issue_cycle(req);
-            if issue_at > cycle {
-                earliest_candidate = earliest_candidate.min(issue_at);
-                continue;
-            }
-            oldest.get_or_insert(idx);
-            if hit {
+            let bank = req.flat_bank;
+            let open = self.bank_at(bank).is_open(req.dram_addr.row);
+            let flags = ready.get(bank).copied().unwrap_or(0);
+            if open && flags & READY_HIT != 0 {
                 oldest_hit = Some(idx);
                 if !THROTTLES {
                     break;
+                }
+            } else if any_class && oldest.is_none() {
+                let class = if open { READY_OPEN } else { READY_CLOSED };
+                if flags & class != 0 {
+                    oldest = Some(idx);
+                    if !THROTTLES {
+                        break;
+                    }
                 }
             }
         }
@@ -631,25 +864,15 @@ impl<S: ObsSink> MemorySystem<S> {
         if saw_expired_throttle {
             self.throttled.retain(|_, &mut until| until > cycle);
         }
+        oldest_hit.or(oldest)
+    }
 
-        let Some(chosen) = oldest_hit.or(oldest) else {
-            self.no_schedule_before = earliest_candidate;
-            return;
-        };
-        let queue = if from_writes {
-            &mut self.write_queue
-        } else {
-            &mut self.read_queue
-        };
-        // `chosen` came from enumerating this queue above, so `remove` cannot
-        // miss; a defensive `return` beats a panic in library code.
-        let Some(req) = queue.remove(chosen) else {
-            return;
-        };
-        // Issuing changes bank and rank state (and may open a row), which can
-        // make other requests schedulable immediately.
-        self.no_schedule_before = 0;
-        self.issue(req);
+    /// Open `row` (or close the bank, for `None`) in bank `bank`, recounting
+    /// both queues' open-row tallies of the bank.
+    fn set_open_row(&mut self, bank: usize, row: Option<usize>) {
+        self.bank_at_mut(bank).open_row = row;
+        self.read_tally.reopen(bank, row);
+        self.write_tally.reopen(bank, row);
     }
 
     // ------------------------------------------------------------------
@@ -670,6 +893,10 @@ impl<S: ObsSink> MemorySystem<S> {
     fn bank_at_mut(&mut self, idx: usize) -> &mut BankTiming {
         // lint: allow(panic) -- flat_bank stamped by enqueue is in range by construction
         &mut self.banks[idx]
+    }
+
+    fn rank_of(&self, bank: usize) -> usize {
+        self.bank_rank.get(bank).copied().unwrap_or(0)
     }
 
     fn rank_at(&self, idx: usize) -> &RankTiming {
@@ -727,8 +954,8 @@ impl<S: ObsSink> MemorySystem<S> {
                     .next_act_allowed_cycles(t.t_rrd_l, t.t_faw),
             );
             self.rank_at_mut(rank_idx).record_act(act_cycle);
+            self.set_open_row(bank_idx, Some(row));
             let bank = self.bank_at_mut(bank_idx);
-            bank.open_row = Some(row);
             bank.last_act_cycle = act_cycle;
             bank.consecutive_hits = 0;
             bank.activations += 1;
@@ -833,14 +1060,14 @@ impl<S: ObsSink> MemorySystem<S> {
                     let b = self.bank_at_mut(idx);
                     let start = b.ready_cycle.max(act_cycle);
                     b.occupy_until(start + migration_cost);
-                    b.open_row = None;
+                    self.set_open_row(idx, None);
                     self.stats.row_migrations += 1;
                 }
                 PreventiveAction::SwapRows { .. } => {
                     let b = self.bank_at_mut(idx);
                     let start = b.ready_cycle.max(act_cycle);
                     b.occupy_until(start + 2 * migration_cost);
-                    b.open_row = None;
+                    self.set_open_row(idx, None);
                     self.stats.row_swaps += 1;
                 }
                 PreventiveAction::ExtraTraffic { accesses, .. } => {
@@ -1444,5 +1671,250 @@ mod tests {
             skipped_after_enqueue > 0,
             "no enqueue ever kept a scan-skipping bound"
         );
+    }
+
+    /// Xorshift64 stream for the seeded randomized tests below.
+    struct Xorshift(u64);
+    impl Xorshift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A defense that answers about one activation in six with a random
+    /// preventive action of every kind, aimed at a random bank of the
+    /// geometry (now and then at a bank outside it).
+    struct EveryAction {
+        rng: Xorshift,
+        geometry: svard_dram::DramGeometry,
+    }
+    impl MitigationHook for EveryAction {
+        fn on_activation(
+            &mut self,
+            bank: BankId,
+            row: usize,
+            cycle: u64,
+            out: &mut Vec<PreventiveAction>,
+        ) {
+            if self.rng.below(6) != 0 {
+                return;
+            }
+            let g = &self.geometry;
+            let target = match self.rng.below(8) {
+                0 => bank,
+                1 => BankId {
+                    bank: g.banks_per_group,
+                    ..bank
+                },
+                _ => g
+                    .unflatten_bank(self.rng.below(g.total_banks() as u64) as usize)
+                    .bank_id(),
+            };
+            let other = self.rng.below(g.rows_per_bank as u64) as usize;
+            out.push(match self.rng.below(5) {
+                0 => PreventiveAction::RefreshRow { bank: target, row },
+                1 => PreventiveAction::ThrottleRow {
+                    bank: target,
+                    row: if self.rng.below(2) == 0 { row } else { other },
+                    until_cycle: cycle + 20 + self.rng.below(600),
+                },
+                2 => PreventiveAction::MigrateRow {
+                    bank: target,
+                    from_row: row,
+                    to_row: other,
+                },
+                3 => PreventiveAction::SwapRows {
+                    bank: target,
+                    row_a: row,
+                    row_b: other,
+                },
+                _ => PreventiveAction::ExtraTraffic {
+                    bank: target,
+                    accesses: 1 + self.rng.below(4) as u32,
+                },
+            });
+        }
+        fn name(&self) -> &str {
+            "every-action"
+        }
+    }
+
+    /// The tallies recounted by walking both queues.
+    fn recount(mem: &MemorySystem) -> (QueueTally, QueueTally) {
+        let mut tallies = (
+            QueueTally::new(mem.banks.len()),
+            QueueTally::new(mem.banks.len()),
+        );
+        for (queue, tally) in [
+            (&mem.read_queue, &mut tallies.0),
+            (&mem.write_queue, &mut tallies.1),
+        ] {
+            for req in queue {
+                let (bank, row) = (req.flat_bank, req.dram_addr.row);
+                tally.add(bank, row, mem.banks[bank].is_open(row));
+            }
+        }
+        tallies
+    }
+
+    /// The per-entry FR-FCFS scan the bank tallies replaced, kept as the
+    /// reference: the id it would issue this cycle and the throttle stalls
+    /// it would count. Call it where `schedule_one` would run.
+    fn reference_pick(mem: &MemorySystem) -> (Option<u64>, u64) {
+        let cycle = mem.cycle;
+        let mut oldest = None;
+        let mut oldest_hit = None;
+        let mut stalls = 0;
+        for req in mem.queue(mem.writes_selected(mem.draining_writes)) {
+            if let Some(&until) = mem.throttled.get(&(req.flat_bank, req.dram_addr.row)) {
+                if until > cycle {
+                    stalls += 1;
+                    continue;
+                }
+            }
+            if oldest_hit.is_some() {
+                continue;
+            }
+            let bank = &mem.banks[req.flat_bank];
+            let hit =
+                bank.is_open(req.dram_addr.row) && bank.consecutive_hits < mem.config.column_cap;
+            if mem.earliest_issue_cycle(req) > cycle {
+                continue;
+            }
+            oldest.get_or_insert(req.id);
+            if hit {
+                oldest_hit = Some(req.id);
+            }
+        }
+        (oldest_hit.or(oldest), stalls)
+    }
+
+    /// `next_event_cycle` by brute force: every examined request's earliest
+    /// issue cycle (throttles included), in-flight completions and refresh.
+    fn reference_next_event(mem: &MemorySystem) -> Option<u64> {
+        let floor = mem.cycle + 1;
+        let queued = mem
+            .queue(mem.writes_selected(mem.draining_writes_next()))
+            .iter()
+            .map(|req| {
+                let until = mem.throttled.get(&(req.flat_bank, req.dram_addr.row));
+                mem.earliest_issue_cycle(req)
+                    .max(until.copied().unwrap_or(0))
+            });
+        let refresh = mem.config.refresh_enabled.then_some(mem.next_refresh);
+        let in_flight = mem.in_flight.iter().map(|&(_, due)| due);
+        queued
+            .chain(refresh)
+            .chain(in_flight)
+            .map(|c| c.max(floor))
+            .min()
+    }
+
+    /// Drive `config` with seeded random bursts of reads and writes under
+    /// [`EveryAction`], checking after every tick that the tallies match a
+    /// recount, `next_event_cycle` matches its brute-force minimum, and the
+    /// issued request is the one the per-entry scan picks.
+    fn check_tallies_against_scan(mut config: MemoryConfig, seed: u64) {
+        config.read_queue_entries = 8;
+        config.write_queue_entries = 8;
+        config.write_drain_high = 6;
+        config.write_drain_low = 2;
+        config.column_cap = 3;
+        let geometry = config.geometry.clone();
+        let mut mem = MemorySystem::with_mitigation(
+            config,
+            Box::new(EveryAction {
+                rng: Xorshift(seed ^ 0x5DEE_CE66),
+                geometry: geometry.clone(),
+            }),
+        );
+        let mut rng = Xorshift(seed);
+        // A small pool of lines, four per row, so rows repeat and hit.
+        let pool: Vec<u64> = (0..24).map(|_| rng.below(1 << 24) & !0xFF).collect();
+        let mut id = 0u64;
+        let (mut issued, mut stalls_seen) = (0u64, 0u64);
+        let mut out = Vec::new();
+        for _ in 0..30_000 {
+            let burst = if rng.below(6) == 0 {
+                1 + rng.below(5)
+            } else {
+                0
+            };
+            for _ in 0..burst {
+                let addr = pool[rng.below(pool.len() as u64) as usize] + 64 * rng.below(4);
+                let req = if rng.below(3) == 0 {
+                    MemoryRequest::write(id, addr, 0)
+                } else {
+                    MemoryRequest::read(id, addr, 0)
+                };
+                id += 1;
+                let _ = mem.enqueue(req);
+            }
+            assert_eq!(mem.next_event_cycle(), reference_next_event(&mem));
+
+            mem.begin_cycle();
+            let (expected, stalls) = reference_pick(&mem);
+            let queued = |mem: &MemorySystem| -> Vec<u64> {
+                mem.read_queue
+                    .iter()
+                    .chain(&mem.write_queue)
+                    .map(|r| r.id)
+                    .collect()
+            };
+            let before = queued(&mem);
+            let stalls_before = mem.stats.throttle_stalls;
+            mem.schedule();
+            let after = queued(&mem);
+            let picked: Vec<u64> = before
+                .into_iter()
+                .filter(|id| !after.contains(id))
+                .collect();
+            assert_eq!(picked, Vec::from_iter(expected), "cycle {}", mem.cycle);
+            assert_eq!(mem.stats.throttle_stalls - stalls_before, stalls);
+            mem.collect_completions(&mut out);
+
+            let (reads, writes) = recount(&mem);
+            let cycle = mem.cycle;
+            assert_eq!(
+                mem.read_tally.canonical(),
+                reads.canonical(),
+                "reads, cycle {cycle}"
+            );
+            assert_eq!(
+                mem.write_tally.canonical(),
+                writes.canonical(),
+                "writes, cycle {cycle}"
+            );
+            issued += picked.len() as u64;
+            stalls_seen += stalls;
+        }
+        let s = mem.stats();
+        assert!(issued > 1_000, "only {issued} requests issued");
+        assert!(stalls_seen > 0 && s.row_swaps > 0 && s.row_migrations > 0);
+        assert!(s.row_hits > 0 && s.preventive_refreshes > 0 && s.extra_accesses > 0);
+    }
+
+    #[test]
+    fn tallies_match_the_per_entry_scan_on_table4_banks() {
+        for seed in [1, 2, 3] {
+            check_tallies_against_scan(MemoryConfig::small(256), seed);
+        }
+    }
+
+    #[test]
+    fn tallies_match_the_per_entry_scan_beyond_64_banks() {
+        let mut config = MemoryConfig::small(256);
+        config.geometry.ranks_per_channel = 3;
+        config.geometry.banks_per_group = 6;
+        assert_eq!(config.total_banks(), 72);
+        for seed in [4, 5] {
+            check_tallies_against_scan(config.clone(), seed);
+        }
     }
 }

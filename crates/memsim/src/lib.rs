@@ -27,6 +27,8 @@
 //! requests cache their flat bank/rank indices at enqueue, timing parameters are
 //! pre-converted to cycles, preventive actions go through a reused scratch
 //! buffer, and fruitless scheduler scans are memoized between state changes.
+//! The FR-FCFS scheduler decides from per-bank request tallies, so a
+//! decision costs O(banks) rather than O(queue) (see [`controller`]).
 //!
 //! # Example
 //!
@@ -51,6 +53,7 @@ pub mod config;
 pub mod controller;
 pub mod request;
 pub mod stats;
+mod tally;
 
 pub use actions::{MitigationHook, NoMitigation, PreventiveAction};
 pub use config::MemoryConfig;

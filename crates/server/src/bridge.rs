@@ -89,6 +89,22 @@ impl<'a> JobObs<'a> {
             );
         }
     }
+
+    /// Count a job run's end: points streamed and resumed, and the job as
+    /// completed or cancelled. `run_job` calls it before the job's last
+    /// line goes out, so a client that reads the metrics once it has that
+    /// line always sees its job counted.
+    fn on_job_end(&self, report: &JobReport) {
+        let streamed = report.completed - report.resumed.min(report.completed);
+        self.stats.add("server.points_streamed", streamed as u64);
+        self.stats
+            .add("server.points_resumed", report.resumed as u64);
+        self.stats.count(if report.cancelled {
+            "server.jobs_cancelled"
+        } else {
+            "server.jobs_completed"
+        });
+    }
 }
 
 /// Wall-clock timings for one completed point, as fed to [`JobObs::on_point`].
@@ -318,11 +334,15 @@ pub fn run_job(
     let specs = grid.points();
     let n = specs.len();
     let resumed = journal.completed.range(..n).count();
-    let report = |completed: usize, cancelled: bool| JobReport {
-        points: n,
-        completed,
-        resumed,
-        cancelled,
+    let report = |completed: usize, cancelled: bool| {
+        let report = JobReport {
+            points: n,
+            completed,
+            resumed,
+            cancelled,
+        };
+        obs.on_job_end(&report);
+        report
     };
     obs.stats.set_progress(job_id, resumed, n);
     if resumed > 0 {
@@ -451,8 +471,9 @@ pub fn run_job(
             if sink.journal.record_marker(&marker).is_ok() {
                 obs.stats.count("server.cancel.markers");
             }
+            let cancelled = report(completed, true);
             let _ = send(&sink.out, marker);
-            return Ok(report(completed, true));
+            return Ok(cancelled);
         }
         let profile = PhaseProfile {
             phase: "job",
@@ -487,8 +508,14 @@ pub fn run_job(
         profiles.push(sweep_profile.clone());
     }
     let summary = summary_line(job_id, n, n, resumed, &merged, &profiles);
-    let cancelled = !send(&sink.out, summary);
-    Ok(report(n, cancelled))
+    // Every point is journaled, so the job counts as completed even if its
+    // client has left and the summary cannot be delivered.
+    let done = report(n, false);
+    let delivered = send(&sink.out, summary);
+    Ok(JobReport {
+        cancelled: !delivered,
+        ..done
+    })
 }
 
 struct StreamSink {

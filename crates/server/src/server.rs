@@ -463,22 +463,8 @@ fn executor_loop(ctx: &ExecCtx) {
             bridge::run_job(&job.job_id, &job.grid, &job.out, &ctx.store, &ctrl, &obs)
         }));
         match result {
+            // `run_job` has counted the job's end already.
             Ok(Ok(report)) => {
-                ctx.stats.with(|m| {
-                    m.add_counter(
-                        "server.points_streamed",
-                        (report.completed - report.resumed.min(report.completed)) as u64,
-                    );
-                    m.add_counter("server.points_resumed", report.resumed as u64);
-                    m.add_counter(
-                        if report.cancelled {
-                            "server.jobs_cancelled"
-                        } else {
-                            "server.jobs_completed"
-                        },
-                        1,
-                    );
-                });
                 if report.cancelled
                     && report.completed < report.points
                     && !job.cancel.load(Ordering::Acquire)
