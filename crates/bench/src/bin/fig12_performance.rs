@@ -3,8 +3,9 @@
 //! weighted speedup, harmonic speedup and maximum slowdown normalized to the
 //! no-defense baseline.
 //!
-//! Defaults are scaled down (see `DESIGN.md`): pass `--mixes`, `--instructions`,
-//! `--rows` and `--hc-values` to scale up towards the paper's configuration.
+//! Defaults are scaled down (see the `svard_system` crate docs): pass `--mixes`,
+//! `--instructions`, `--rows` and `--hc-values` to scale up towards the paper's
+//! configuration.
 
 use svard_bench::*;
 use svard_server::{bridge, GridSpec};

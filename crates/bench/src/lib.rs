@@ -1,10 +1,11 @@
 //! Shared plumbing for the experiment binaries that regenerate the paper's tables
-//! and figures (see `DESIGN.md` for the per-experiment index and `EXPERIMENTS.md`
-//! for paper-vs-measured results).
+//! and figures.
 //!
 //! Each binary prints CSV-like rows to stdout. All experiments run on scaled-down
 //! DRAM banks by default (the characterization pipeline is size-agnostic); pass
 //! `--rows`, `--banks`, `--stride`, `--mixes` or `--instructions` to scale up.
+//! The `svard_system` crate docs ("Scaled-down substrate") say what is scaled
+//! and how far.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -66,7 +67,7 @@ pub fn fmt(v: f64) -> String {
 /// The standard experiment banner: what is being reproduced and at what scale.
 pub fn banner(figure: &str, description: &str) {
     eprintln!("# Reproducing {figure}: {description}");
-    eprintln!("# (scaled-down substrate; see DESIGN.md and EXPERIMENTS.md)");
+    eprintln!("# (scaled-down substrate; see the svard-system crate docs)");
 }
 
 #[cfg(test)]

@@ -127,11 +127,6 @@ pub struct ModuleCharacterization {
 }
 
 impl ModuleCharacterization {
-    /// All BER values across all characterized banks.
-    pub fn all_ber_values(&self) -> Vec<f64> {
-        self.banks.iter().flat_map(|b| b.ber_values()).collect()
-    }
-
     /// All `HC_first` values across all characterized banks.
     pub fn all_hc_first_values(&self) -> Vec<u64> {
         self.banks

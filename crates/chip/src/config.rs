@@ -9,7 +9,7 @@ use crate::trr::TrrConfig;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChipConfig {
     /// Bytes per DRAM row stored by the model (the characterization experiments use
-    /// scaled-down rows; see `DESIGN.md`).
+    /// scaled-down rows; see the `svard_system` crate docs).
     pub row_size_bytes: usize,
     /// In-DRAM logical-to-physical row scrambling.
     pub scramble: RowScramble,

@@ -263,8 +263,8 @@ mod tests {
         // All three per-manufacturer profiles credit the average row with clearly
         // more headroom than the worst case, which is where Svärd's Fig. 12 gains
         // come from. (The exact per-manufacturer ordering depends on the full
-        // HC_first distribution shape, which Table 5 only summarizes; see
-        // EXPERIMENTS.md for the measured ordering.)
+        // HC_first distribution shape, which Table 5 only summarizes, so this
+        // test does not assert one.)
         let mean_relative = |label: &str| -> f64 {
             let svard = Svard::build(&profile(label), 256, 16);
             let provider = svard.provider();

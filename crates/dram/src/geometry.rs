@@ -70,7 +70,8 @@ impl DramGeometry {
     /// single rank with 16 banks of `rows_per_bank` rows and 1 KiB rows.
     ///
     /// The characterization pipeline is geometry-agnostic, so experiments default to
-    /// scaled-down banks to keep runtimes in seconds (see `DESIGN.md`, substitutions).
+    /// scaled-down banks to keep runtimes in seconds (see the `svard_system` crate
+    /// docs, "Scaled-down substrate").
     pub fn scaled(rows_per_bank: usize, row_size_bytes: usize) -> Self {
         Self {
             channels: 1,

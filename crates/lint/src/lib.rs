@@ -46,11 +46,6 @@ pub struct WorkspaceReport {
 }
 
 impl WorkspaceReport {
-    /// Whether any error-level diagnostic was produced.
-    pub fn has_errors(&self) -> bool {
-        self.diagnostics.iter().any(|d| d.level == Level::Error)
-    }
-
     /// Render the diagnostics as a JSON array (stable field order).
     pub fn to_json(&self) -> String {
         let mut out = String::from("[\n");

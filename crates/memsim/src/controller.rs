@@ -280,11 +280,6 @@ impl<S: ObsSink> MemorySystem<S> {
         &self.stats
     }
 
-    /// Name of the installed defense.
-    pub fn mitigation_name(&self) -> String {
-        self.mitigation.name().to_string()
-    }
-
     /// Current cycle.
     pub fn cycle(&self) -> u64 {
         self.cycle

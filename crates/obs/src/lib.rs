@@ -11,13 +11,13 @@
 //!    timestamps, so a trace is a pure function of the simulated workload:
 //!    bit-identical across thread counts and across fast-forward vs
 //!    per-cycle execution.
-//! 3. **Phase profiling** — wall-clock span recording ([`span`], [`wall`])
-//!    for the harness and serving boundary only: begin/end pairs with parent
-//!    links and thread ids in bounded per-thread rings ([`Profiler`],
-//!    [`SpanRecorder`]), exportable as Chrome trace-event JSON, plus the
-//!    aggregate [`PhaseProfile`] summaries derived from them. `svard-lint`
-//!    forbids `WallTimer::start` and `now_us` inside simulation crates;
-//!    cycle-domain recording APIs are allowed anywhere.
+//! 3. **Phase profiling** — wall-clock spans ([`span`], [`wall`]) for the
+//!    harness and serving boundary only. Every span goes through
+//!    [`Profiler::record`] into one bounded store, stamped with the
+//!    recording thread's id and exportable as Chrome trace-event JSON; the
+//!    harness also sums its phase timings into [`PhaseProfile`] summaries.
+//!    `svard-lint` forbids `now_us` inside simulation crates; cycle-domain
+//!    recording APIs are allowed anywhere.
 //!
 //! The hot-path contract is enforced through generics: simulation structs
 //! take an [`ObsSink`] type parameter defaulting to [`NoopSink`], whose
@@ -40,6 +40,6 @@ pub mod wall;
 pub use catalog::{Counter, EventKind, Gauge, Hist};
 pub use metrics::{HistogramSnapshot, MetricsSnapshot};
 pub use sink::{Collect, NoopSink, ObsSink, Recorder};
-pub use span::{Profiler, Span, SpanRecorder, DEFAULT_SPAN_CAPACITY};
+pub use span::{Profiler, Span, DEFAULT_SPAN_CAPACITY};
 pub use trace::{TraceBuffer, TraceEvent};
-pub use wall::{PhaseProfile, WallTimer};
+pub use wall::PhaseProfile;

@@ -1,13 +1,12 @@
-//! Wall-clock span profiling for the serving path.
+//! Wall-clock span profiling for the harness, the server and the benchmark.
 //!
-//! A [`Profiler`] is a cheap-to-clone handle over a shared span store. Each
-//! thread records through its own [`SpanRecorder`]: begin/end pairs with
-//! parent links, or flat [`SpanRecorder::record`] calls for durations
-//! measured elsewhere (e.g. queue wait computed from an enqueue timestamp).
-//! Recording is allocation-free: every recorder owns a bounded ring that is
-//! preallocated up front and overwrites its oldest span when full, counting
-//! drops. Rings are merged into the shared store when a recorder is flushed
-//! or dropped, and the merged store is itself a bounded ring.
+//! A [`Profiler`] is a cheap-to-clone handle over one shared span store, and
+//! [`Profiler::record`] is the only way a span gets into it: the caller takes
+//! its interval from [`Profiler::now_us`] and records it with a static name
+//! and a free-form argument. Each span is stamped with an id for the thread
+//! that recorded it, so an exported trace shows one track per thread. The
+//! store is a bounded ring, preallocated up front, that overwrites its oldest
+//! span when full and counts the drop.
 //!
 //! All timestamps are wall-clock microseconds relative to the profiler's
 //! epoch. This module is strictly non-sim: spans never touch the simulated
@@ -19,16 +18,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Default per-thread span ring capacity.
+/// Default span capacity (see [`Profiler::new`]).
 pub const DEFAULT_SPAN_CAPACITY: usize = 4096;
 
-/// Maximum nesting depth of open `begin`/`end` pairs per recorder. Deeper
-/// spans are dropped (and counted) rather than recorded.
-const MAX_SPAN_DEPTH: usize = 32;
-
-/// The merged store holds this many rings' worth of spans before it starts
+/// The store holds this many times a profiler's capacity before it starts
 /// overwriting its oldest entries.
-const MERGE_FACTOR: usize = 16;
+const STORE_FACTOR: usize = 16;
+
+/// Source of thread ids, shared by every profiler in the process.
+static NEXT_TID: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// This thread's span track id (never 0), drawn on first use.
+    static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+}
 
 /// One completed wall-clock span.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,9 +40,7 @@ pub struct Span {
     pub name: &'static str,
     /// Unique id (never 0), allocated profiler-wide.
     pub id: u64,
-    /// Id of the enclosing open span on the same recorder, or 0 for roots.
-    pub parent: u64,
-    /// Recorder thread id (0 for spans recorded through [`Profiler::record`]).
+    /// Id of the recording thread (never 0), process-wide.
     pub tid: u64,
     /// Start, microseconds since the profiler epoch.
     pub start_us: u64,
@@ -69,10 +70,6 @@ impl SpanRing {
     }
 
     fn push(&mut self, span: Span) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
         if self.spans.len() < self.capacity {
             self.spans.push(span);
         } else {
@@ -97,15 +94,13 @@ impl SpanRing {
 }
 
 struct ProfilerInner {
-    next_tid: AtomicU64,
     next_id: AtomicU64,
-    capacity: usize,
-    merged: Mutex<SpanRing>,
+    store: Mutex<SpanRing>,
 }
 
 impl ProfilerInner {
-    fn merged(&self) -> MutexGuard<'_, SpanRing> {
-        self.merged.lock().unwrap_or_else(|p| p.into_inner())
+    fn store(&self) -> MutexGuard<'_, SpanRing> {
+        self.store.lock().unwrap_or_else(|p| p.into_inner())
     }
 }
 
@@ -126,15 +121,13 @@ impl std::fmt::Debug for Profiler {
 }
 
 impl Profiler {
-    /// A profiler whose per-thread rings hold `capacity` spans each
+    /// A profiler whose store keeps the newest `16 × capacity` spans
     /// (0 behaves like [`Profiler::disabled`]).
     pub fn new(capacity: usize) -> Profiler {
         let inner = (capacity > 0).then(|| {
             Arc::new(ProfilerInner {
-                next_tid: AtomicU64::new(1),
                 next_id: AtomicU64::new(1),
-                capacity,
-                merged: Mutex::new(SpanRing::new(capacity.saturating_mul(MERGE_FACTOR))),
+                store: Mutex::new(SpanRing::new(capacity.saturating_mul(STORE_FACTOR))),
             })
         });
         Profiler {
@@ -162,28 +155,8 @@ impl Profiler {
         u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 
-    /// A recorder with its own thread id and bounded ring. Dropping the
-    /// recorder flushes its ring into the shared store.
-    pub fn recorder(&self) -> SpanRecorder {
-        let (tid, capacity) = match &self.inner {
-            Some(inner) => (
-                inner.next_tid.fetch_add(1, Ordering::Relaxed),
-                inner.capacity,
-            ),
-            None => (0, 0),
-        };
-        SpanRecorder {
-            profiler: self.clone(),
-            tid,
-            ring: SpanRing::new(capacity),
-            stack: Vec::with_capacity(MAX_SPAN_DEPTH),
-            overflow: 0,
-        }
-    }
-
-    /// Record one flat span directly into the shared store (tid 0, no
-    /// parent). For spans measured on threads that hold no recorder, e.g.
-    /// harness worker closures.
+    /// Record one span measured by the caller, stamped with the calling
+    /// thread's id. A disabled profiler returns at once.
     pub fn record(&self, name: &'static str, start_us: u64, dur_us: u64, arg: u64) {
         let Some(inner) = &self.inner else {
             return;
@@ -191,62 +164,37 @@ impl Profiler {
         let span = Span {
             name,
             id: inner.next_id.fetch_add(1, Ordering::Relaxed),
-            parent: 0,
-            tid: 0,
+            tid: TID.with(|tid| *tid),
             start_us,
             dur_us,
             arg,
         };
-        inner.merged().push(span);
+        inner.store().push(span);
     }
 
-    fn alloc_id(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.next_id.fetch_add(1, Ordering::Relaxed),
-            None => 0,
-        }
-    }
-
-    fn absorb(&self, ring: &mut SpanRing) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        let mut merged = inner.merged();
-        for span in ring.iter() {
-            merged.push(span.clone());
-        }
-        merged.dropped += ring.dropped;
-        ring.spans.clear();
-        ring.next = 0;
-        ring.dropped = 0;
-    }
-
-    /// A copy of every span flushed so far, sorted by start time (then tid,
-    /// then id) for deterministic export. Spans still sitting in live
-    /// recorders are not included — flush or drop the recorder first.
+    /// A copy of every stored span, sorted by start time (then tid, then id)
+    /// for deterministic export.
     pub fn snapshot_spans(&self) -> Vec<Span> {
         let Some(inner) = &self.inner else {
             return Vec::new();
         };
-        let merged = inner.merged();
-        let mut spans: Vec<Span> = merged.iter().cloned().collect();
+        let mut spans: Vec<Span> = inner.store().iter().cloned().collect();
         spans.sort_by_key(|s| (s.start_us, s.tid, s.id));
         spans
     }
 
-    /// Total spans lost to ring overflow or depth overflow, across every
-    /// flushed recorder plus the merged store.
+    /// Spans the full store has overwritten so far.
     pub fn dropped(&self) -> u64 {
         match &self.inner {
-            Some(inner) => inner.merged().dropped,
+            Some(inner) => inner.store().dropped,
             None => 0,
         }
     }
 
-    /// Render every flushed span as Chrome trace-event JSON (complete `"X"`
-    /// events, timestamps in microseconds), loadable by `chrome://tracing`
-    /// and Perfetto. Span names are static strings from the catalogue and
-    /// are emitted unescaped.
+    /// Render every stored span as Chrome trace-event JSON (complete `"X"`
+    /// events, timestamps in microseconds, one track per recording thread),
+    /// loadable by `chrome://tracing` and Perfetto. Span names are static
+    /// strings from the catalogue and are emitted unescaped.
     pub fn chrome_trace_json(&self) -> String {
         let spans = self.snapshot_spans();
         let mut out = String::from("{\"traceEvents\":[");
@@ -256,107 +204,12 @@ impl Profiler {
             }
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"cat\":\"svard\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":1,\"tid\":{},\"args\":{{\"id\":{},\"parent\":{},\"arg\":{}}}}}",
-                s.name, s.start_us, s.dur_us, s.tid, s.id, s.parent, s.arg
+                 \"pid\":1,\"tid\":{},\"args\":{{\"id\":{},\"arg\":{}}}}}",
+                s.name, s.start_us, s.dur_us, s.tid, s.id, s.arg
             ));
         }
         out.push_str("],\"displayTimeUnit\":\"ms\"}");
         out
-    }
-}
-
-/// Per-thread span recording: a bounded ring plus a begin/end stack, both
-/// preallocated so recording never allocates.
-pub struct SpanRecorder {
-    profiler: Profiler,
-    tid: u64,
-    ring: SpanRing,
-    /// Open spans: (name, start_us, id).
-    stack: Vec<(&'static str, u64, u64)>,
-    /// Depth of `begin` calls past `MAX_SPAN_DEPTH`, so `end` stays balanced.
-    overflow: u32,
-}
-
-impl SpanRecorder {
-    /// This recorder's thread id (0 when the profiler is disabled).
-    pub fn tid(&self) -> u64 {
-        self.tid
-    }
-
-    /// The profiler this recorder feeds (useful for timestamps).
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
-    }
-
-    /// Open a span. Must be balanced by [`SpanRecorder::end`].
-    pub fn begin(&mut self, name: &'static str) {
-        if !self.profiler.enabled() {
-            return;
-        }
-        if self.overflow > 0 || self.stack.len() >= MAX_SPAN_DEPTH {
-            self.overflow += 1;
-            self.ring.dropped += 1;
-            return;
-        }
-        let id = self.profiler.alloc_id();
-        self.stack.push((name, self.profiler.now_us(), id));
-    }
-
-    /// Close the innermost open span, recording it with `arg`. Returns its
-    /// duration in microseconds (0 if nothing was open).
-    pub fn end(&mut self, arg: u64) -> u64 {
-        if !self.profiler.enabled() {
-            return 0;
-        }
-        if self.overflow > 0 {
-            self.overflow -= 1;
-            return 0;
-        }
-        let Some((name, start_us, id)) = self.stack.pop() else {
-            return 0;
-        };
-        let dur_us = self.profiler.now_us().saturating_sub(start_us);
-        let parent = self.stack.last().map_or(0, |&(_, _, pid)| pid);
-        self.ring.push(Span {
-            name,
-            id,
-            parent,
-            tid: self.tid,
-            start_us,
-            dur_us,
-            arg,
-        });
-        dur_us
-    }
-
-    /// Record a flat span whose interval was measured by the caller. The
-    /// parent link is the innermost open span, if any.
-    pub fn record(&mut self, name: &'static str, start_us: u64, dur_us: u64, arg: u64) {
-        if !self.profiler.enabled() {
-            return;
-        }
-        let parent = self.stack.last().map_or(0, |&(_, _, pid)| pid);
-        let span = Span {
-            name,
-            id: self.profiler.alloc_id(),
-            parent,
-            tid: self.tid,
-            start_us,
-            dur_us,
-            arg,
-        };
-        self.ring.push(span);
-    }
-
-    /// Move this ring's spans into the shared store.
-    pub fn flush(&mut self) {
-        self.profiler.absorb(&mut self.ring);
-    }
-}
-
-impl Drop for SpanRecorder {
-    fn drop(&mut self) {
-        self.flush();
     }
 }
 
@@ -365,62 +218,41 @@ mod tests {
     use super::*;
 
     #[test]
-    fn nested_begin_end_links_parents() {
-        let profiler = Profiler::new(64);
-        let mut rec = profiler.recorder();
-        rec.begin("server.execute");
-        rec.begin("server.journal");
-        rec.end(7);
-        rec.end(0);
-        rec.flush();
-        let spans = profiler.snapshot_spans();
-        assert_eq!(spans.len(), 2);
-        let outer = spans
-            .iter()
-            .find(|s| s.name == "server.execute")
-            .expect("outer span");
-        let inner = spans
-            .iter()
-            .find(|s| s.name == "server.journal")
-            .expect("inner span");
-        assert_eq!(inner.parent, outer.id);
-        assert_eq!(outer.parent, 0);
-        assert_eq!(inner.arg, 7);
-        assert_eq!(inner.tid, outer.tid);
-        assert!(inner.start_us >= outer.start_us);
-    }
-
-    #[test]
     fn ring_is_bounded_and_counts_drops() {
-        let profiler = Profiler::new(4);
-        let mut rec = profiler.recorder();
-        for i in 0..10u64 {
-            rec.record("server.send", i, 1, i);
+        // Capacity 1 keeps the newest 16 spans.
+        let profiler = Profiler::new(1);
+        for i in 0..20u64 {
+            profiler.record("server.send", i, 1, i);
         }
-        rec.flush();
         let spans = profiler.snapshot_spans();
-        assert_eq!(spans.len(), 4, "ring keeps only the newest spans");
         let args: Vec<u64> = spans.iter().map(|s| s.arg).collect();
-        assert_eq!(args, vec![6, 7, 8, 9], "oldest spans overwritten");
-        assert_eq!(profiler.dropped(), 6);
+        assert_eq!(
+            args,
+            (4..20).collect::<Vec<u64>>(),
+            "oldest spans overwritten"
+        );
+        assert_eq!(profiler.dropped(), 4);
     }
 
     #[test]
-    fn depth_overflow_stays_balanced() {
-        let profiler = Profiler::new(256);
-        let mut rec = profiler.recorder();
-        for _ in 0..40 {
-            rec.begin("server.parse");
-        }
-        for _ in 0..40 {
-            rec.end(0);
-        }
-        rec.begin("server.send");
-        rec.end(1);
-        rec.flush();
+    fn threads_get_distinct_nonzero_tids() {
+        let profiler = Profiler::new(16);
+        profiler.record("server.accept", 0, 1, 0);
+        let other = profiler.clone();
+        std::thread::spawn(move || other.record("server.execute", 0, 1, 0))
+            .join()
+            .expect("recording thread");
         let spans = profiler.snapshot_spans();
-        assert!(spans.iter().any(|s| s.name == "server.send" && s.arg == 1));
-        assert!(profiler.dropped() > 0);
+        let tid = |name: &str| {
+            spans
+                .iter()
+                .find(|s| s.name == name)
+                .map(|s| s.tid)
+                .expect("span recorded")
+        };
+        assert_ne!(tid("server.accept"), 0);
+        assert_ne!(tid("server.execute"), 0);
+        assert_ne!(tid("server.accept"), tid("server.execute"));
     }
 
     #[test]
@@ -428,44 +260,18 @@ mod tests {
         let profiler = Profiler::disabled();
         assert!(!profiler.enabled());
         let t0 = profiler.now_us();
-        let mut rec = profiler.recorder();
-        rec.begin("server.execute");
         std::thread::sleep(std::time::Duration::from_millis(2));
-        rec.end(0);
-        rec.record("server.send", 0, 1, 0);
         profiler.record("server.journal", 0, 1, 0);
-        drop(rec);
         assert!(profiler.snapshot_spans().is_empty());
         assert!(profiler.now_us() >= t0 + 2_000, "time still advances");
         assert_eq!(profiler.dropped(), 0);
     }
 
     #[test]
-    fn dropping_a_recorder_flushes_it() {
-        let profiler = Profiler::new(64);
-        {
-            let mut rec = profiler.recorder();
-            rec.record("server.accept", 5, 2, 0);
-        }
-        assert_eq!(profiler.snapshot_spans().len(), 1);
-    }
-
-    #[test]
-    fn recorders_get_distinct_tids() {
-        let profiler = Profiler::new(16);
-        let a = profiler.recorder();
-        let b = profiler.recorder();
-        assert_ne!(a.tid(), b.tid());
-        assert_ne!(a.tid(), 0);
-    }
-
-    #[test]
     fn chrome_trace_json_is_well_formed_and_sorted() {
         let profiler = Profiler::new(64);
-        let mut rec = profiler.recorder();
-        rec.record("server.send", 20, 3, 1);
-        rec.record("server.accept", 10, 5, 0);
-        rec.flush();
+        profiler.record("server.send", 20, 3, 1);
+        profiler.record("server.accept", 10, 5, 0);
         profiler.record("server.queue_wait", 15, 4, 2);
         let json = profiler.chrome_trace_json();
         assert!(json.starts_with("{\"traceEvents\":["));

@@ -1,33 +1,12 @@
-//! Wall-clock phase profiling — for the harness boundary only.
+//! Wall-clock phase summaries — for the harness boundary only.
 //!
-//! Simulated time lives in the cycle domain; wall-clock spans are for
-//! measuring the *simulator* (points per second, worker utilization).
-//! `svard-lint`'s determinism rule forbids `WallTimer::start` inside
-//! simulation crates; call sites at the harness boundary opt in with an
-//! explicit `// lint: allow(determinism) -- <reason>` suppression, which
-//! keeps every wall-clock ingress greppable and justified.
-
-use std::time::Instant;
-
-/// A wall-clock span timer.
-#[derive(Debug, Clone, Copy)]
-pub struct WallTimer {
-    start: Instant,
-}
-
-impl WallTimer {
-    /// Start a span now. Forbidden in simulation crates (see module docs).
-    pub fn start() -> Self {
-        WallTimer {
-            start: Instant::now(),
-        }
-    }
-
-    /// Seconds elapsed since the span started.
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-}
+//! Simulated time lives in the cycle domain; a [`PhaseProfile`] measures the
+//! *simulator* (points per second, worker utilization). The harness fills
+//! it from [`crate::Profiler::now_us`] timestamps, the same clock its spans
+//! use; `svard-lint`'s determinism rule forbids `now_us` inside simulation
+//! crates unless the call site carries an explicit
+//! `// lint: allow(determinism) -- <reason>` suppression, which keeps every
+//! wall-clock ingress greppable and justified.
 
 /// Wall-clock profile of one harness phase (e.g. `alone`, `baseline`,
 /// `sweep`): elapsed span, task count, and summed per-task busy time across
@@ -66,35 +45,11 @@ impl PhaseProfile {
             self.tasks as f64 / self.wall_seconds
         }
     }
-
-    /// One JSON object with fixed field order.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"phase\":\"{}\",\"wall_seconds\":{:.6},\"tasks\":{},\"busy_seconds\":{:.6},\
-             \"threads\":{},\"utilization\":{:.4},\"tasks_per_second\":{:.2}}}",
-            self.phase,
-            self.wall_seconds,
-            self.tasks,
-            self.busy_seconds,
-            self.threads,
-            self.utilization(),
-            self.tasks_per_second()
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn timer_measures_forward_time() {
-        let t = WallTimer::start();
-        let e1 = t.elapsed_seconds();
-        let e2 = t.elapsed_seconds();
-        assert!(e1 >= 0.0);
-        assert!(e2 >= e1);
-    }
 
     #[test]
     fn utilization_is_busy_over_capacity() {
@@ -120,6 +75,5 @@ mod tests {
         };
         assert_eq!(p.utilization(), 0.0);
         assert_eq!(p.tasks_per_second(), 0.0);
-        assert!(p.to_json().contains("\"phase\":\"empty\""));
     }
 }

@@ -19,8 +19,8 @@
 //! and torn journal fsyncs, executor panics) at the default rates;
 //! `--chaos-rates` overrides per-site rates and budgets
 //! (`site=rate[:budget]`, sites `drop`/`delay`/`fsync`/`torn`/`panic`).
-//! With `--profile-out`, the merged wall-clock span rings are dumped as
-//! Chrome trace-event JSON on shutdown.
+//! With `--profile-out`, the wall-clock span store is dumped as Chrome
+//! trace-event JSON on shutdown.
 
 use std::path::PathBuf;
 use std::time::Duration;

@@ -530,6 +530,7 @@ struct StreamSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobstore::tests::TempStore;
     use std::sync::mpsc::channel;
     use svard_obs::{Counter, Gauge, Hist};
 
@@ -548,15 +549,9 @@ mod tests {
         }
     }
 
-    fn temp_store(tag: &str) -> JobStore {
-        let dir = std::env::temp_dir().join(format!("svard-bridge-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        JobStore::new(&dir).unwrap()
-    }
-
     #[test]
     fn run_job_streams_accepted_points_and_summary() {
-        let store = temp_store("stream");
+        let store = TempStore::new("bridge-stream");
         let grid = tiny_grid();
         let (tx, rx) = channel();
         let stop = AtomicBool::new(false);
@@ -590,7 +585,7 @@ mod tests {
 
     #[test]
     fn rerunning_a_finished_job_replays_identical_points() {
-        let store = temp_store("replay");
+        let store = TempStore::new("bridge-replay");
         let grid = tiny_grid();
         let stop = AtomicBool::new(false);
         let cancel = AtomicBool::new(false);
@@ -613,7 +608,7 @@ mod tests {
 
     #[test]
     fn a_raised_stop_flag_cancels_the_run() {
-        let store = temp_store("stop");
+        let store = TempStore::new("bridge-stop");
         let grid = tiny_grid();
         let (tx, _rx) = channel();
         let stop = AtomicBool::new(true);
@@ -634,7 +629,7 @@ mod tests {
 
     #[test]
     fn a_cancel_journals_a_marker_and_streams_a_cancelled_record() {
-        let store = temp_store("cancel");
+        let store = TempStore::new("bridge-cancel");
         let grid = tiny_grid();
         let stop = AtomicBool::new(false);
         let cancel = AtomicBool::new(true);
@@ -681,7 +676,7 @@ mod tests {
     #[test]
     fn chaos_fsync_and_torn_faults_fail_the_run_but_resume_recovers() {
         use crate::chaos::{ChaosRates, SiteRate};
-        let store = temp_store("chaos-journal");
+        let store = TempStore::new("bridge-chaos-journal");
         let grid = tiny_grid();
         let stop = AtomicBool::new(false);
         let cancel = AtomicBool::new(false);
@@ -718,7 +713,7 @@ mod tests {
         .unwrap();
         assert_eq!(healed.completed, 2);
         let healed_lines: Vec<String> = rx.try_iter().collect();
-        let clean_store = temp_store("chaos-journal-ref");
+        let clean_store = TempStore::new("bridge-chaos-journal-ref");
         let (tx, rx) = channel();
         run_job(
             "healme",
@@ -742,7 +737,7 @@ mod tests {
 
     #[test]
     fn an_instrumented_run_fills_histograms_progress_and_spans() {
-        let store = temp_store("instrumented");
+        let store = TempStore::new("bridge-instrumented");
         let grid = tiny_grid();
         let (tx, rx) = channel();
         let stop = AtomicBool::new(false);

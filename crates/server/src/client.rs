@@ -6,8 +6,8 @@
 //! exponential-backoff retry with reconnect, leaning on the server's journal
 //! replay so every reattempt *resumes* instead of restarting — and
 //! cross-checking replayed point bytes across attempts, so a determinism
-//! violation is an error, never silently accepted. [`run_load`] is the
-//! load-generator core behind the `svard-load` bin: it opens N concurrent
+//! violation is an error, never silently accepted. [`run_load_retrying`] is
+//! the load-generator core behind the `svard-load` bin: it opens N concurrent
 //! connections, pushes a fixed number of jobs through each, and reports
 //! throughput and latency per connection count. Wall-clock timing here is
 //! legal: the client never runs simulated time.
@@ -15,9 +15,9 @@
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use svard_obs::{HistogramSnapshot, WallTimer};
+use svard_obs::HistogramSnapshot;
 
 use crate::chaos::mix64;
 use crate::json::Json;
@@ -163,7 +163,7 @@ impl Client {
             Json::str(job_id).render(),
             grid.to_json().render()
         );
-        let timer = WallTimer::start();
+        let start = Instant::now();
         self.send_line(&request)?;
         let mut outcome = JobOutcome {
             points: 0,
@@ -198,7 +198,7 @@ impl Client {
                             seen.insert(index, line.clone());
                         }
                     }
-                    outcome.point_latencies.push(timer.elapsed_seconds());
+                    outcome.point_latencies.push(start.elapsed().as_secs_f64());
                     outcome.point_lines.push(line);
                 }
                 Some("summary") => {
@@ -415,21 +415,10 @@ pub fn run_job_with_retry(
 /// Drive `jobs_per_connection` jobs through each of `connections` concurrent
 /// connections and measure batch throughput. Job ids are
 /// `{prefix}-c{connections}-t{thread}-j{job}`, so repeated sweeps against a
-/// persistent server resume (and replay) rather than re-simulate.
-pub fn run_load(
-    addr: &str,
-    connections: usize,
-    jobs_per_connection: usize,
-    grid: &GridSpec,
-    prefix: &str,
-) -> Result<LoadPoint, String> {
-    run_load_retrying(addr, connections, jobs_per_connection, grid, prefix, None)
-}
-
-/// [`run_load`] with optional self-healing: with a [`RetryPolicy`], each job
-/// runs through [`run_job_with_retry`] (one fresh connection per attempt,
-/// jitter seeds derived per worker/job), so the load generator survives a
-/// chaos-enabled or restarting server.
+/// persistent server resume (and replay) rather than re-simulate. With a
+/// [`RetryPolicy`], each job runs through [`run_job_with_retry`] (one fresh
+/// connection per attempt, jitter seeds derived per worker/job), so the load
+/// generator survives a chaos-enabled or restarting server.
 pub fn run_load_retrying(
     addr: &str,
     connections: usize,
@@ -438,7 +427,7 @@ pub fn run_load_retrying(
     prefix: &str,
     retry: Option<&RetryPolicy>,
 ) -> Result<LoadPoint, String> {
-    let timer = WallTimer::start();
+    let start = Instant::now();
     let outcomes: Vec<Result<Vec<JobOutcome>, String>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..connections)
             .map(|t| {
@@ -479,7 +468,7 @@ pub fn run_load_retrying(
             })
             .collect()
     });
-    let wall_seconds = timer.elapsed_seconds();
+    let wall_seconds = start.elapsed().as_secs_f64();
     let mut points = 0usize;
     let mut jobs = 0usize;
     let mut latency_sum = 0.0f64;

@@ -267,13 +267,34 @@ impl JobJournal {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn temp_store(tag: &str) -> JobStore {
-        let dir = std::env::temp_dir().join(format!("svard-jobstore-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        JobStore::new(&dir).unwrap()
+    /// A store in a per-process temp directory that is removed on drop, so
+    /// test runs leave no state directories behind.
+    pub(crate) struct TempStore(JobStore);
+
+    impl TempStore {
+        /// A fresh store at `$TMPDIR/svard-<tag>-<pid>`.
+        pub(crate) fn new(tag: &str) -> TempStore {
+            let dir = std::env::temp_dir().join(format!("svard-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            TempStore(JobStore::new(&dir).expect("create the temp state dir"))
+        }
+    }
+
+    impl std::ops::Deref for TempStore {
+        type Target = JobStore;
+
+        fn deref(&self) -> &JobStore {
+            &self.0
+        }
+    }
+
+    impl Drop for TempStore {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0.dir);
+        }
     }
 
     #[test]
@@ -286,7 +307,7 @@ mod tests {
 
     #[test]
     fn journal_recovers_completed_points_and_ignores_torn_lines() {
-        let store = temp_store("recover");
+        let store = TempStore::new("jobstore-recover");
         let grid = GridSpec::default();
         {
             let mut journal = store.open_job("resume-me", &grid).unwrap();
@@ -318,7 +339,7 @@ mod tests {
 
     #[test]
     fn torn_tails_are_truncated_and_markers_replay_nothing() {
-        let store = temp_store("repair");
+        let store = TempStore::new("jobstore-repair");
         let grid = GridSpec::default();
         {
             let mut journal = store.open_job("torn", &grid).unwrap();
@@ -346,7 +367,7 @@ mod tests {
 
     #[test]
     fn gc_prunes_only_finished_journals() {
-        let store = temp_store("gc");
+        let store = TempStore::new("jobstore-gc");
         let grid = GridSpec {
             defenses: vec![svard_defenses::DefenseKind::Para],
             providers: vec!["none".to_string()],
@@ -392,7 +413,7 @@ mod tests {
 
     #[test]
     fn grid_mismatch_is_rejected_on_resume() {
-        let store = temp_store("mismatch");
+        let store = TempStore::new("jobstore-mismatch");
         let grid = GridSpec::default();
         drop(store.open_job("fixed-grid", &grid).unwrap());
         let mut other = grid.clone();

@@ -26,9 +26,10 @@
 //! | [`cli`]    | minimal `--flag value` argument helpers for the bins    |
 //!
 //! This crate is **non-sim**: it never runs inside the simulated clock
-//! domain, so wall-clock timers ([`svard_obs::WallTimer`] /
-//! [`svard_obs::PhaseProfile`]) are legal here (and `svard-lint` knows it —
-//! see `lint.toml`'s `[determinism] non_sim` list). Determinism of the
+//! domain, so wall-clock time ([`svard_obs::Profiler::now_us`] spans, the
+//! client's `Instant` timings, [`svard_obs::PhaseProfile`] summaries) is
+//! legal here (and `svard-lint` knows it — see `lint.toml`'s
+//! `[determinism] non_sim` list). Determinism of the
 //! *results* is inherited from the harness seeding scheme: every streamed
 //! point is bit-identical to a direct `evaluate_all` run at any worker count,
 //! including across a kill-and-resume.
@@ -48,7 +49,7 @@ pub mod server;
 
 pub use chaos::{ChaosRates, FaultPlan, FaultSite};
 pub use client::{
-    is_retryable, run_job_with_retry, run_load, run_load_retrying, Client, JobOutcome, LoadPoint,
+    is_retryable, run_job_with_retry, run_load_retrying, Client, JobOutcome, LoadPoint,
     RetryPolicy, RetryReport,
 };
 pub use protocol::GridSpec;

@@ -368,11 +368,21 @@ pub fn summary_line(
     map.insert("completed".to_string(), Json::uint(completed as u64));
     map.insert("resumed".to_string(), Json::uint(resumed as u64));
     map.insert("metrics".to_string(), metrics.clone());
-    let profile_values: Vec<Json> = profiles
-        .iter()
-        .filter_map(|p| Json::parse(&p.to_json()).ok())
-        .collect();
-    map.insert("profile".to_string(), Json::Arr(profile_values));
+    let profile_values = profiles.iter().map(|p| {
+        Json::Obj(BTreeMap::from([
+            ("phase".to_string(), Json::str(p.phase)),
+            ("wall_seconds".to_string(), Json::Num(p.wall_seconds)),
+            ("tasks".to_string(), Json::uint(p.tasks as u64)),
+            ("busy_seconds".to_string(), Json::Num(p.busy_seconds)),
+            ("threads".to_string(), Json::uint(p.threads as u64)),
+            ("utilization".to_string(), Json::Num(p.utilization())),
+            (
+                "tasks_per_second".to_string(),
+                Json::Num(p.tasks_per_second()),
+            ),
+        ]))
+    });
+    map.insert("profile".to_string(), Json::Arr(profile_values.collect()));
     Json::Obj(map).render()
 }
 
@@ -454,5 +464,20 @@ mod tests {
             parsed.get("weighted_speedup").and_then(Json::as_f64),
             Some(0.987)
         );
+    }
+
+    #[test]
+    fn summary_lines_render_every_phase_profile_field() {
+        let empty = PhaseProfile {
+            phase: "empty",
+            wall_seconds: 0.0,
+            tasks: 0,
+            busy_seconds: 0.0,
+            threads: 0,
+        };
+        let line = summary_line("job-1", 2, 2, 1, &Json::Null, &[empty]);
+        let profile = "\"profile\":[{\"busy_seconds\":0.0,\"phase\":\"empty\",\"tasks\":0,\
+                       \"tasks_per_second\":0.0,\"threads\":0,\"utilization\":0.0,\"wall_seconds\":0.0}]";
+        assert!(line.contains(profile), "{line}");
     }
 }

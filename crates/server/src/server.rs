@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use svard_obs::{MetricsSnapshot, Profiler, SpanRecorder, DEFAULT_SPAN_CAPACITY};
+use svard_obs::{MetricsSnapshot, Profiler, DEFAULT_SPAN_CAPACITY};
 
 use crate::bridge::{self, JobCtrl, JobObs};
 use crate::chaos::{ChaosRates, FaultPlan, FaultSite};
@@ -70,8 +70,8 @@ pub struct ServerConfig {
     pub state_dir: PathBuf,
     /// Executor threads (concurrently running jobs); at least 1.
     pub executors: usize,
-    /// Per-thread span-ring capacity for lifecycle tracing; 0 disables span
-    /// recording entirely (histograms and counters stay on).
+    /// Span-store capacity for lifecycle tracing (see [`Profiler::new`]); 0
+    /// disables span recording entirely (histograms and counters stay on).
     pub profile_spans: usize,
     /// Executor watchdog: count and trace-flag points slower than this
     /// multiple of the running p99 point-execute time (0 disables).
@@ -295,8 +295,7 @@ impl ServerHandle {
     }
 
     /// The server's span profiler. Clone it before [`ServerHandle::shutdown`]
-    /// to export the merged span rings (every per-thread ring is flushed as
-    /// its thread exits during shutdown).
+    /// to export the spans recorded up to and during shutdown.
     pub fn profiler(&self) -> &Profiler {
         &self.profiler
     }
@@ -437,10 +436,10 @@ fn executor_supervisor(executors: usize, ctx: &ExecCtx) {
 }
 
 fn executor_loop(ctx: &ExecCtx) {
-    let mut spans = ctx.profiler.recorder();
     while let Some(job) = ctx.queue.pop() {
         let wait_us = ctx.profiler.now_us().saturating_sub(job.enqueued_us);
-        spans.record("server.queue_wait", job.enqueued_us, wait_us, 0);
+        ctx.profiler
+            .record("server.queue_wait", job.enqueued_us, wait_us, 0);
         ctx.stats.observe("server.queue_wait_us", wait_us);
         let inflight = ctx.stats.inflight.fetch_add(1, Ordering::AcqRel) + 1;
         ctx.stats
@@ -506,9 +505,6 @@ fn executor_loop(ctx: &ExecCtx) {
         ctx.stats.clear_progress(&job.job_id);
         ctx.table.finish(&job.job_id, &job.cancel);
         ctx.stats.inflight.fetch_sub(1, Ordering::AcqRel);
-        // Spans become visible to `--profile-out` as they are recorded, not
-        // only at shutdown.
-        spans.flush();
     }
 }
 
@@ -532,7 +528,6 @@ fn accept_loop(
     profiler: &Profiler,
     conn: &ConnSettings,
 ) {
-    let mut spans = profiler.recorder();
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
     // `accept` blocks; whoever raises `stop` then wakes it with
     // [`wake_accept_loop`], whose connection is dropped unserved here.
@@ -553,13 +548,12 @@ fn accept_loop(
         connections.push(std::thread::spawn(move || {
             handle_connection(stream, &queue, &stats, &stop, &table, &conn_profiler, &conn)
         }));
-        spans.record(
+        profiler.record(
             "server.accept",
             accepted_us,
             profiler.now_us().saturating_sub(accepted_us),
             connections.len() as u64,
         );
-        spans.flush();
         connections.retain(|c| !c.is_finished());
     }
     // Refuse new clients at once rather than while the handlers drain.
@@ -612,7 +606,6 @@ fn handle_connection(
         stats,
         chaos: conn.chaos.as_deref(),
     };
-    let mut spans = profiler.recorder();
     let mut acc: Vec<u8> = Vec::new();
     // `acc[..scanned]` is known to hold no newline.
     let mut scanned = 0;
@@ -634,9 +627,7 @@ fn handle_connection(
             if line.is_empty() {
                 continue;
             }
-            let keep_going = handle_request(&line, &mut io, queue, stop, table, &mut spans, conn);
-            spans.flush();
-            if !keep_going {
+            if !handle_request(&line, &mut io, queue, stop, table, profiler, conn) {
                 return;
             }
             // A request (however long its job ran) counts as activity.
@@ -741,13 +732,18 @@ fn handle_request(
     queue: &JobQueue,
     stop: &AtomicBool,
     table: &JobTable,
-    spans: &mut SpanRecorder,
+    profiler: &Profiler,
     conn: &ConnSettings,
 ) -> bool {
     let stats = io.stats;
-    spans.begin("server.parse");
+    let parse_us = profiler.now_us();
     let parsed = Json::parse(line);
-    spans.end(line.len() as u64);
+    profiler.record(
+        "server.parse",
+        parse_us,
+        profiler.now_us().saturating_sub(parse_us),
+        line.len() as u64,
+    );
     let request = match parsed {
         Ok(value) => value,
         Err(e) => {
@@ -797,7 +793,7 @@ fn handle_request(
             wake_accept_loop(conn.listen_addr);
             false
         }
-        Some("submit") => handle_submit(&request, io, queue, stats, stop, table, spans),
+        Some("submit") => handle_submit(&request, io, queue, stats, stop, table, profiler),
         _ => {
             stats.count("server.errors");
             io.write_line(&error_line("unknown request type"))
@@ -812,34 +808,23 @@ fn handle_submit(
     stats: &ServerStats,
     stop: &AtomicBool,
     table: &JobTable,
-    spans: &mut SpanRecorder,
+    profiler: &Profiler,
 ) -> bool {
-    spans.begin("server.validate");
-    let job_id = match request.get("job_id").and_then(Json::as_str) {
-        Some(id) => id.to_string(),
-        None => {
-            spans.end(1);
+    let validate_us = profiler.now_us();
+    let validated = validate_submit(request);
+    profiler.record(
+        "server.validate",
+        validate_us,
+        profiler.now_us().saturating_sub(validate_us),
+        u64::from(validated.is_err()),
+    );
+    let (job_id, grid) = match validated {
+        Ok(submit) => submit,
+        Err(message) => {
             stats.count("server.errors");
-            return io.write_line(&error_line("submit requires a job_id"));
+            return io.write_line(&error_line(&message));
         }
     };
-    if let Err(e) = validate_job_id(&job_id) {
-        spans.end(1);
-        stats.count("server.errors");
-        return io.write_line(&error_line(&e));
-    }
-    let grid = match request.get("grid") {
-        Some(value) => match GridSpec::from_json(value) {
-            Ok(grid) => grid,
-            Err(e) => {
-                spans.end(1);
-                stats.count("server.errors");
-                return io.write_line(&error_line(&format!("invalid grid: {e}")));
-            }
-        },
-        None => GridSpec::default(),
-    };
-    spans.end(0);
     // Duplicate guard: two live submits of one job id would race on one
     // journal. Retryable — the earlier submit may be a dead connection whose
     // executor has not noticed yet, in which case a retry will get through.
@@ -856,7 +841,7 @@ fn handle_submit(
         grid,
         out: tx,
         cancel: Arc::clone(&cancel),
-        enqueued_us: spans.profiler().now_us(),
+        enqueued_us: profiler.now_us(),
     }) {
         PushOutcome::Queued => {}
         PushOutcome::Busy => {
@@ -890,4 +875,18 @@ fn handle_submit(
             Err(RecvTimeoutError::Disconnected) => return true,
         }
     }
+}
+
+/// The job id and grid of a `submit` request, or why it is invalid.
+fn validate_submit(request: &Json) -> Result<(String, GridSpec), String> {
+    let job_id = request
+        .get("job_id")
+        .and_then(Json::as_str)
+        .ok_or("submit requires a job_id")?;
+    validate_job_id(job_id)?;
+    let grid = match request.get("grid") {
+        Some(value) => GridSpec::from_json(value).map_err(|e| format!("invalid grid: {e}"))?,
+        None => GridSpec::default(),
+    };
+    Ok((job_id.to_string(), grid))
 }

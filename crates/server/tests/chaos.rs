@@ -5,7 +5,6 @@
 //! own job; cancel-then-resubmit replays the completed prefix; a full queue
 //! answers `busy` instead of growing without bound.
 
-use std::path::PathBuf;
 use std::time::Duration;
 
 use svard_defenses::DefenseKind;
@@ -16,6 +15,9 @@ use svard_server::{
     run_job_with_retry, serve, ChaosConfig, Client, GridSpec, RetryPolicy, ServerConfig,
     ServerHandle,
 };
+
+mod common;
+use common::TempDir;
 
 fn tiny_grid(workers: usize) -> GridSpec {
     GridSpec {
@@ -41,16 +43,10 @@ fn slow_grid() -> GridSpec {
     }
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("svard-chaos-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn start(tag: &str, executors: usize, chaos: Option<ChaosConfig>) -> ServerHandle {
+fn start(dir: &TempDir, executors: usize, chaos: Option<ChaosConfig>) -> ServerHandle {
     serve(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        state_dir: temp_dir(tag),
+        state_dir: dir.path().into(),
         executors,
         chaos,
         ..ServerConfig::default()
@@ -108,10 +104,10 @@ fn chaos_soak_converges_byte_identically_across_seeds_and_restart() {
         // quiet; the self-healing client must converge to the reference.
         let rates =
             ChaosRates::parse("drop=0.4:3,delay=0.4:3,fsync=0.5:2,torn=0.5:2,panic=0.5:2").unwrap();
-        let state_dir = temp_dir(&format!("soak-{seed}"));
+        let state_dir = TempDir::new(&format!("chaos-soak-{seed}"));
         let server = serve(ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            state_dir: state_dir.clone(),
+            state_dir: state_dir.path().into(),
             executors: 2,
             chaos: Some(ChaosConfig { seed, rates }),
             ..ServerConfig::default()
@@ -130,7 +126,7 @@ fn chaos_soak_converges_byte_identically_across_seeds_and_restart() {
         // state dir replays the whole journal byte-identically.
         let restarted = serve(ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            state_dir,
+            state_dir: state_dir.path().into(),
             executors: 1,
             ..ServerConfig::default()
         })
@@ -152,7 +148,8 @@ fn an_injected_panic_fails_only_its_job_and_the_pool_survives() {
     // panic=1.0 with budget 1: the first executed point panics, nothing else
     // (omitted sites keep their defaults, so zero the rest explicitly).
     let rates = ChaosRates::parse("drop=0,delay=0,fsync=0,torn=0,panic=1.0:1").unwrap();
-    let server = start("panic-iso", 2, Some(ChaosConfig { seed: 9, rates }));
+    let dir = TempDir::new("chaos-panic-iso");
+    let server = start(&dir, 2, Some(ChaosConfig { seed: 9, rates }));
     let addr = server.addr().to_string();
     let grid = tiny_grid(1);
 
@@ -179,7 +176,8 @@ fn an_injected_panic_fails_only_its_job_and_the_pool_survives() {
 
 #[test]
 fn a_cancelled_job_resubmits_replays_the_prefix_and_finishes() {
-    let server = start("cancel-e2e", 1, None);
+    let dir = TempDir::new("chaos-cancel-e2e");
+    let server = start(&dir, 1, None);
     let addr = server.addr().to_string();
     let grid = slow_grid();
 
@@ -222,9 +220,10 @@ fn a_cancelled_job_resubmits_replays_the_prefix_and_finishes() {
 
 #[test]
 fn a_full_queue_answers_busy_and_recovers_after_draining() {
+    let dir = TempDir::new("chaos-busy");
     let server = serve(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        state_dir: temp_dir("busy"),
+        state_dir: dir.path().into(),
         executors: 1,
         queue_depth: 1,
         ..ServerConfig::default()

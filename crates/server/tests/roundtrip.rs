@@ -5,7 +5,6 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::mpsc::channel;
 use std::sync::Mutex;
@@ -17,6 +16,9 @@ use svard_server::jobstore::JobStore;
 use svard_server::json::Json;
 use svard_server::protocol::point_line;
 use svard_server::{serve, Client, GridSpec, ServerConfig};
+
+mod common;
+use common::TempDir;
 
 fn tiny_grid(workers: usize) -> GridSpec {
     GridSpec {
@@ -33,16 +35,10 @@ fn tiny_grid(workers: usize) -> GridSpec {
     }
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("svard-rt-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn start_server(tag: &str) -> svard_server::ServerHandle {
+fn start_server(dir: &TempDir) -> svard_server::ServerHandle {
     serve(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        state_dir: temp_dir(tag),
+        state_dir: dir.path().into(),
         executors: 2,
         ..ServerConfig::default()
     })
@@ -80,7 +76,8 @@ fn streamed_jobs_are_bit_identical_to_a_direct_harness_run_at_any_worker_count()
     let expected = reference_lines(&tiny_grid(1));
     assert_eq!(expected.len(), 4);
 
-    let server = start_server("workers");
+    let dir = TempDir::new("rt-workers");
+    let server = start_server(&dir);
     let addr = server.addr().to_string();
     for workers in [1usize, 2, 8] {
         let mut client = Client::connect(&addr).unwrap();
@@ -121,8 +118,8 @@ fn a_killed_job_resumes_from_the_journal_with_byte_identical_lines() {
     // Simulate a server killed after two completed points: the journal
     // contains exactly the header plus two point lines, which is the on-disk
     // state the journal-then-send discipline guarantees.
-    let state_dir = temp_dir("resume");
-    let store = JobStore::new(&state_dir).unwrap();
+    let state_dir = TempDir::new("rt-resume");
+    let store = JobStore::new(state_dir.path()).unwrap();
     {
         let (harness, points) = bridge::build_harness(&grid);
         let journal = Mutex::new(store.open_job("killed", &grid).unwrap());
@@ -144,7 +141,7 @@ fn a_killed_job_resumes_from_the_journal_with_byte_identical_lines() {
     // journaled points verbatim and simulate only the remaining two.
     let server = serve(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        state_dir,
+        state_dir: state_dir.path().into(),
         executors: 1,
         ..ServerConfig::default()
     })
@@ -188,8 +185,8 @@ fn a_killed_job_resumes_from_the_journal_with_byte_identical_lines() {
 #[test]
 fn a_client_that_vanishes_cancels_the_job_without_corrupting_state() {
     let grid = tiny_grid(1);
-    let state_dir = temp_dir("vanish");
-    let store = JobStore::new(&state_dir).unwrap();
+    let state_dir = TempDir::new("rt-vanish");
+    let store = JobStore::new(state_dir.path()).unwrap();
     let stop = AtomicBool::new(false);
     let cancel = AtomicBool::new(false);
     let ctrl = bridge::JobCtrl::plain(&stop, &cancel);
@@ -230,7 +227,8 @@ fn observability_does_not_perturb_point_lines_or_resume_identity() {
 
     // Instrumented server: spans + watchdog enabled (the defaults), with a
     // concurrent metrics poller racing the job.
-    let instrumented = start_server("obs-on");
+    let on_dir = TempDir::new("rt-obs-on");
+    let instrumented = start_server(&on_dir);
     let addr = instrumented.addr().to_string();
     let poll_stop = std::sync::Arc::new(AtomicBool::new(false));
     let poller = {
@@ -269,9 +267,10 @@ fn observability_does_not_perturb_point_lines_or_resume_identity() {
     instrumented.shutdown();
 
     // Dark server: no span storage, no watchdog.
+    let off_dir = TempDir::new("rt-obs-off");
     let dark = serve(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        state_dir: temp_dir("obs-off"),
+        state_dir: off_dir.path().into(),
         executors: 1,
         profile_spans: 0,
         watchdog_multiple: 0,
@@ -297,8 +296,37 @@ fn observability_does_not_perturb_point_lines_or_resume_identity() {
 }
 
 #[test]
+fn connection_side_spans_land_on_their_own_thread_tracks() {
+    // Spans are on by default; one TCP job crosses every serving stage.
+    let dir = TempDir::new("rt-spans");
+    let server = start_server(&dir);
+    let profiler = server.profiler().clone();
+    let mut client = Client::connect(&server.addr().to_string()).unwrap();
+    client.run_job("spans", &tiny_grid(1)).unwrap();
+    server.shutdown();
+
+    let spans = profiler.snapshot_spans();
+    let tid = |name: &str| spans.iter().find(|s| s.name == name).map(|s| s.tid);
+    for name in [
+        "server.accept",
+        "server.parse",
+        "server.validate",
+        "server.queue_wait",
+    ] {
+        assert!(tid(name).is_some(), "no {name} span");
+    }
+    let (accept, execute) = (tid("server.accept"), tid("server.execute"));
+    assert!(accept.is_some_and(|t| t != 0) && execute.is_some_and(|t| t != 0));
+    assert_ne!(
+        accept, execute,
+        "accept loop and executor get their own tracks"
+    );
+}
+
+#[test]
 fn metrics_shutdown_and_enriched_stats_speak_the_wire_protocol() {
-    let server = start_server("wire");
+    let dir = TempDir::new("rt-wire");
+    let server = start_server(&dir);
     let addr = server.addr().to_string();
     let mut client = Client::connect(&addr).unwrap();
 
@@ -340,7 +368,8 @@ fn metrics_shutdown_and_enriched_stats_speak_the_wire_protocol() {
 fn a_server_that_never_saw_a_connection_shuts_down_promptly() {
     // The accept loop is blocked in `accept` with no client to wake it, so
     // only the shutdown's own wake-up connection can.
-    let server = start_server("idle");
+    let dir = TempDir::new("rt-idle");
+    let server = start_server(&dir);
     assert!(
         shuts_down_within(server, Duration::from_secs(2)),
         "shutdown of an idle server hung"
@@ -352,7 +381,8 @@ fn back_to_back_requests_are_not_held_by_delayed_acks() {
     // A line sent as two writes (text, then the newline) stalls on Nagle plus
     // the peer's delayed ACK: about 40 ms per direction, so 20 pings would
     // take well over a second.
-    let server = start_server("nodelay");
+    let dir = TempDir::new("rt-nodelay");
+    let server = start_server(&dir);
     let addr = server.addr().to_string();
     let mut client = Client::connect(&addr).unwrap();
     let start = Instant::now();
@@ -379,7 +409,8 @@ fn back_to_back_requests_are_not_held_by_delayed_acks() {
 
 #[test]
 fn an_oversized_frame_gets_an_error_and_the_server_keeps_serving() {
-    let server = start_server("frame");
+    let dir = TempDir::new("rt-frame");
+    let server = start_server(&dir);
     let addr = server.addr().to_string();
     let stream = TcpStream::connect(&addr).unwrap();
     stream
@@ -413,7 +444,8 @@ fn an_oversized_frame_gets_an_error_and_the_server_keeps_serving() {
 
 #[test]
 fn ping_stats_and_malformed_requests_get_answers() {
-    let server = start_server("misc");
+    let dir = TempDir::new("rt-misc");
+    let server = start_server(&dir);
     let addr = server.addr().to_string();
     let mut client = Client::connect(&addr).unwrap();
 

@@ -4,7 +4,6 @@
 //! byte-identical sweep — replayed prefix plus re-simulated remainder.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::mpsc::channel;
 
@@ -13,6 +12,9 @@ use svard_server::bridge::{self, JobCtrl};
 use svard_server::jobstore::JobStore;
 use svard_server::json::Json;
 use svard_server::GridSpec;
+
+mod common;
+use common::TempDir;
 
 fn tiny_grid() -> GridSpec {
     GridSpec {
@@ -27,12 +29,6 @@ fn tiny_grid() -> GridSpec {
         bins: 8,
         workers: 1,
     }
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("svard-torn-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// Run the job to completion in process and return its point lines sorted by
@@ -61,12 +57,12 @@ fn run_sorted(job_id: &str, grid: &GridSpec, store: &JobStore) -> Vec<String> {
 #[test]
 fn a_journal_torn_at_any_byte_of_its_last_line_resumes_byte_identically() {
     let grid = tiny_grid();
-    let reference_dir = temp_dir("ref");
-    let store = JobStore::new(&reference_dir).unwrap();
+    let reference_dir = TempDir::new("torn-ref");
+    let store = JobStore::new(reference_dir.path()).unwrap();
     let reference = run_sorted("torn", &grid, &store);
     assert!(!reference.is_empty());
 
-    let journal_path = reference_dir.join("torn.jsonl");
+    let journal_path = reference_dir.path().join("torn.jsonl");
     let full = std::fs::read(&journal_path).unwrap();
     assert_eq!(*full.last().unwrap(), b'\n', "journal ends with newline");
 
@@ -79,10 +75,10 @@ fn a_journal_torn_at_any_byte_of_its_last_line_resumes_byte_identically() {
         .map(|p| p + 1)
         .unwrap_or(0);
     for cut in last_line_start..full.len() {
-        let dir = temp_dir(&format!("cut{cut}"));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("torn.jsonl"), &full[..cut]).unwrap();
-        let store = JobStore::new(&dir).unwrap();
+        let dir = TempDir::new(&format!("torn-cut{cut}"));
+        std::fs::create_dir_all(dir.path()).unwrap();
+        std::fs::write(dir.path().join("torn.jsonl"), &full[..cut]).unwrap();
+        let store = JobStore::new(dir.path()).unwrap();
         let resumed = run_sorted("torn", &grid, &store);
         assert_eq!(resumed, reference, "cut at byte {cut} of {}", full.len());
 
@@ -90,7 +86,5 @@ fn a_journal_torn_at_any_byte_of_its_last_line_resumes_byte_identically() {
         // replaying it a second time still yields the same bytes.
         let again = run_sorted("torn", &grid, &store);
         assert_eq!(again, reference, "re-replay after repair, cut {cut}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&reference_dir);
 }
