@@ -36,11 +36,14 @@ pub struct Hydra {
     // here and its O(1) lookups matter on the activation path.
     group_counts: HashMap<(BankId, usize), u64>,
     row_counts: HashMap<(BankId, usize), u64>,
-    /// LRU-ish row-count cache: maps (bank, row) to last-use stamp. A BTreeMap
-    /// so that eviction scans visit entries in key order: when two entries tie
-    /// on the use stamp, the evicted victim is the smallest key — deterministic
-    /// across runs, unlike HashMap's hasher-dependent iteration order.
-    rcc: BTreeMap<(BankId, usize), u64>,
+    /// LRU row-count cache: maps (bank, row) to its last-use stamp, the bank
+    /// as its index in `rcc_banks` (a 16-byte key, not 40).
+    rcc: BTreeMap<(usize, usize), u64>,
+    /// The same entries by stamp, oldest first. Every access takes a fresh
+    /// stamp, so stamps are unique and the first entry is the LRU victim.
+    rcc_by_stamp: BTreeMap<u64, (usize, usize)>,
+    /// The banks the RCC has seen, in first-seen order.
+    rcc_banks: Vec<BankId>,
     use_stamp: u64,
     name: String,
     rcc_misses: u64,
@@ -58,6 +61,8 @@ impl Hydra {
             group_counts: HashMap::new(),
             row_counts: HashMap::new(),
             rcc: BTreeMap::new(),
+            rcc_by_stamp: BTreeMap::new(),
+            rcc_banks: Vec::new(),
             use_stamp: 0,
             name,
             rcc_misses: 0,
@@ -90,23 +95,37 @@ impl Hydra {
     // lint: hot-path
     fn rcc_access(&mut self, bank: BankId, row: usize) -> bool {
         self.use_stamp += 1;
-        let key = (bank, row);
-        if self.rcc.contains_key(&key) {
-            self.rcc.insert(key, self.use_stamp);
+        let key = (self.rcc_bank(bank), row);
+        let hit = if let Some(stamp) = self.rcc.get_mut(&key) {
+            self.rcc_by_stamp.remove(stamp);
+            *stamp = self.use_stamp;
             self.rcc_hits += 1;
-            return true;
-        }
-        self.rcc_misses += 1;
-        if self.rcc.len() >= RCC_ENTRIES {
-            // Evict the least recently used entry; BTreeMap iteration order
-            // makes the tie-break (smallest key among equal stamps) stable.
-            if let Some((&victim, _)) = self.rcc.iter().min_by_key(|(_, &stamp)| stamp) {
-                self.rcc.remove(&victim);
-                self.rcc_evictions += 1;
+            true
+        } else {
+            self.rcc_misses += 1;
+            if self.rcc.len() >= RCC_ENTRIES {
+                // Evict the least recently used entry: the smallest stamp.
+                if let Some((_, victim)) = self.rcc_by_stamp.pop_first() {
+                    self.rcc.remove(&victim);
+                    self.rcc_evictions += 1;
+                }
+            }
+            self.rcc.insert(key, self.use_stamp);
+            false
+        };
+        self.rcc_by_stamp.insert(self.use_stamp, key);
+        hit
+    }
+
+    /// The index of `bank` in `rcc_banks`, adding it if new.
+    fn rcc_bank(&mut self, bank: BankId) -> usize {
+        match self.rcc_banks.iter().position(|&b| b == bank) {
+            Some(index) => index,
+            None => {
+                self.rcc_banks.push(bank);
+                self.rcc_banks.len() - 1
             }
         }
-        self.rcc.insert(key, self.use_stamp);
-        false
     }
 }
 
@@ -246,6 +265,72 @@ mod tests {
         // Hit rate should be poor under thrashing.
         let hit_rate = hydra.rcc_hits() as f64 / (hydra.rcc_hits() + hydra.rcc_misses()) as f64;
         assert!(hit_rate < 0.6, "hit rate {hit_rate}");
+    }
+
+    /// The pre-index eviction: a full scan for the smallest stamp, ties to
+    /// the smallest key. Returns the victim of an access, if any.
+    fn reference_access(
+        rcc: &mut BTreeMap<(usize, usize), u64>,
+        key: (usize, usize),
+        stamp: u64,
+    ) -> Option<(usize, usize)> {
+        let mut victim = None;
+        if !rcc.contains_key(&key) && rcc.len() >= RCC_ENTRIES {
+            victim = rcc.iter().min_by_key(|(_, &s)| s).map(|(&k, _)| k);
+            if let Some(v) = &victim {
+                rcc.remove(v);
+            }
+        }
+        rcc.insert(key, stamp);
+        victim
+    }
+
+    #[test]
+    fn stamp_index_evicts_the_same_victims_as_a_full_scan() {
+        let mut hydra = Hydra::new(Arc::new(UniformThreshold::new(64)));
+        let mut reference = BTreeMap::new();
+        let mut victims = 0;
+        // A seeded stream over 1.5x the cache's capacity, skewed towards low
+        // rows so that hits and evictions interleave, with refresh ticks
+        // (which also advance the stamp) in between.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..30_000u64 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let r = (state >> 33) as usize;
+            let row = if r.is_multiple_of(2) {
+                r % 6_144
+            } else {
+                r % 1_024
+            };
+            let bank = BankId {
+                bank: (r >> 20) % 2,
+                ..BankId::default()
+            };
+            if i.is_multiple_of(97) {
+                hydra.on_refresh_tick(i);
+            }
+            let evictions = hydra.rcc_evictions();
+            hydra.rcc_access(bank, row);
+            let key = (hydra.rcc_bank(bank), row);
+            let victim = reference_access(&mut reference, key, hydra.use_stamp);
+            if let Some(v) = victim {
+                // Both caches held the same entries before this access and
+                // both inserted `(bank, row)`; the index evicted one entry,
+                // and it was not the reference's victim only if that is
+                // still cached.
+                assert_eq!(hydra.rcc_evictions(), evictions + 1, "access {i}");
+                assert!(!hydra.rcc.contains_key(&v), "access {i}: victim {v:?} kept");
+                victims += 1;
+            } else {
+                assert_eq!(hydra.rcc_evictions(), evictions, "access {i}");
+            }
+            assert_eq!(hydra.rcc.len(), reference.len(), "access {i}");
+        }
+        assert!(victims > 1_000, "only {victims} evictions");
+        assert_eq!(hydra.rcc, reference);
+        assert_eq!(hydra.rcc_by_stamp.len(), hydra.rcc.len());
     }
 
     #[test]

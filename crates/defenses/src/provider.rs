@@ -10,6 +10,12 @@ use svard_dram::address::BankId;
 /// *activated* (aggressor) row; the provider is responsible for looking at the rows
 /// that could be disturbed by it. The paper's "No Svärd" configuration is
 /// [`UniformThreshold`]; Svärd's per-row provider lives in `svard-core`.
+///
+/// Every method is a pure function of its arguments: no call changes what a
+/// later call returns, however many defenses share the provider or in what
+/// order they call it. Defenses built over it are then deterministic from
+/// their seed, which the sweep harness's replay of defenses that never act
+/// relies on (see `MitigationHook`'s contract).
 pub trait ThresholdProvider: Send + Sync {
     /// The threshold (in activations of the aggressor row) that protects every row
     /// that could be disturbed by activating `aggressor_row` in `bank`.

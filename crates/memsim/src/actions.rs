@@ -62,6 +62,16 @@ pub enum PreventiveAction {
 ///
 /// Implementations live in `svard-defenses`; [`NoMitigation`] is the paper's
 /// baseline configuration with no defense at all.
+///
+/// # Contract
+///
+/// A hook affects the controller only through the actions it pushes into
+/// `out`, and its behaviour is a deterministic function of its construction
+/// (including any seed) and the sequence of calls it receives. It reads no
+/// clock, global or shared mutable state. The sweep harness relies on this:
+/// until a hook pushes its first action, a run with it is the no-defense run,
+/// so a hook that never acts on the no-defense run's call sequence is
+/// evaluated by replaying that sequence instead of simulating.
 pub trait MitigationHook {
     /// Called for every row activation the controller issues. Pushes the preventive
     /// actions the controller must execute into `out`, a scratch buffer the

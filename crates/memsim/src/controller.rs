@@ -36,7 +36,8 @@
 //! throttle stall per throttled entry per cycle, and `next_event_cycle`
 //! takes its per-entry minimum with each throttle's expiry. The bound is
 //! read only while the throttle table is empty, so throttled entries never
-//! make it unsound.
+//! make it unsound. The table keeps each bank's throttled rows in a short
+//! list (`ThrottleTable`), so those per-entry lookups hash nothing.
 //!
 //! # Event-driven fast-forwarding
 //!
@@ -60,7 +61,7 @@
 //! throttle windows and queue contents, none of which change during a cycle in
 //! which nothing is scheduled, nothing completes and no refresh fires.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use svard_obs::{Counter, EventKind, Gauge, Hist, MetricsSnapshot, NoopSink, ObsSink};
 
@@ -70,6 +71,7 @@ use crate::config::MemoryConfig;
 use crate::request::{CompletedRequest, MemoryRequest, RequestKind};
 use crate::stats::MemStats;
 use crate::tally::QueueTally;
+use crate::throttle::ThrottleTable;
 
 /// DDR timing parameters pre-converted to controller cycles, so the scheduler
 /// hot path never repeats the picosecond-to-cycle divisions.
@@ -158,7 +160,7 @@ pub struct MemorySystem<S: ObsSink = NoopSink> {
     /// Earliest completion cycle among `in_flight` (`u64::MAX` when empty); lets
     /// ticks skip the completion drain scan until something can complete.
     in_flight_min_completion: u64,
-    throttled: HashMap<(usize, usize), u64>,
+    throttled: ThrottleTable,
     mitigation: Box<dyn MitigationHook>,
     /// Reusable scratch buffer for preventive actions (kept empty between
     /// activations), so the no-action common case never allocates.
@@ -236,7 +238,7 @@ impl<S: ObsSink> MemorySystem<S> {
             config,
             in_flight: Vec::new(),
             in_flight_min_completion: u64::MAX,
-            throttled: HashMap::new(),
+            throttled: ThrottleTable::new(total_banks),
             mitigation,
             action_scratch: Vec::new(),
             draining_writes: false,
@@ -481,7 +483,7 @@ impl<S: ObsSink> MemorySystem<S> {
         } else {
             for req in self.queue(examined) {
                 let mut c = self.earliest_issue_cycle(req);
-                if let Some(&until) = self.throttled.get(&(req.flat_bank, req.dram_addr.row)) {
+                if let Some(until) = self.throttled.get(req.flat_bank, req.dram_addr.row) {
                     c = c.max(until);
                 }
                 consider(c);
@@ -561,7 +563,7 @@ impl<S: ObsSink> MemorySystem<S> {
         if !self.throttled.is_empty() {
             let mut stalls = 0;
             for req in self.queue(self.writes_selected(self.draining_writes)) {
-                if let Some(&until) = self.throttled.get(&(req.flat_bank, req.dram_addr.row)) {
+                if let Some(until) = self.throttled.get(req.flat_bank, req.dram_addr.row) {
                     // Ticks at cycles `start+1 ..= start+n` stall while `until > cycle`.
                     let counted_to = until.saturating_sub(1).min(start + n);
                     stalls += counted_to.saturating_sub(start);
@@ -823,7 +825,7 @@ impl<S: ObsSink> MemorySystem<S> {
         let mut saw_expired_throttle = false;
         for (idx, req) in self.queue(from_writes).iter().enumerate() {
             if THROTTLES {
-                if let Some(&until) = self.throttled.get(&(req.flat_bank, req.dram_addr.row)) {
+                if let Some(until) = self.throttled.get(req.flat_bank, req.dram_addr.row) {
                     if until > cycle {
                         throttle_stalls += 1;
                         continue;
@@ -855,9 +857,9 @@ impl<S: ObsSink> MemorySystem<S> {
         }
         self.stats.throttle_stalls += throttle_stalls;
         // Purge expired throttle windows encountered by this scan so stale
-        // entries cannot linger in the map forever.
+        // entries cannot linger in the table forever.
         if saw_expired_throttle {
-            self.throttled.retain(|_, &mut until| until > cycle);
+            self.throttled.retain_active(cycle);
         }
         oldest_hit.or(oldest)
     }
@@ -1037,7 +1039,7 @@ impl<S: ObsSink> MemorySystem<S> {
                 PreventiveAction::ThrottleRow {
                     row, until_cycle, ..
                 } => {
-                    self.throttled.insert((idx, row), until_cycle);
+                    self.throttled.insert(idx, row, until_cycle);
                     if S::ENABLED {
                         self.sink.counter(Counter::MemThrottleEngaged, 1);
                         self.sink.event(
@@ -1074,12 +1076,12 @@ impl<S: ObsSink> MemorySystem<S> {
                 }
             }
         }
-        // Garbage-collect expired throttles occasionally to bound the map (the
+        // Garbage-collect expired throttles occasionally to bound the table (the
         // purge-on-lookup in `schedule_one` keeps entries for scheduled rows from
         // lingering; this sweep catches rows that are never requested again).
         if self.throttled.len() > 4096 {
             let cycle = self.cycle;
-            self.throttled.retain(|_, &mut until| until > cycle);
+            self.throttled.retain_active(cycle);
         }
     }
     // lint: end-hot-path
@@ -1412,7 +1414,7 @@ mod tests {
         assert_eq!(mem.throttled.len(), 1);
         // Re-request the throttled row: the scheduler stalls it until the window
         // expires, then drops the stale entry on lookup. The re-access is a row hit
-        // (no new activation), so the map ends up empty.
+        // (no new activation), so the table ends up empty.
         mem.enqueue(read_at(2, 0)).unwrap();
         let done = mem.run_until_idle(100_000);
         assert_eq!(done.len(), 1);
@@ -1474,7 +1476,7 @@ mod tests {
         mem.run_until_idle(10_000);
         mem.enqueue(read_at(1, other_addr)).unwrap();
         mem.run_until_idle(10_000);
-        let until = mem.throttled[&(g.flatten_bank(&base), base.row)];
+        let until = mem.throttled.get(g.flatten_bank(&base), base.row).unwrap();
         assert!(mem.cycle() + 1 < until);
 
         // Both are row hits; the older one is throttled, so the younger issues.
@@ -1767,7 +1769,7 @@ mod tests {
         let mut oldest_hit = None;
         let mut stalls = 0;
         for req in mem.queue(mem.writes_selected(mem.draining_writes)) {
-            if let Some(&until) = mem.throttled.get(&(req.flat_bank, req.dram_addr.row)) {
+            if let Some(until) = mem.throttled.get(req.flat_bank, req.dram_addr.row) {
                 if until > cycle {
                     stalls += 1;
                     continue;
@@ -1798,9 +1800,8 @@ mod tests {
             .queue(mem.writes_selected(mem.draining_writes_next()))
             .iter()
             .map(|req| {
-                let until = mem.throttled.get(&(req.flat_bank, req.dram_addr.row));
-                mem.earliest_issue_cycle(req)
-                    .max(until.copied().unwrap_or(0))
+                let until = mem.throttled.get(req.flat_bank, req.dram_addr.row);
+                mem.earliest_issue_cycle(req).max(until.unwrap_or(0))
             });
         let refresh = mem.config.refresh_enabled.then_some(mem.next_refresh);
         let in_flight = mem.in_flight.iter().map(|&(_, due)| due);

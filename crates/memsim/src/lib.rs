@@ -54,9 +54,11 @@ pub mod controller;
 pub mod request;
 pub mod stats;
 mod tally;
+mod throttle;
 
 pub use actions::{MitigationHook, NoMitigation, PreventiveAction};
 pub use config::MemoryConfig;
 pub use controller::MemorySystem;
 pub use request::{CompletedRequest, MemoryRequest, RequestKind};
 pub use stats::MemStats;
+pub use svard_dram::address::BankId;

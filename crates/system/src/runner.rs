@@ -20,9 +20,10 @@
 //! equivalence tests assert they agree.
 //!
 //! [`EvaluationHarness`] has one sweep core, the private `sweep`: it fans the
-//! selected `(point, mix)` simulations out across OS threads, times each as a
-//! `harness.sim_task` span, fills input-order slots and reduces each point over
-//! its mixes, in mix order, with the one reduction `mean_over_mixes`. Wrappers:
+//! selected `(point, mix)` tasks out across OS threads, times each as a
+//! `harness.sim_task` or `harness.replay_task` span, fills input-order slots
+//! and reduces each point over its mixes, in mix order, with the one
+//! reduction `mean_over_mixes`. Wrappers:
 //!
 //! - `evaluate_masked_streamed`: the core, streaming points to a callback that can cancel.
 //! - `evaluate_all_streamed`: `evaluate_masked_streamed` over every point.
@@ -33,15 +34,51 @@
 //! Seeds come from the configuration alone (workload traces from `config.seed`,
 //! defenses from `config.seed ^ hc_first`), so results are deterministic and
 //! independent of thread count and scheduling.
+//!
+//! # Replaying defenses that never act
+//!
+//! The harness runs every mix once without a defense, for its baseline, and
+//! keeps that run's per-core IPCs, its metrics snapshot and every call the
+//! controller made into its [`MitigationHook`]: each `on_activation(bank,
+//! row, cycle)` and `on_refresh_tick(cycle)`, in order, 16 bytes a call
+//! ([`HookCall`]). A sweep task without a recording sink first builds its
+//! point's hook as a simulation would and feeds it that stream, stopping at
+//! the first call that pushes a preventive action:
+//!
+//! - If the hook never acts, the task returns the baseline's IPCs, normalized
+//!   as for a simulation, and the baseline's snapshot plus the hook's
+//!   `report_obs`, with no simulation at all (a `harness.replay_task` span).
+//! - If it acts, the task simulates from the start with a freshly built hook
+//!   (a `harness.sim_task` span), as if there were no replay.
+//!
+//! The replay is exact, not an estimate. A hook reaches the controller only
+//! through the actions it pushes, it is deterministic from its seed, and its
+//! threshold provider is a pure function of its arguments (the contracts of
+//! [`MitigationHook`] and `ThresholdProvider`). So by induction over the
+//! stream: while the hook has pushed nothing, the defended run's controller
+//! and cores are in the baseline's state, its next hook call is the
+//! baseline's next call, and the hook receives the same input as in the
+//! replay. A hook that never acts therefore leaves a run equal to the
+//! baseline bit for bit, and its own state (hence its report) equals the
+//! replayed hook's. A call that does not fit a [`HookCall`] drops the mix's
+//! stream instead of truncating it, and that mix's tasks all simulate. Traced
+//! sweeps ([`EvaluationHarness::evaluate_all_traced`]) always simulate, as
+//! the trace records the run's own events; they are the full-simulation
+//! reference the equivalence tests compare the replay against.
 
 use svard_cpusim::metrics::SystemMetrics;
 use svard_cpusim::workload::{WorkloadMix, WorkloadSpec};
 use svard_cpusim::SimpleCore;
 use svard_defenses::provider::SharedThresholdProvider;
 use svard_defenses::DefenseKind;
-use svard_memsim::{CompletedRequest, MemStats, MemorySystem, MitigationHook, NoMitigation};
+use svard_memsim::{
+    BankId, CompletedRequest, MemStats, MemorySystem, MitigationHook, NoMitigation,
+    PreventiveAction,
+};
 use svard_obs::{MetricsSnapshot, NoopSink, ObsSink, PhaseProfile, Profiler, Recorder};
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -279,6 +316,139 @@ fn run_alone_with_mode(spec: &WorkloadSpec, config: &SystemConfig, mode: SimMode
         .unwrap_or(0.0)
 }
 
+/// One call the memory controller made into its [`MitigationHook`], packed
+/// into 16 bytes: `on_activation(bank, row, cycle)`, or `on_refresh_tick(cycle)`
+/// when `row` is [`HookCall::REFRESH`]. `bank` holds the [`BankId`]'s channel,
+/// rank, bank group and bank.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct HookCall {
+    cycle: u64,
+    row: u32,
+    bank: [u8; 4],
+}
+
+impl HookCall {
+    /// The `row` of a refresh tick; no activation has it.
+    const REFRESH: u32 = u32::MAX;
+
+    /// An activation, or `None` if a field does not fit.
+    fn activation(bank: BankId, row: usize, cycle: u64) -> Option<Self> {
+        let byte = |v: usize| u8::try_from(v).ok();
+        Some(Self {
+            cycle,
+            row: u32::try_from(row).ok().filter(|&r| r != Self::REFRESH)?,
+            bank: [
+                byte(bank.channel)?,
+                byte(bank.rank)?,
+                byte(bank.bank_group)?,
+                byte(bank.bank)?,
+            ],
+        })
+    }
+
+    fn refresh(cycle: u64) -> Self {
+        Self {
+            cycle,
+            row: Self::REFRESH,
+            bank: [0; 4],
+        }
+    }
+
+    fn bank_id(&self) -> BankId {
+        let [channel, rank, bank_group, bank] = self.bank.map(usize::from);
+        BankId {
+            channel,
+            rank,
+            bank_group,
+            bank,
+        }
+    }
+}
+
+/// Feed `calls` to `hook` in order, as the controller made them; whether it
+/// got through them all without pushing a preventive action. Stops at the
+/// first call that pushes one.
+fn replay_never_acts(hook: &mut dyn MitigationHook, calls: &[HookCall]) -> bool {
+    let mut out: Vec<PreventiveAction> = Vec::new();
+    for call in calls {
+        if call.row == HookCall::REFRESH {
+            hook.on_refresh_tick(call.cycle);
+            continue;
+        }
+        hook.on_activation(call.bank_id(), call.row as usize, call.cycle, &mut out);
+        if !out.is_empty() {
+            return false;
+        }
+    }
+    true
+}
+
+/// The stream a [`RecordingBaseline`] fills: `None` once a call did not fit.
+type CallLog = Rc<RefCell<Option<Vec<HookCall>>>>;
+
+/// [`NoMitigation`] that logs every call into a shared [`CallLog`].
+struct RecordingBaseline(CallLog);
+
+impl MitigationHook for RecordingBaseline {
+    fn on_activation(
+        &mut self,
+        bank: BankId,
+        row: usize,
+        cycle: u64,
+        _out: &mut Vec<PreventiveAction>,
+    ) {
+        let mut log = self.0.borrow_mut();
+        if let Some(calls) = log.as_mut() {
+            match HookCall::activation(bank, row, cycle) {
+                Some(call) => calls.push(call),
+                None => *log = None,
+            }
+        }
+    }
+
+    fn on_refresh_tick(&mut self, cycle: u64) {
+        if let Some(calls) = self.0.borrow_mut().as_mut() {
+            calls.push(HookCall::refresh(cycle));
+        }
+    }
+
+    fn name(&self) -> &str {
+        NoMitigation.name()
+    }
+}
+
+/// A mix's no-defense run: the normalization reference of its tasks, and
+/// what a task whose defense never acts returns instead of simulating (see
+/// the module docs).
+struct Baseline {
+    /// The run's metrics against the alone IPCs.
+    metrics: SystemMetrics,
+    per_core_ipc: Vec<f64>,
+    /// The run's metrics snapshot (the `mem.*` counters; no defense report).
+    snapshot: MetricsSnapshot,
+    /// Every hook call of the run, in order (`None` if one did not fit).
+    calls: Option<Vec<HookCall>>,
+}
+
+impl Baseline {
+    /// Run `mix` without a defense, recording its hook calls.
+    fn run(mix: &WorkloadMix, config: &SystemConfig, mode: SimMode, alone: &[f64]) -> Self {
+        let log: CallLog = Rc::new(RefCell::new(Some(Vec::new())));
+        let hook = Box::new(RecordingBaseline(Rc::clone(&log)));
+        let run = run_mix_with_sink(mix, config, hook, mode, NoopSink).0;
+        let mut calls = log.take();
+        if let Some(calls) = calls.as_mut() {
+            calls.shrink_to_fit();
+        }
+        Self {
+            metrics: SystemMetrics::compute(alone, &run.per_core_ipc),
+            per_core_ipc: run.per_core_ipc,
+            snapshot: run.metrics,
+            calls,
+        }
+    }
+}
+
 /// One `(point, mix)` simulation of a sweep, with the mix's cached alone IPCs
 /// and no-defense baseline.
 struct Task<'a> {
@@ -287,7 +457,7 @@ struct Task<'a> {
     point: &'a SweepPoint,
     mix: &'a WorkloadMix,
     alone: &'a [f64],
-    baseline: &'a SystemMetrics,
+    baseline: &'a Baseline,
 }
 
 /// A finished task: metrics normalized to the mix's baseline, the run's
@@ -312,7 +482,7 @@ pub struct EvaluationHarness {
     config: SystemConfig,
     mixes: Vec<WorkloadMix>,
     alone_ipc: Vec<Vec<f64>>,
-    baseline: Vec<SystemMetrics>,
+    baseline: Vec<Baseline>,
     threads: usize,
     mode: SimMode,
     prep_profile: Vec<PhaseProfile>,
@@ -345,9 +515,10 @@ impl EvaluationHarness {
     /// [`with_threads_and_mode`](Self::with_threads_and_mode) with a
     /// wall-clock span [`Profiler`]: construction and every worker task record
     /// `harness.*` spans into it (`alone_runs`/`alone_run`, `baseline_runs`/
-    /// `baseline_run`, `sweep`, `sim_task`), and the [`PhaseProfile`]s come from
-    /// the same clock reads. Spans never feed back into simulation state, so
-    /// every result is bit-identical with the profiler enabled or disabled.
+    /// `baseline_run`, `sweep`, and per task `sim_task` or `replay_task`),
+    /// and the [`PhaseProfile`]s come from the same clock reads. Spans never
+    /// feed back into simulation state, so every result is bit-identical
+    /// with the profiler enabled or disabled.
     pub fn with_threads_mode_profiler(
         config: SystemConfig,
         mixes: Vec<WorkloadMix>,
@@ -392,9 +563,8 @@ impl EvaluationHarness {
             "harness.baseline_run",
             &mixes,
             |m, mix| {
-                let run = run_mix_with_sink(mix, &config, Box::new(NoMitigation), mode, NoopSink).0;
                 let alone = alone_ipc.get(m).map_or(&[] as &[f64], Vec::as_slice);
-                SystemMetrics::compute(alone, &run.per_core_ipc)
+                Baseline::run(mix, &config, mode, alone)
             },
         );
         Self {
@@ -446,6 +616,7 @@ impl EvaluationHarness {
     /// plus the event trace as JSON lines: per `(point, mix)` task, in input
     /// order, a section header and that run's canonical (cycle-domain) events,
     /// so the bytes are identical for any thread count and either [`SimMode`].
+    /// Every task simulates; none is replayed from its baseline.
     pub fn evaluate_all_traced(&self, points: &[SweepPoint]) -> (Vec<EvaluationPoint>, String) {
         let all = vec![true; points.len()];
         let sweep = self.sweep(points, &all, Recorder::new, |_, _, _| true);
@@ -569,8 +740,8 @@ impl EvaluationHarness {
         parallel::par_for_each(&tasks, self.threads, &cancel, |t, task| {
             // Span argument: point index in the high 32 bits, mix in the low.
             let arg = ((task.p as u64) << 32) | (task.m as u64 & 0xffff_ffff);
-            let (outcome, us) = timed(&self.profiler, "harness.sim_task", arg, || {
-                self.simulate(task, new_sink())
+            let (outcome, us) = timed_as(&self.profiler, arg, || {
+                self.run_task(task, || self.build_hook(task.point), new_sink())
             });
             // lint: allow(panic) -- poisoned only if a callback panicked; propagate that panic
             let mut st = state.lock().expect("a sweep callback panicked");
@@ -597,20 +768,45 @@ impl EvaluationHarness {
         state.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Simulate one task with the given sink (see [`TaskResult`]).
-    fn simulate<S: ObsSink>(&self, task: &Task<'_>, sink: S) -> TaskResult<S> {
-        let mitigation = task.point.defense.build(
-            task.point.provider.clone(),
+    /// The defense of `point`, seeded from the configuration.
+    fn build_hook(&self, point: &SweepPoint) -> Box<dyn MitigationHook> {
+        point.defense.build(
+            point.provider.clone(),
             self.config.memory.geometry.rows_per_bank,
-            self.config.seed ^ task.point.hc_first,
-        );
-        let (run, sink) = run_mix_with_sink(task.mix, &self.config, mitigation, self.mode, sink);
-        let metrics = SystemMetrics::compute(task.alone, &run.per_core_ipc);
-        (
-            metrics.normalized_to(task.baseline),
-            run.metrics.canonical(),
-            sink,
+            self.config.seed ^ point.hc_first,
         )
+    }
+
+    /// Run one task with the hooks `build` makes and the given sink (see
+    /// [`TaskResult`]), plus the name of its span. Without a recording sink
+    /// a hook that never acts on the mix's baseline calls returns the
+    /// baseline, replayed; otherwise the task simulates with a fresh hook.
+    fn run_task<S: ObsSink>(
+        &self,
+        task: &Task<'_>,
+        build: impl Fn() -> Box<dyn MitigationHook>,
+        sink: S,
+    ) -> (TaskResult<S>, &'static str) {
+        let baseline = task.baseline;
+        let normalized =
+            |ipc: &[f64]| SystemMetrics::compute(task.alone, ipc).normalized_to(&baseline.metrics);
+        if let (false, Some(calls)) = (S::ENABLED, &baseline.calls) {
+            let mut hook = build();
+            if replay_never_acts(hook.as_mut(), calls) {
+                // What `MemorySystem::metrics` adds to the baseline's snapshot.
+                let mut snapshot = baseline.snapshot.clone();
+                hook.report_obs(&mut snapshot);
+                let result = (
+                    normalized(&baseline.per_core_ipc),
+                    snapshot.canonical(),
+                    sink,
+                );
+                return (result, "harness.replay_task");
+            }
+        }
+        let (run, sink) = run_mix_with_sink(task.mix, &self.config, build(), self.mode, sink);
+        let result = (normalized(&run.per_core_ipc), run.metrics.canonical(), sink);
+        (result, "harness.sim_task")
     }
 }
 
@@ -666,11 +862,17 @@ fn prep_phase<T: Sync, R: Send>(
 }
 
 /// Run `f`, recording it as span `name` with argument `arg`; returns its
-/// result and wall time in microseconds. The harness's only clock reads.
+/// result and wall time in microseconds.
 fn timed<R>(profiler: &Profiler, name: &'static str, arg: u64, f: impl FnOnce() -> R) -> (R, u64) {
+    timed_as(profiler, arg, || (f(), name))
+}
+
+/// [`timed`] for an `f` that names its own span. The harness's only clock
+/// reads.
+fn timed_as<R>(profiler: &Profiler, arg: u64, f: impl FnOnce() -> (R, &'static str)) -> (R, u64) {
     // lint: allow(determinism) -- span timing measures the harness, never simulation state
     let start = profiler.now_us();
-    let out = f();
+    let (out, name) = f();
     // lint: allow(determinism) -- span timing measures the harness, never simulation state
     let us = profiler.now_us().saturating_sub(start);
     profiler.record(name, start, us, arg);
@@ -794,6 +996,152 @@ mod tests {
                 hc_first: hc,
             })
             .collect()
+    }
+
+    /// Pushes one victim refresh at the activation `at` and nothing
+    /// otherwise. Reports how many activations it saw and a digest of every
+    /// call, in order (under two arbitrary counter names), so a replay that
+    /// drops, reorders or alters a call changes its report.
+    struct ActsAt {
+        at: Option<(BankId, usize, u64)>,
+        activations: u64,
+        digest: u64,
+    }
+
+    impl ActsAt {
+        fn boxed(at: Option<(BankId, usize, u64)>) -> Box<dyn MitigationHook> {
+            Box::new(Self {
+                at,
+                activations: 0,
+                digest: 0,
+            })
+        }
+
+        fn absorb(&mut self, word: u64) {
+            self.digest = (self.digest ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    impl MitigationHook for ActsAt {
+        fn on_activation(
+            &mut self,
+            bank: BankId,
+            row: usize,
+            cycle: u64,
+            out: &mut Vec<PreventiveAction>,
+        ) {
+            self.activations += 1;
+            for word in [bank.channel, bank.rank, bank.bank_group, bank.bank, row] {
+                self.absorb(word as u64);
+            }
+            self.absorb(cycle);
+            if self.at == Some((bank, row, cycle)) {
+                out.push(PreventiveAction::RefreshRow { bank, row: row + 1 });
+            }
+        }
+
+        fn on_refresh_tick(&mut self, cycle: u64) {
+            self.absorb(u64::MAX);
+            self.absorb(cycle);
+        }
+
+        fn report_obs(&self, out: &mut dyn svard_obs::Collect) {
+            out.counter(svard_obs::Counter::DefenseRccHits, self.activations);
+            out.counter(svard_obs::Counter::DefenseRccEvictions, self.digest);
+        }
+
+        fn name(&self) -> &str {
+            "acts-at"
+        }
+    }
+
+    /// Run mix 0's task of `harness` with the hooks `build` makes; check it
+    /// against a direct `run_mix` and return its snapshot and span name.
+    fn run_task_against_run_mix(
+        harness: &EvaluationHarness,
+        build: impl Fn() -> Box<dyn MitigationHook>,
+    ) -> (MetricsSnapshot, &'static str) {
+        let point = &para_points(&[64])[0];
+        let task = Task {
+            p: 0,
+            m: 0,
+            point,
+            mix: &harness.mixes[0],
+            alone: &harness.alone_ipc[0],
+            baseline: &harness.baseline[0],
+        };
+        let ((normalized, snapshot, _), span) = harness.run_task(&task, &build, NoopSink);
+        let direct = run_mix(task.mix, &harness.config, build());
+        let expected = SystemMetrics::compute(task.alone, &direct.per_core_ipc)
+            .normalized_to(&task.baseline.metrics);
+        assert_eq!(normalized, expected, "{span}");
+        assert_eq!(snapshot, direct.metrics.canonical(), "{span}");
+        (snapshot, span)
+    }
+
+    /// One mix, run long enough to span refresh ticks.
+    fn one_mix_harness() -> EvaluationHarness {
+        EvaluationHarness::with_threads_and_mode(
+            SystemConfig::tiny().with_instructions(20_000),
+            tiny_mixes(1),
+            1,
+            SimMode::FastForward,
+        )
+    }
+
+    #[test]
+    fn a_hook_acting_at_the_last_activation_falls_back_to_simulation() {
+        let harness = one_mix_harness();
+        let calls = harness.baseline[0].calls.as_deref().unwrap();
+        let last = calls.iter().rfind(|c| c.row != HookCall::REFRESH).unwrap();
+        let at = Some((last.bank_id(), last.row as usize, last.cycle));
+        let (snapshot, span) = run_task_against_run_mix(&harness, || ActsAt::boxed(at));
+        assert_eq!(span, "harness.sim_task");
+        assert!(snapshot.counter("mem.preventive_refreshes") > 0);
+    }
+
+    #[test]
+    fn a_hook_that_never_acts_is_replayed_with_its_report() {
+        let harness = one_mix_harness();
+        let calls = harness.baseline[0].calls.as_deref().unwrap();
+        let activations = calls.iter().filter(|c| c.row != HookCall::REFRESH).count();
+        assert!(calls.len() > activations, "no refresh tick recorded");
+        let (snapshot, span) = run_task_against_run_mix(&harness, || ActsAt::boxed(None));
+        assert_eq!(span, "harness.replay_task");
+        assert_eq!(snapshot.counter("defense.rcc_hits"), activations as u64);
+    }
+
+    #[test]
+    fn a_mix_without_a_stream_simulates_every_task() {
+        let mut harness = one_mix_harness();
+        harness.baseline[0].calls = None;
+        let (_, span) = run_task_against_run_mix(&harness, || ActsAt::boxed(None));
+        assert_eq!(span, "harness.sim_task");
+    }
+
+    #[test]
+    fn hook_calls_pack_into_16_bytes_or_not_at_all() {
+        assert!(std::mem::size_of::<HookCall>() <= 16);
+        let bank = BankId {
+            channel: 1,
+            rank: 2,
+            bank_group: 3,
+            bank: 255,
+        };
+        let call = HookCall::activation(bank, 7, u64::MAX).unwrap();
+        assert_eq!((call.bank_id(), call.row, call.cycle), (bank, 7, u64::MAX));
+        let wide = BankId { bank: 256, ..bank };
+        assert_eq!(HookCall::activation(wide, 7, 0), None);
+        assert_eq!(HookCall::activation(bank, u32::MAX as usize, 0), None);
+        // One call that does not fit drops the whole stream for good.
+        let log: CallLog = Rc::new(RefCell::new(Some(Vec::new())));
+        let mut hook = RecordingBaseline(Rc::clone(&log));
+        hook.on_refresh_tick(5);
+        assert_eq!(log.borrow().as_ref().map(Vec::len), Some(1));
+        hook.activation_actions(wide, 7, 6);
+        hook.on_refresh_tick(7);
+        hook.activation_actions(bank, 7, 8);
+        assert_eq!(*log.borrow(), None);
     }
 
     #[test]

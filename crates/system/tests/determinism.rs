@@ -272,6 +272,95 @@ fn span_instrumentation_never_perturbs_results_or_the_canonical_trace() {
     }
 }
 
+/// An untraced sweep replays a mix's baseline hook stream into each point's
+/// defense and skips simulating the tasks whose defense never acts; a traced
+/// sweep simulates every task. For every defense under the uniform threshold
+/// and both Svärd storages, at a high and a low `HC_first`, the two agree
+/// point for point, and each task's canonical snapshot equals that of a
+/// direct `run_mix`. Each harness holds one mix, so a point's snapshot is
+/// its one task's.
+#[test]
+fn replayed_tasks_match_full_simulation_for_every_defense_and_provider() {
+    use svard_core::{StorageKind, Svard};
+    use svard_obs::{MetricsSnapshot, Profiler};
+    use svard_vulnerability::{ModuleSpec, ProfileGenerator};
+
+    let config = small_config().with_cores(4).with_instructions(20_000);
+    let rows = config.memory.geometry.rows_per_bank;
+    let profile = ProfileGenerator::new(85).generate(&ModuleSpec::s0().scaled(rows), 1);
+    let mut points = Vec::new();
+    for defense in DefenseKind::ALL {
+        for hc_first in [4096, 64] {
+            let svard =
+                |storage| Svard::build_with_storage(&profile, hc_first, 16, storage).provider();
+            let providers: [SharedThresholdProvider; 3] = [
+                Arc::new(UniformThreshold::new(hc_first)),
+                svard(StorageKind::ControllerTable),
+                svard(StorageKind::BloomCompressed),
+            ];
+            for provider in providers {
+                points.push(SweepPoint {
+                    defense,
+                    provider,
+                    hc_first,
+                });
+            }
+        }
+    }
+    let profiler = Profiler::new(1024);
+    let count = |name: &str| {
+        let spans = profiler.snapshot_spans();
+        spans.iter().filter(|s| s.name == name).count()
+    };
+    let (mut replayed, mut simulated) = (0, 0);
+    for mix in WorkloadMix::generate(2, config.cores, 85) {
+        let harness = EvaluationHarness::with_threads_mode_profiler(
+            config.clone(),
+            vec![mix.clone()],
+            2,
+            SimMode::FastForward,
+            profiler.clone(),
+        );
+        let snapshots = std::sync::Mutex::new(vec![MetricsSnapshot::default(); points.len()]);
+        let before = (count("harness.replay_task"), count("harness.sim_task"));
+        let (streamed, _) = harness.evaluate_all_streamed(&points, |p, _, metrics| {
+            if let Some(slot) = snapshots.lock().unwrap().get_mut(p) {
+                *slot = metrics.clone();
+            }
+            true
+        });
+        replayed += count("harness.replay_task") - before.0;
+        simulated += count("harness.sim_task") - before.1;
+        let streamed: Vec<_> = streamed.into_iter().flatten().collect();
+        let (traced, _) = harness.evaluate_all_traced(&points);
+        assert_eq!(streamed, traced, "mix {}: replayed sweep diverged", mix.id);
+        let snapshots = snapshots.into_inner().unwrap();
+        for (point, snapshot) in points.iter().zip(&snapshots) {
+            let hook =
+                point
+                    .defense
+                    .build(point.provider.clone(), rows, config.seed ^ point.hc_first);
+            let direct = run_mix(&mix, &config, hook).metrics.canonical();
+            assert_eq!(
+                snapshot,
+                &direct,
+                "mix {} {} {} {}: snapshot differs from run_mix",
+                mix.id,
+                point.defense,
+                point.provider.name(),
+                point.hc_first
+            );
+        }
+    }
+    // One span per untraced task, and both paths ran, so neither
+    // comparison above is vacuous.
+    assert_eq!(replayed + simulated, 2 * points.len());
+    assert!(
+        replayed > 0 && simulated > 0,
+        "{replayed} tasks replayed, {simulated} simulated"
+    );
+}
+
 /// A fresh `WorkloadMix` from the same seed is identical — the workload
 /// generator itself is part of the deterministic contract.
 #[test]

@@ -42,6 +42,17 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
+/// The traced sweep simulates every task; an untraced one replays the tasks
+/// whose defense never acts. Both must render the same points.
+fn assert_untraced_points_match(
+    harness: &EvaluationHarness,
+    points: &[SweepPoint],
+    traced: &[EvaluationPoint],
+) {
+    let untraced = harness.evaluate_all(points);
+    assert_eq!(format!("{untraced:?}"), format!("{traced:?}"));
+}
+
 fn digest(points: &[EvaluationPoint], trace: &str) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325;
     for point in points {
@@ -79,6 +90,7 @@ fn traced_sweep_matches_the_golden_digest() {
     let (results, trace) = harness.evaluate_all_traced(&points);
     assert_eq!(results.len(), points.len());
     assert!(!trace.is_empty());
+    assert_untraced_points_match(&harness, &points, &results);
     let got = digest(&results, &trace);
     assert_eq!(
         got, GOLDEN_DIGEST,
@@ -108,6 +120,7 @@ fn adversarial_sweep_matches_the_golden_digest() {
     let harness = EvaluationHarness::with_threads_and_mode(config, mixes, 2, SimMode::FastForward);
     let (results, trace) = harness.evaluate_all_traced(&points);
     assert_eq!(results.len(), points.len());
+    assert_untraced_points_match(&harness, &points, &results);
     // The traced run keeps only events; the untraced one reports each
     // point's canonical metrics.
     let per_point = std::sync::Mutex::new(vec![String::new(); points.len()]);
