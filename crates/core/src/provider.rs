@@ -4,7 +4,7 @@ use svard_defenses::provider::ThresholdProvider;
 use svard_dram::address::BankId;
 
 use crate::bins::VulnerabilityBins;
-use crate::storage::BinStorage;
+use crate::storage::{wrap, BinStorage};
 
 /// The Svärd threshold provider (Fig. 11): on each activation, look up the bin of
 /// the rows that could be disturbed and return the most conservative of their
@@ -42,10 +42,13 @@ impl SvardProvider {
         &self.bins
     }
 
+    // lint: hot-path
     /// Threshold credited to a single row.
     pub fn row_threshold(&self, bank: BankId, row: usize) -> u64 {
         let flat = crate::storage::flat_bank_index(bank, self.banks_per_rank);
-        let bin = self.storage.bin_of(flat, row % self.rows_per_bank.max(1));
+        let bin = self
+            .storage
+            .bin_of(flat, wrap(row, self.rows_per_bank.max(1)));
         self.bins.threshold_of(bin)
     }
 }
@@ -59,6 +62,7 @@ impl ThresholdProvider for SvardProvider {
         self.row_threshold(bank, below)
             .min(self.row_threshold(bank, above))
     }
+    // lint: end-hot-path
 
     fn worst_case(&self) -> u64 {
         self.bins.worst_case()
@@ -100,6 +104,77 @@ mod tests {
             let above = (row + 1).min(thresholds.len() - 1);
             let true_min = thresholds[below].min(thresholds[above]);
             assert!(provider.victim_threshold(bank, row) <= true_min);
+        }
+    }
+
+    /// The lookup as it was before the in-range fast path: all three wraps
+    /// by `%`.
+    fn reference_victim_threshold(p: &SvardProvider, bank: BankId, row: usize) -> u64 {
+        let row_threshold = |row: usize| {
+            let flat = crate::storage::flat_bank_index(bank, p.banks_per_rank);
+            let row = row % p.rows_per_bank.max(1);
+            let bin = match &p.storage {
+                BinStorage::Exact { bins } => {
+                    let bank = &bins[flat % bins.len()];
+                    bank[row % bank.len()]
+                }
+                BinStorage::Bloom {
+                    filters,
+                    num_bins,
+                    banks,
+                } => {
+                    let flat = flat % (*banks).max(1);
+                    (0..filters.len())
+                        .find(|&level| filters[level].contains(flat, row))
+                        .unwrap_or(num_bins - 1) as u8
+                }
+            };
+            p.bins.threshold_of(bin)
+        };
+        let below = row.saturating_sub(1);
+        let above = (row + 1).min(p.rows_per_bank.saturating_sub(1));
+        row_threshold(below).min(row_threshold(above))
+    }
+
+    /// In-range and wrapping banks and rows give the reference's thresholds,
+    /// for exact and Bloom storage. The profile has 3 banks of 96 rows under
+    /// a 128-row geometry, so bank, geometry-row and profile-row wraps all
+    /// occur.
+    #[test]
+    fn victim_threshold_matches_the_modulo_reference() {
+        let thresholds: Vec<Vec<u64>> = (0..3u64)
+            .map(|b| (0..96u64).map(|r| 64 + (r * 37 + b * 11) % 4096).collect())
+            .collect();
+        let bins = VulnerabilityBins::geometric(64, 4160, 16);
+        let table = assign_bins(&thresholds, &bins);
+        for storage in [
+            BinStorage::exact(table.clone()),
+            BinStorage::bloom(&table, bins.num_bins(), 512),
+        ] {
+            let provider = SvardProvider::new(bins.clone(), storage, 128, 16, "TEST");
+            let mut wrapped = 0;
+            for rank in 0..2 {
+                for bank_group in 0..4 {
+                    for b in 0..4 {
+                        let bank = BankId {
+                            rank,
+                            bank_group,
+                            bank: b,
+                            ..BankId::default()
+                        };
+                        for row in (0..140).chain([255, 256, 1_000, 65_535]) {
+                            assert_eq!(
+                                provider.victim_threshold(bank, row),
+                                reference_victim_threshold(&provider, bank, row),
+                                "{bank:?} row {row}"
+                            );
+                            let flat = crate::storage::flat_bank_index(bank, 16);
+                            wrapped += usize::from(flat >= 3 || row >= 95);
+                        }
+                    }
+                }
+            }
+            assert!(wrapped > 1_000);
         }
     }
 

@@ -70,20 +70,21 @@ impl BinStorage {
         }
     }
 
+    // lint: hot-path
     /// Look up the bin id of a row. Out-of-range banks/rows wrap (scaled-down
     /// profiles backing full-size geometries).
     pub fn bin_of(&self, bank_index: usize, row: usize) -> u8 {
         match self {
             BinStorage::Exact { bins } => {
-                let bank = &bins[bank_index % bins.len()];
-                bank[row % bank.len()]
+                let bank = &bins[wrap(bank_index, bins.len())];
+                bank[wrap(row, bank.len())]
             }
             BinStorage::Bloom {
                 filters,
                 num_bins,
                 banks,
             } => {
-                let bank_index = bank_index % (*banks).max(1);
+                let bank_index = wrap(bank_index, (*banks).max(1));
                 for (level, filter) in filters.iter().enumerate() {
                     if filter.contains(bank_index, row) {
                         return level as u8;
@@ -93,6 +94,7 @@ impl BinStorage {
             }
         }
     }
+    // lint: end-hot-path
 
     /// Total metadata bits this storage holds (for the §6.4 cost analysis).
     pub fn metadata_bits(&self, bits_per_row: u32) -> u64 {
@@ -142,6 +144,17 @@ impl BloomSet {
     /// Membership query (may return false positives, never false negatives).
     pub fn contains(&self, bank: usize, row: usize) -> bool {
         (0..self.hashes).all(|i| self.bits[self.index(bank, row, i)])
+    }
+}
+
+/// `index % len`, without the division when `index` is already in range (the
+/// common case: only scaled-down profiles wrap).
+#[inline]
+pub(crate) fn wrap(index: usize, len: usize) -> usize {
+    if index < len {
+        index
+    } else {
+        index % len
     }
 }
 

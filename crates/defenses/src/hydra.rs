@@ -12,10 +12,11 @@
 //! counter traffic* caused by RCC misses — which Svärd does not reduce (Obsv. 14
 //! explains why Svärd's gains on Hydra are modest).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::VecDeque;
 use svard_dram::address::BankId;
 use svard_memsim::{MitigationHook, PreventiveAction};
 
+use crate::common::IntMap;
 use crate::provider::SharedThresholdProvider;
 
 /// Rows per group in the Group Count Table.
@@ -32,16 +33,20 @@ const RCC_MISS_ACCESSES: u32 = 2;
 /// The Hydra defense.
 pub struct Hydra {
     provider: SharedThresholdProvider,
-    // Entry-only access (never iterated), so HashMap's arbitrary order is safe
-    // here and its O(1) lookups matter on the activation path.
-    group_counts: HashMap<(BankId, usize), u64>,
-    row_counts: HashMap<(BankId, usize), u64>,
+    // Key access only, never iterated (see `crate::common` on the hasher),
+    // and O(1) lookups matter on the activation path.
+    group_counts: IntMap<(BankId, usize), u64>,
+    row_counts: IntMap<(BankId, usize), u64>,
     /// LRU row-count cache: maps (bank, row) to its last-use stamp, the bank
-    /// as its index in `rcc_banks` (a 16-byte key, not 40).
-    rcc: BTreeMap<(usize, usize), u64>,
-    /// The same entries by stamp, oldest first. Every access takes a fresh
-    /// stamp, so stamps are unique and the first entry is the LRU victim.
-    rcc_by_stamp: BTreeMap<u64, (usize, usize)>,
+    /// as its index in `rcc_banks` (a 16-byte key, not 40). Never iterated:
+    /// eviction order comes from `rcc_by_stamp`.
+    rcc: IntMap<(usize, usize), u64>,
+    /// The RCC's accesses by stamp, oldest first. Every access takes a fresh
+    /// stamp and appends it, so the queue stays sorted; an entry is live while
+    /// `rcc` still maps its key to its stamp, and the first live entry is the
+    /// LRU victim. A hit leaves its old entry behind, stale; stale entries
+    /// are skipped at eviction and dropped once they outnumber the live ones.
+    rcc_by_stamp: VecDeque<(u64, (usize, usize))>,
     /// The banks the RCC has seen, in first-seen order.
     rcc_banks: Vec<BankId>,
     use_stamp: u64,
@@ -58,10 +63,10 @@ impl Hydra {
         let name = format!("Hydra ({})", provider.name());
         Self {
             provider,
-            group_counts: HashMap::new(),
-            row_counts: HashMap::new(),
-            rcc: BTreeMap::new(),
-            rcc_by_stamp: BTreeMap::new(),
+            group_counts: IntMap::default(),
+            row_counts: IntMap::default(),
+            rcc: IntMap::default(),
+            rcc_by_stamp: VecDeque::new(),
             rcc_banks: Vec::new(),
             use_stamp: 0,
             name,
@@ -97,23 +102,32 @@ impl Hydra {
         self.use_stamp += 1;
         let key = (self.rcc_bank(bank), row);
         let hit = if let Some(stamp) = self.rcc.get_mut(&key) {
-            self.rcc_by_stamp.remove(stamp);
             *stamp = self.use_stamp;
             self.rcc_hits += 1;
             true
         } else {
             self.rcc_misses += 1;
             if self.rcc.len() >= RCC_ENTRIES {
-                // Evict the least recently used entry: the smallest stamp.
-                if let Some((_, victim)) = self.rcc_by_stamp.pop_first() {
-                    self.rcc.remove(&victim);
-                    self.rcc_evictions += 1;
+                // Evict the least recently used entry: the smallest live stamp.
+                while let Some((stamp, victim)) = self.rcc_by_stamp.pop_front() {
+                    if self.rcc.get(&victim) == Some(&stamp) {
+                        self.rcc.remove(&victim);
+                        self.rcc_evictions += 1;
+                        break;
+                    }
                 }
             }
             self.rcc.insert(key, self.use_stamp);
             false
         };
-        self.rcc_by_stamp.insert(self.use_stamp, key);
+        self.rcc_by_stamp.push_back((self.use_stamp, key));
+        if self.rcc_by_stamp.len() > 2 * RCC_ENTRIES {
+            // Hits leave stale entries behind; drop them once they outnumber
+            // the live ones (amortized O(1) per access).
+            let rcc = &self.rcc;
+            self.rcc_by_stamp
+                .retain(|(stamp, key)| rcc.get(key) == Some(stamp));
+        }
         hit
     }
 
@@ -212,7 +226,8 @@ impl MitigationHook for Hydra {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::provider::UniformThreshold;
+    use crate::provider::{ThresholdProvider, UniformThreshold};
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     fn bank() -> BankId {
@@ -329,8 +344,200 @@ mod tests {
             assert_eq!(hydra.rcc.len(), reference.len(), "access {i}");
         }
         assert!(victims > 1_000, "only {victims} evictions");
-        assert_eq!(hydra.rcc, reference);
-        assert_eq!(hydra.rcc_by_stamp.len(), hydra.rcc.len());
+        let cached: BTreeMap<_, _> = hydra.rcc.iter().map(|(&k, &s)| (k, s)).collect();
+        assert_eq!(cached, reference);
+        // The queue holds every cached entry once, oldest first, and at most
+        // as many stale ones again.
+        let live: Vec<_> = (hydra.rcc_by_stamp.iter())
+            .filter(|(stamp, key)| hydra.rcc.get(key) == Some(stamp))
+            .collect();
+        assert_eq!(live.len(), hydra.rcc.len());
+        assert!(live.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(hydra.rcc_by_stamp.len() <= 2 * RCC_ENTRIES);
+    }
+
+    /// Hydra as it was before its tables hashed with `IntHasher` and its
+    /// stamp index became a queue: ordered maps for the group, row and cache
+    /// tables (the first two were SipHash maps, equivalent as they are never
+    /// iterated) and an ordered stamp → key index.
+    #[derive(Default)]
+    struct ReferenceHydra {
+        group_counts: BTreeMap<(BankId, usize), u64>,
+        row_counts: BTreeMap<(BankId, usize), u64>,
+        rcc: BTreeMap<(usize, usize), u64>,
+        rcc_by_stamp: BTreeMap<u64, (usize, usize)>,
+        rcc_banks: Vec<BankId>,
+        use_stamp: u64,
+        rcc_misses: u64,
+        rcc_hits: u64,
+        rcc_evictions: u64,
+        preventive_refreshes: u64,
+    }
+
+    impl ReferenceHydra {
+        fn rcc_access(&mut self, bank: BankId, row: usize) -> bool {
+            self.use_stamp += 1;
+            let b = match self.rcc_banks.iter().position(|&b| b == bank) {
+                Some(index) => index,
+                None => {
+                    self.rcc_banks.push(bank);
+                    self.rcc_banks.len() - 1
+                }
+            };
+            let key = (b, row);
+            let hit = if let Some(stamp) = self.rcc.get_mut(&key) {
+                self.rcc_by_stamp.remove(stamp);
+                *stamp = self.use_stamp;
+                self.rcc_hits += 1;
+                true
+            } else {
+                self.rcc_misses += 1;
+                if self.rcc.len() >= RCC_ENTRIES {
+                    if let Some((_, victim)) = self.rcc_by_stamp.pop_first() {
+                        self.rcc.remove(&victim);
+                        self.rcc_evictions += 1;
+                    }
+                }
+                self.rcc.insert(key, self.use_stamp);
+                false
+            };
+            self.rcc_by_stamp.insert(self.use_stamp, key);
+            hit
+        }
+
+        fn on_activation(
+            &mut self,
+            threshold: u64,
+            bank: BankId,
+            row: usize,
+        ) -> Vec<PreventiveAction> {
+            let mut out = Vec::new();
+            let threshold = threshold.max(2);
+            let group_threshold = ((threshold as f64 * GROUP_FRACTION) as u64).max(1);
+            let row_threshold = ((threshold as f64 * ROW_FRACTION) as u64).max(2);
+            let group_count = self
+                .group_counts
+                .entry((bank, row / ROWS_PER_GROUP))
+                .or_insert(0);
+            if *group_count < group_threshold {
+                *group_count += 1;
+                return out;
+            }
+            let group_count = *group_count;
+            if !self.rcc_access(bank, row) {
+                out.push(PreventiveAction::ExtraTraffic {
+                    bank,
+                    accesses: RCC_MISS_ACCESSES,
+                });
+            }
+            let count = self.row_counts.entry((bank, row)).or_insert(group_count);
+            *count += 1;
+            if *count >= row_threshold {
+                *count = 0;
+                self.preventive_refreshes += 2;
+                out.push(PreventiveAction::RefreshRow {
+                    bank,
+                    row: row.saturating_sub(1),
+                });
+                out.push(PreventiveAction::RefreshRow { bank, row: row + 1 });
+            }
+            out
+        }
+
+        fn on_refresh_tick(&mut self) {
+            self.use_stamp += 1;
+            if self
+                .use_stamp
+                .is_multiple_of(crate::common::REFRESH_TICKS_PER_WINDOW)
+            {
+                self.group_counts.clear();
+                self.row_counts.clear();
+            }
+        }
+
+        fn report(&self) -> svard_obs::MetricsSnapshot {
+            use svard_obs::{Collect, Counter, Gauge};
+            let mut snapshot = svard_obs::MetricsSnapshot::default();
+            let out: &mut dyn Collect = &mut snapshot;
+            out.counter(Counter::DefenseRccHits, self.rcc_hits);
+            out.counter(Counter::DefenseRccMisses, self.rcc_misses);
+            out.counter(Counter::DefenseRccEvictions, self.rcc_evictions);
+            out.counter(
+                Counter::DefensePreventiveRefreshes,
+                self.preventive_refreshes,
+            );
+            out.gauge_max(Gauge::DefenseRccOccupancy, self.rcc.len() as u64);
+            out.gauge_max(
+                Gauge::DefenseGroupTableOccupancy,
+                self.group_counts.len() as u64,
+            );
+            out.gauge_max(
+                Gauge::DefenseRowTableOccupancy,
+                self.row_counts.len() as u64,
+            );
+            snapshot
+        }
+    }
+
+    /// Row thresholds that vary with the row, as Svärd's do.
+    struct Stepped;
+    impl ThresholdProvider for Stepped {
+        fn victim_threshold(&self, _bank: BankId, row: usize) -> u64 {
+            48 + (row % 5) as u64 * 32
+        }
+        fn worst_case(&self) -> u64 {
+            48
+        }
+        fn name(&self) -> &str {
+            "stepped"
+        }
+    }
+
+    /// Every action and the full `report_obs` match the ordered-map
+    /// reference over a stream that reaches the per-row phase, evicts from
+    /// the RCC and turns over refresh windows.
+    #[test]
+    fn hashed_tables_match_the_ordered_map_reference() {
+        let mut hydra = Hydra::new(Arc::new(Stepped));
+        let mut reference = ReferenceHydra::default();
+        let report = |hydra: &Hydra| {
+            let mut out = svard_obs::MetricsSnapshot::default();
+            hydra.report_obs(&mut out);
+            out
+        };
+        let mut stream = crate::common::tests::Stream::new(23);
+        let mut refreshes = 0;
+        for i in 0..60_000u64 {
+            let r = stream.next();
+            let bank = stream.bank(3);
+            let row = if r.is_multiple_of(2) {
+                r % 6_144
+            } else {
+                r % 1_024
+            };
+            if i.is_multiple_of(97) {
+                hydra.on_refresh_tick(i);
+                reference.on_refresh_tick();
+            }
+            let actions = hydra.activation_actions(bank, row, i);
+            let expected = reference.on_activation(Stepped.victim_threshold(bank, row), bank, row);
+            assert_eq!(actions, expected, "activation {i}");
+            refreshes += actions
+                .iter()
+                .filter(|a| matches!(a, PreventiveAction::RefreshRow { .. }))
+                .count();
+            if i.is_multiple_of(1_000) {
+                assert_eq!(report(&hydra), reference.report(), "activation {i}");
+            }
+        }
+        assert_eq!(report(&hydra), reference.report());
+        assert!(
+            hydra.rcc_evictions() > 1_000,
+            "{} evictions",
+            hydra.rcc_evictions()
+        );
+        assert!(refreshes > 1_000, "{refreshes} refreshes");
+        assert!(hydra.use_stamp > 2 * crate::common::REFRESH_TICKS_PER_WINDOW);
     }
 
     #[test]

@@ -27,6 +27,7 @@ struct MisraGries {
 }
 
 impl MisraGries {
+    // lint: hot-path
     /// Record an activation and return the row's current estimated count.
     fn record(&mut self, row: usize) -> u64 {
         if let Some(e) = self.entries.iter_mut().find(|(r, _)| *r == row) {
@@ -48,6 +49,7 @@ impl MisraGries {
             0
         }
     }
+    // lint: end-hot-path
 
     fn reset(&mut self, row: usize) {
         self.entries.retain(|&(r, _)| r != row);
@@ -94,6 +96,7 @@ impl Rrs {
 }
 
 impl MitigationHook for Rrs {
+    // lint: hot-path
     fn on_activation(
         &mut self,
         bank: BankId,
@@ -121,6 +124,7 @@ impl MitigationHook for Rrs {
             row_b: partner,
         });
     }
+    // lint: end-hot-path
 
     fn on_refresh_tick(&mut self, _cycle: u64) {
         self.refresh_ticks += 1;

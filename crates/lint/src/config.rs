@@ -79,6 +79,9 @@ impl Default for LintConfig {
                 "env::vars",
                 "available_parallelism",
                 "RandomState",
+                // Both build a `RandomState`: SipHash seeded from entropy.
+                "HashMap::new",
+                "HashSet::new",
                 // The obs wall-clock timers: metric/event *recording* is
                 // cycle-domain-safe in sim crates, wall-clock profiling is
                 // not — neither the phase timer nor the span profiler clock.

@@ -29,3 +29,7 @@ pub fn suppressed_clock() -> Instant {
 pub fn string_contents_are_skipped() -> &'static str {
     "Instant::now() thread_rng() unsafe"
 }
+
+pub fn seeded_table() -> HashMap<usize, u64> {
+    HashMap::new() // flagged (line 34)
+}

@@ -13,7 +13,9 @@
 //!   ([`SimpleCore::has_rejected_request`]). The loop wakes a parked core on
 //!   exactly those events, and again at the end of the run. On waking, the
 //!   ticks it missed are credited with [`SimpleCore::skip_stalled_cycles`], so
-//!   its cycle count and IPC match ticking every cycle.
+//!   its cycle count and IPC match ticking every cycle. The loop keeps the
+//!   awake (unparked, unfinished) cores in an id-ordered list and a count of
+//!   unfinished ones, so a cycle visits only the cores it ticks.
 //!
 //! [`SimMode::PerCycle`] ticks every core every cycle and is the reference;
 //! [`run_mix`] and [`run_mix_percycle`] are the two sink-less modes, and the
@@ -113,13 +115,6 @@ pub struct RunResult {
     pub cycles: u64,
 }
 
-impl RunResult {
-    /// Whether every core reached its instruction budget.
-    pub fn all_finished(&self) -> bool {
-        self.per_core_ipc.iter().all(|&ipc| ipc > 0.0)
-    }
-}
-
 /// One data point of Fig. 12 / Fig. 13: a defense under a threshold provider at a
 /// given scaled worst-case `HC_first`.
 #[derive(Debug, Clone, PartialEq)]
@@ -196,39 +191,34 @@ pub fn run_mix_with_sink<S: ObsSink>(
     let mut cycles = 0u64;
     let mut completions: Vec<CompletedRequest> = Vec::new();
     let fast_forward = mode == SimMode::FastForward;
-    // Fast-forward only: cores whose last tick was a pure stall and that no
-    // wake event has reached since. They are skipped until woken.
-    let mut parked = vec![false; cores.len()];
-    while cycles < config.max_cycles && cores.iter().any(|c| !c.finished()) {
+    let mut awake = Awake::new(&cores);
+    while cycles < config.max_cycles && awake.unfinished > 0 {
         let mut any_core_progress = false;
-        for (core, parked) in cores.iter_mut().zip(parked.iter_mut()) {
-            if *parked {
-                continue;
-            }
+        awake.tick(&mut cores, |core| {
             let progressed = core.tick(&mut memory);
-            *parked = fast_forward && !progressed && !core.finished();
             any_core_progress |= progressed;
-        }
+            // Finished cores drop out (their tick is a no-op), and in
+            // fast-forward so do stalled ones, which park.
+            !core.finished() && (progressed || !fast_forward)
+        });
         let issues_before = issue_count(memory.stats());
         let refreshes_before = memory.stats().refreshes;
         completions.clear();
         memory.tick_into(&mut completions);
         cycles += 1;
         for done in &completions {
-            if let (Some(core), Some(parked)) =
-                (cores.get_mut(done.core), parked.get_mut(done.core))
-            {
+            if let Some(core) = cores.get_mut(done.core) {
                 core.on_completion(done.id);
-                wake(core, parked, cycles);
+                awake.wake(core, done.core, cycles);
             }
         }
         // An issue frees a queue slot, which unblocks cores holding a
         // rejected request.
         let issued = issue_count(memory.stats()) != issues_before;
         if issued {
-            for (core, parked) in cores.iter_mut().zip(parked.iter_mut()) {
+            for (id, core) in cores.iter_mut().enumerate() {
                 if core.has_rejected_request() {
-                    wake(core, parked, cycles);
+                    awake.wake(core, id, cycles);
                 }
             }
         }
@@ -242,14 +232,15 @@ pub fn run_mix_with_sink<S: ObsSink>(
             // If the memory system was also quiet, the system state is unchanged
             // and every core is still stalled — no further check needed. If the
             // memory did schedule something (e.g. freed a queue slot), fall back
-            // to asking each unparked core whether the new state unblocks it.
+            // to asking each awake core whether the new state unblocks it.
             let memory_quiet = !issued && memory.stats().refreshes == refreshes_before;
             let all_stalled = memory_quiet
-                || cores
-                    .iter()
-                    .zip(&parked)
-                    .all(|(c, &p)| p || c.next_ready_cycle(cycles, &memory).is_none());
-            if all_stalled && cores.iter().any(|c| !c.finished()) {
+                || awake.ids.iter().all(|&id| {
+                    cores
+                        .get(id)
+                        .is_none_or(|c| c.next_ready_cycle(cycles, &memory).is_none())
+                });
+            if all_stalled && awake.unfinished > 0 {
                 if let Some(next_event) = memory.next_event_cycle() {
                     let target = (next_event - 1).min(config.max_cycles);
                     if target > memory.cycle() {
@@ -265,8 +256,8 @@ pub fn run_mix_with_sink<S: ObsSink>(
         }
     }
     // Cores still parked at the cycle cap stalled through every cycle since.
-    for (core, parked) in cores.iter_mut().zip(parked.iter_mut()) {
-        wake(core, parked, cycles);
+    for (id, core) in cores.iter_mut().enumerate() {
+        awake.wake(core, id, cycles);
     }
     let result = RunResult {
         per_core_ipc: cores.iter().map(|c| c.ipc()).collect(),
@@ -283,13 +274,60 @@ fn issue_count(stats: &MemStats) -> u64 {
     stats.activations + stats.row_hits
 }
 
-/// Unpark `core` (a no-op unless `parked`) at loop cycle `cycles`, crediting
-/// the stall ticks it missed while parked so its cycle count, and so its IPC,
-/// matches ticking every cycle.
-fn wake(core: &mut SimpleCore, parked: &mut bool, cycles: u64) {
-    if *parked {
-        *parked = false;
-        core.skip_stalled_cycles(cycles.saturating_sub(core.cycles()));
+/// The loop's view of which cores to tick: the unfinished cores that are not
+/// parked (fast-forward only: a core whose last tick was a pure stall and that
+/// no wake event has reached since).
+struct Awake {
+    /// Awake core ids, ascending, so cores tick in id order.
+    ids: Vec<usize>,
+    /// `parked[id]`: whether core `id` is parked.
+    parked: Vec<bool>,
+    /// Cores that have not reached their instruction budget.
+    unfinished: usize,
+}
+
+impl Awake {
+    fn new(cores: &[SimpleCore]) -> Self {
+        let ids: Vec<usize> = (0..cores.len())
+            .filter(|&id| cores.get(id).is_some_and(|c| !c.finished()))
+            .collect();
+        Self {
+            unfinished: ids.len(),
+            ids,
+            parked: vec![false; cores.len()],
+        }
+    }
+
+    /// Tick the awake cores in id order with `tick`, which returns whether the
+    /// core stays awake. A core that drops out is parked unless it finished.
+    fn tick(&mut self, cores: &mut [SimpleCore], mut tick: impl FnMut(&mut SimpleCore) -> bool) {
+        let (parked, unfinished) = (&mut self.parked, &mut self.unfinished);
+        self.ids.retain(|&id| {
+            let Some(core) = cores.get_mut(id) else {
+                return false;
+            };
+            if tick(core) {
+                return true;
+            }
+            if core.finished() {
+                *unfinished -= 1;
+            } else if let Some(p) = parked.get_mut(id) {
+                *p = true;
+            }
+            false
+        });
+    }
+
+    /// Unpark core `id` (a no-op unless parked) at loop cycle `cycles`,
+    /// crediting the stall ticks it missed while parked so its cycle count,
+    /// and so its IPC, matches ticking every cycle.
+    fn wake(&mut self, core: &mut SimpleCore, id: usize, cycles: u64) {
+        if let Some(parked) = self.parked.get_mut(id).filter(|p| **p) {
+            *parked = false;
+            core.skip_stalled_cycles(cycles.saturating_sub(core.cycles()));
+            let at = self.ids.partition_point(|&awake| awake < id);
+            self.ids.insert(at, id);
+        }
     }
 }
 
@@ -911,7 +949,7 @@ mod tests {
         let config = SystemConfig::tiny();
         let mix = &tiny_mixes(1)[0];
         let result = run_mix(mix, &config, Box::new(NoMitigation));
-        assert!(result.all_finished());
+        // The loop stops short of the cap only once every core finished.
         assert!(result.cycles < config.max_cycles);
         assert!(result.mem_stats.requests_completed() > 0);
         // The observability snapshot rides along and agrees with the stats.

@@ -100,7 +100,10 @@ fn parked_cores_wake_on_freed_queue_slots() {
             let provider = Arc::new(UniformThreshold::new(48));
             let fast = run_mix(mix, &config, defense.build(provider.clone(), rows, 5));
             let reference = run_mix_percycle(mix, &config, defense.build(provider, rows, 5));
-            assert!(fast.all_finished(), "{label} {defense}: run did not finish");
+            assert!(
+                fast.cycles < config.max_cycles,
+                "{label} {defense}: run hit the cycle cap"
+            );
             assert_eq!(fast, reference, "{label} {defense}: parked run diverged");
         }
     }
@@ -130,7 +133,7 @@ fn parked_cores_match_percycle_when_cores_finish_at_different_cycles() {
     };
     let fast = run_mix(&mix, &config, Box::new(NoMitigation));
     let reference = run_mix_percycle(&mix, &config, Box::new(NoMitigation));
-    assert!(fast.all_finished(), "run did not finish");
+    assert!(fast.cycles < config.max_cycles, "run hit the cycle cap");
     // Equal instruction budgets, so distinct IPCs mean distinct finish cycles.
     let mut ipcs = fast.per_core_ipc.clone();
     ipcs.sort_by(f64::total_cmp);
