@@ -65,10 +65,8 @@ impl MitigationHook for BlockHammer {
         cycle: u64,
         out: &mut Vec<PreventiveAction>,
     ) {
-        let (active, aging) =
-            self.active_filter
-                .insert_and_estimate_in(&self.aging_filter, bank, row);
-        let estimate = u64::from(active.max(aging));
+        let estimate = u64::from(self.active_filter.insert(bank, row))
+            .max(u64::from(self.aging_filter.estimate(bank, row)));
         let blacklist_at = self.blacklist_threshold(bank, row);
         if estimate < blacklist_at {
             return;

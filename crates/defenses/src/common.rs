@@ -173,33 +173,6 @@ impl CountingBloomFilter {
         self.estimate_key(key)
     }
 
-    /// [`insert`](Self::insert) the key here and [`estimate`](Self::estimate)
-    /// it in `other` (BlockHammer's active and aging filters). When both
-    /// filters have the same shape, one pass of hash indices serves both.
-    pub(crate) fn insert_and_estimate_in(
-        &mut self,
-        other: &Self,
-        bank: BankId,
-        row: usize,
-    ) -> (u32, u32) {
-        if other.counters.len() != self.counters.len() || other.num_hashes != self.num_hashes {
-            return (self.insert(bank, row), other.estimate(bank, row));
-        }
-        let key = Self::key(bank, row);
-        self.increment(key);
-        let (mut inserted, mut estimated) = (u32::MAX, u32::MAX);
-        for i in 0..self.num_hashes {
-            let index = self.index(key, i);
-            if let (Some(&mine), Some(&theirs)) =
-                (self.counters.get(index), other.counters.get(index))
-            {
-                inserted = inserted.min(mine);
-                estimated = estimated.min(theirs);
-            }
-        }
-        (inserted, estimated)
-    }
-
     /// Estimated count of a key (an overestimate, never an underestimate).
     pub fn estimate(&self, bank: BankId, row: usize) -> u32 {
         self.estimate_key(Self::key(bank, row))
@@ -358,34 +331,20 @@ pub(crate) mod tests {
     /// mask (16 Ki counters) or by `%` (the other sizes). At 7 counters a
     /// key's four hashes often share a counter. Each size runs as a
     /// BlockHammer-style pair (insert into one filter, estimate in the other,
-    /// swap and clear every so often), the last one with filters of two
-    /// shapes.
+    /// swap and clear every so often).
     #[test]
     fn bloom_filter_matches_the_collected_index_reference() {
-        let shapes = [
-            ((16 * 1024, 4), (16 * 1024, 4)),
-            ((12_289, 4), (12_289, 4)),
-            ((1_000, 3), (1_000, 3)),
-            ((7, 4), (7, 4)),
-            ((16 * 1024, 4), (1_000, 3)),
-        ];
-        for ((size, hashes), (other_size, other_hashes)) in shapes {
+        for (size, hashes) in [(16 * 1024, 4), (12_289, 4), (1_000, 3), (7, 4)] {
             let mut filters = [
                 CountingBloomFilter::new(size, hashes),
-                CountingBloomFilter::new(other_size, other_hashes),
+                CountingBloomFilter::new(size, hashes),
             ];
             assert_eq!(filters[0].mask.is_some(), size == 16 * 1024);
-            let mut references = [
-                ReferenceBloom {
-                    counters: vec![0; size],
-                    num_hashes: hashes,
-                },
-                ReferenceBloom {
-                    counters: vec![0; other_size],
-                    num_hashes: other_hashes,
-                },
-            ];
-            let mut stream = Stream::new(size as u64 ^ other_size as u64);
+            let mut references = [0, 1].map(|_| ReferenceBloom {
+                counters: vec![0; size],
+                num_hashes: hashes,
+            });
+            let mut stream = Stream::new(size as u64);
             for i in 0..60_000 {
                 let r = stream.next();
                 let (bank, row) = (stream.bank(32), r % 65_536);
@@ -408,7 +367,7 @@ pub(crate) mod tests {
                         "size {size}, insert {i}"
                     ),
                     _ => assert_eq!(
-                        active.insert_and_estimate_in(aging, bank, row),
+                        (active.insert(bank, row), aging.estimate(bank, row)),
                         (
                             references[a].insert(bank, row),
                             references[b].estimate(bank, row)

@@ -12,7 +12,7 @@
 //! counter traffic* caused by RCC misses — which Svärd does not reduce (Obsv. 14
 //! explains why Svärd's gains on Hydra are modest).
 
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 use svard_dram::address::BankId;
 use svard_memsim::{MitigationHook, PreventiveAction};
 
@@ -41,12 +41,9 @@ pub struct Hydra {
     /// as its index in `rcc_banks` (a 16-byte key, not 40). Never iterated:
     /// eviction order comes from `rcc_by_stamp`.
     rcc: IntMap<(usize, usize), u64>,
-    /// The RCC's accesses by stamp, oldest first. Every access takes a fresh
-    /// stamp and appends it, so the queue stays sorted; an entry is live while
-    /// `rcc` still maps its key to its stamp, and the first live entry is the
-    /// LRU victim. A hit leaves its old entry behind, stale; stale entries
-    /// are skipped at eviction and dropped once they outnumber the live ones.
-    rcc_by_stamp: VecDeque<(u64, (usize, usize))>,
+    /// The same entries by stamp, oldest first. Every access takes a fresh
+    /// stamp, so stamps are unique and the first entry is the LRU victim.
+    rcc_by_stamp: BTreeMap<u64, (usize, usize)>,
     /// The banks the RCC has seen, in first-seen order.
     rcc_banks: Vec<BankId>,
     use_stamp: u64,
@@ -66,7 +63,7 @@ impl Hydra {
             group_counts: IntMap::default(),
             row_counts: IntMap::default(),
             rcc: IntMap::default(),
-            rcc_by_stamp: VecDeque::new(),
+            rcc_by_stamp: BTreeMap::new(),
             rcc_banks: Vec::new(),
             use_stamp: 0,
             name,
@@ -102,32 +99,23 @@ impl Hydra {
         self.use_stamp += 1;
         let key = (self.rcc_bank(bank), row);
         let hit = if let Some(stamp) = self.rcc.get_mut(&key) {
+            self.rcc_by_stamp.remove(stamp);
             *stamp = self.use_stamp;
             self.rcc_hits += 1;
             true
         } else {
             self.rcc_misses += 1;
             if self.rcc.len() >= RCC_ENTRIES {
-                // Evict the least recently used entry: the smallest live stamp.
-                while let Some((stamp, victim)) = self.rcc_by_stamp.pop_front() {
-                    if self.rcc.get(&victim) == Some(&stamp) {
-                        self.rcc.remove(&victim);
-                        self.rcc_evictions += 1;
-                        break;
-                    }
+                // Evict the least recently used entry: the smallest stamp.
+                if let Some((_, victim)) = self.rcc_by_stamp.pop_first() {
+                    self.rcc.remove(&victim);
+                    self.rcc_evictions += 1;
                 }
             }
             self.rcc.insert(key, self.use_stamp);
             false
         };
-        self.rcc_by_stamp.push_back((self.use_stamp, key));
-        if self.rcc_by_stamp.len() > 2 * RCC_ENTRIES {
-            // Hits leave stale entries behind; drop them once they outnumber
-            // the live ones (amortized O(1) per access).
-            let rcc = &self.rcc;
-            self.rcc_by_stamp
-                .retain(|(stamp, key)| rcc.get(key) == Some(stamp));
-        }
+        self.rcc_by_stamp.insert(self.use_stamp, key);
         hit
     }
 
@@ -227,7 +215,6 @@ impl MitigationHook for Hydra {
 mod tests {
     use super::*;
     use crate::provider::{ThresholdProvider, UniformThreshold};
-    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     fn bank() -> BankId {
@@ -346,20 +333,13 @@ mod tests {
         assert!(victims > 1_000, "only {victims} evictions");
         let cached: BTreeMap<_, _> = hydra.rcc.iter().map(|(&k, &s)| (k, s)).collect();
         assert_eq!(cached, reference);
-        // The queue holds every cached entry once, oldest first, and at most
-        // as many stale ones again.
-        let live: Vec<_> = (hydra.rcc_by_stamp.iter())
-            .filter(|(stamp, key)| hydra.rcc.get(key) == Some(stamp))
-            .collect();
-        assert_eq!(live.len(), hydra.rcc.len());
-        assert!(live.windows(2).all(|w| w[0].0 < w[1].0));
-        assert!(hydra.rcc_by_stamp.len() <= 2 * RCC_ENTRIES);
+        assert_eq!(hydra.rcc_by_stamp.len(), hydra.rcc.len());
     }
 
-    /// Hydra as it was before its tables hashed with `IntHasher` and its
-    /// stamp index became a queue: ordered maps for the group, row and cache
-    /// tables (the first two were SipHash maps, equivalent as they are never
-    /// iterated) and an ordered stamp → key index.
+    /// Hydra as it was before its tables hashed with `IntHasher`: ordered
+    /// maps for the group, row and cache tables (the first two were SipHash
+    /// maps, equivalent as they are never iterated) and the same ordered
+    /// stamp → key index.
     #[derive(Default)]
     struct ReferenceHydra {
         group_counts: BTreeMap<(BankId, usize), u64>,

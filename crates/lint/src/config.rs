@@ -79,9 +79,15 @@ impl Default for LintConfig {
                 "env::vars",
                 "available_parallelism",
                 "RandomState",
-                // Both build a `RandomState`: SipHash seeded from entropy.
+                // Each builds a `RandomState`: SipHash seeded from entropy.
+                // Only these constructors are caught; `collect()` into a
+                // std map is not.
                 "HashMap::new",
+                "HashMap::default",
+                "HashMap::with_capacity",
                 "HashSet::new",
+                "HashSet::default",
+                "HashSet::with_capacity",
                 // The obs wall-clock timers: metric/event *recording* is
                 // cycle-domain-safe in sim crates, wall-clock profiling is
                 // not — neither the phase timer nor the span profiler clock.

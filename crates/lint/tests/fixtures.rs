@@ -47,7 +47,7 @@ fn determinism_fixture_flags_exactly_the_marked_lines() {
     assert_eq!(
         lines_for(&report, "determinism"),
         // Forbidden calls are reported before order-dependent reductions.
-        vec![8, 12, 17, 34, 21],
+        vec![8, 12, 17, 34, 38, 21],
         "full report: {:#?}",
         report.diagnostics
     );

@@ -33,3 +33,11 @@ pub fn string_contents_are_skipped() -> &'static str {
 pub fn seeded_table() -> HashMap<usize, u64> {
     HashMap::new() // flagged (line 34)
 }
+
+pub fn sized_set() -> std::collections::HashSet<usize> {
+    std::collections::HashSet::with_capacity(8) // flagged (line 38)
+}
+
+pub fn seedless_table() -> IntMap<usize, u64> {
+    IntMap::default()
+}
