@@ -12,6 +12,7 @@ use crate::bank::{BankState, RowState};
 use crate::config::ChipConfig;
 use crate::stats::ChipStats;
 use crate::trr::TrrState;
+use crate::weak_cells::WeakCellCache;
 
 /// A behavioural model of one DRAM device (all banks of one module's rank), with
 /// read-disturbance physics driven by a [`ModuleVulnerabilityProfile`].
@@ -19,6 +20,12 @@ use crate::trr::TrrState;
 /// Rows are addressed with *logical* row numbers (as a memory controller would); the
 /// configured [`svard_dram::mapping::RowScramble`] translates them to physical
 /// locations internally, exactly like a real chip's internal remapping.
+///
+/// Materializing a row flips its weakest cells, at most once each between writes
+/// of their byte. The chip caches the weakest-cell ranking prefixes of at most 8
+/// rows, one per physical row mod 8, so the cache never holds more than
+/// `8 x bits_per_row` cell indices (4 bytes each: 32 KiB at 1 KiB rows). The
+/// cache holds no memory until the first bitflip.
 #[derive(Debug, Clone)]
 pub struct SimChip {
     profile: ModuleVulnerabilityProfile,
@@ -26,11 +33,54 @@ pub struct SimChip {
     banks: Vec<BankState>,
     trr: Vec<TrrState>,
     stats: ChipStats,
+    /// Weakest-cell ranking prefixes of recently materialized rows.
+    weak_cells: WeakCellCache,
     /// Always-on cycle-free metrics recorder (hammer burst sizes, bitflips).
     /// Trace rings are zero-capacity: the chip records metrics, not events.
     obs: Recorder,
     rng: StdRng,
     now_ns: f64,
+}
+
+/// The physical rows adjacent to a row within its subarray: at most two, held
+/// inline so that finding them never allocates. Iterates lower row first.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Neighbours {
+    rows: [usize; 2],
+    len: usize,
+}
+
+impl Neighbours {
+    fn push(&mut self, row: usize) {
+        if let Some(slot) = self.rows.get_mut(self.len) {
+            *slot = row;
+            self.len += 1;
+        }
+    }
+
+    /// The neighbours, lower row first.
+    pub fn as_slice(&self) -> &[usize] {
+        self.rows.get(..self.len).unwrap_or(&[])
+    }
+
+    /// Number of neighbours (0, 1 or 2).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if the row has no neighbour in its subarray.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl IntoIterator for Neighbours {
+    type Item = usize;
+    type IntoIter = std::iter::Take<std::array::IntoIter<usize, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.rows.into_iter().take(self.len)
+    }
 }
 
 impl SimChip {
@@ -54,6 +104,7 @@ impl SimChip {
             banks,
             trr,
             stats: ChipStats::default(),
+            weak_cells: WeakCellCache::default(),
             obs: Recorder::with_trace_capacity(0),
             rng,
             now_ns: 0.0,
@@ -288,12 +339,18 @@ impl SimChip {
             });
         }
         self.stats.writes += 1;
-        let data = &mut self.row_state_mut(bank, phys).data;
-        let start = (column * 64).min(data.len());
-        let end = (start + 64).min(data.len());
-        if let Some(slice) = data.get_mut(start..end) {
-            slice.iter_mut().for_each(|b| *b = byte);
-        }
+        let (seed, bits) = (self.profile.seed(), self.config.bits_per_row());
+        let Self {
+            banks, weak_cells, ..
+        } = self;
+        let Some(row) = banks.get_mut(bank).and_then(|b| b.rows.get_mut(phys)) else {
+            return Ok(());
+        };
+        let start = (column * 64).min(row.data.len());
+        let end = (start + 64).min(row.data.len());
+        row.write_bytes(start..end, byte, move |flipped| {
+            weak_cells.weakest(seed, bank, phys, bits, flipped)
+        });
         Ok(())
     }
 
@@ -391,7 +448,9 @@ impl SimChip {
     /// Double-sided hammering fast path (the paper's `hammer_doublesided`):
     /// activate each of the victim's two physically adjacent neighbours
     /// `hammer_count` times with the given aggressor on-time, then return the number
-    /// of bitflips present in the victim row afterwards.
+    /// of victim bits this burst newly flipped. Cells that already flipped since
+    /// their byte was last written do not flip back or count again, so a second
+    /// identical burst on an unwritten victim returns 0.
     ///
     /// This is analytically equivalent to issuing `2 * hammer_count` ACT/PRE pairs
     /// through [`execute`](Self::execute) but runs in constant time, which is what
@@ -460,7 +519,7 @@ impl SimChip {
         let success = same_subarray && self.rng.random::<f64>() < self.config.rowclone_success_rate;
         if success {
             let data = self.row_state(bank, src).data.clone();
-            self.row_state_mut(bank, dst).data = data;
+            self.row_state_mut(bank, dst).overwrite(data);
             self.stats.rowclone_successes += 1;
         } else {
             self.stats.rowclone_failures += 1;
@@ -490,12 +549,13 @@ impl SimChip {
     // Internals
     // ------------------------------------------------------------------
 
+    // lint: hot-path
     /// The physical rows adjacent to `phys` *within the same subarray*. Rows at a
     /// subarray boundary have only one such neighbour; this is what makes boundary
     /// rows observable to the reverse-engineering analysis.
-    pub fn physical_neighbours(&self, phys: usize) -> Vec<usize> {
+    pub fn physical_neighbours(&self, phys: usize) -> Neighbours {
         let sa = self.profile.bank(0).subarrays();
-        let mut out = Vec::with_capacity(2);
+        let mut out = Neighbours::default();
         if phys > 0 && sa.same_subarray(phys, phys - 1) {
             out.push(phys - 1);
         }
@@ -505,7 +565,6 @@ impl SimChip {
         out
     }
 
-    // lint: hot-path
     fn hammer_physical_aggressor(
         &mut self,
         bank: usize,
@@ -595,27 +654,40 @@ impl SimChip {
         sum / n as f64
     }
 
+    /// Turn a row's accumulated dose into bitflips: flip the row's weakest cells
+    /// up to its BER at that dose, skipping those already flipped since their
+    /// byte was last written, and reset the dose.
     fn materialize(&mut self, bank: usize, phys: usize) {
-        let dose = self.row_state(bank, phys).dose;
+        let (seed, bits) = (self.profile.seed(), self.config.bits_per_row());
+        let Self {
+            profile,
+            banks,
+            weak_cells,
+            stats,
+            obs,
+            ..
+        } = self;
+        let Some(row) = banks.get_mut(bank).and_then(|b| b.rows.get_mut(phys)) else {
+            return;
+        };
+        let dose = row.dose;
         if dose <= 0.0 {
             return;
         }
-        self.row_state_mut(bank, phys).dose = 0.0;
-        let row_profile = self.profile.row(bank, phys);
+        row.dose = 0.0;
+        let row_profile = profile.row(bank, phys);
         if !row_profile.flips_at_effective(dose) {
             return;
         }
-        let ber = row_profile.ber_at_effective(dose);
-        let bits = self.config.bits_per_row();
-        let flipped = cells::flipped_cells(self.profile.seed(), bank, phys, bits, ber);
-        let data = &mut self.row_state_mut(bank, phys).data;
-        for bit in &flipped {
-            // lint: allow(panic) -- flipped_cells yields bit indices below bits_per_row = 8 * data.len()
-            data[bit / 8] ^= 1 << (bit % 8);
+        let target = cells::flipped_cell_count(bits, row_profile.ber_at_effective(dose));
+        if row.flipped_mask.is_none() && target <= row.flipped {
+            return;
         }
-        self.stats.bitflips_materialized += flipped.len() as u64;
-        self.obs
-            .counter(Counter::ChipBitflips, flipped.len() as u64);
+        let flipped = row.flip_weakest(weak_cells.weakest(seed, bank, phys, bits, target));
+        if flipped > 0 {
+            stats.bitflips_materialized += flipped;
+            obs.counter(Counter::ChipBitflips, flipped);
+        }
     }
     // lint: end-hot-path
 }
@@ -660,6 +732,139 @@ mod tests {
                 .map(|b| b.count_ones() as u64)
                 .sum::<u64>()
         });
+    }
+
+    /// Fill `victim` with 0x00 and its two neighbours with 0xFF (row stripe).
+    fn row_stripe(chip: &mut SimChip, bank: usize, victim: usize) {
+        chip.fill_row(bank, victim, 0x00).unwrap();
+        chip.fill_row(bank, victim - 1, 0xFF).unwrap();
+        chip.fill_row(bank, victim + 1, 0xFF).unwrap();
+    }
+
+    #[test]
+    fn a_second_burst_never_unflips_bits() {
+        let mut chip = small_chip();
+        let victim = 64;
+        row_stripe(&mut chip, 0, victim);
+        let first = chip
+            .hammer_double_sided(0, victim, 256 * 1024, 36.0)
+            .unwrap();
+        assert!(first > 0);
+        // The same cells flip again, so nothing is new and nothing flips back.
+        let second = chip
+            .hammer_double_sided(0, victim, 256 * 1024, 36.0)
+            .unwrap();
+        assert_eq!(second, 0, "a repeated burst reported newly flipped bits");
+        assert_eq!(chip.count_bitflips(0, victim, 0x00).unwrap() as u64, first);
+        // A stronger burst flips only the cells past the first burst's.
+        let stronger = chip.hammer_double_sided(0, victim, 4 << 20, 36.0).unwrap();
+        assert!(stronger > 0);
+        assert_eq!(
+            chip.count_bitflips(0, victim, 0x00).unwrap() as u64,
+            first + stronger
+        );
+        // Rewriting the victim lets every cell flip again.
+        row_stripe(&mut chip, 0, victim);
+        let again = chip
+            .hammer_double_sided(0, victim, 256 * 1024, 36.0)
+            .unwrap();
+        assert_eq!(again, first);
+        assert!(chip.banks[0].rows.iter().all(|r| r.flipped_mask.is_none()));
+    }
+
+    #[test]
+    fn a_column_write_lets_only_its_cells_flip_again() {
+        let mut chip = small_chip();
+        let victim = 64;
+        row_stripe(&mut chip, 0, victim);
+        let first = chip.hammer_double_sided(0, victim, 4 << 20, 36.0).unwrap();
+        let column0 = chip.peek_row(0, victim).unwrap()[..64]
+            .iter()
+            .map(|b| b.count_ones() as u64)
+            .sum::<u64>();
+        assert!(column0 > 0 && column0 < first, "{column0} of {first}");
+        // Rewrite column 0 through the command interface.
+        chip.activate(0, victim, 0.0).unwrap();
+        chip.write(0, victim, 0, 0x00).unwrap();
+        chip.precharge(0, 50.0).unwrap();
+        assert_eq!(
+            chip.count_bitflips(0, victim, 0x00).unwrap() as u64,
+            first - column0
+        );
+        // The same burst again re-flips exactly the rewritten column's cells.
+        let second = chip.hammer_double_sided(0, victim, 4 << 20, 36.0).unwrap();
+        assert_eq!(second, column0);
+        assert_eq!(chip.count_bitflips(0, victim, 0x00).unwrap() as u64, first);
+        assert_eq!(
+            chip.hammer_double_sided(0, victim, 4 << 20, 36.0).unwrap(),
+            0
+        );
+    }
+
+    #[test]
+    fn a_warm_cache_changes_no_row_data() {
+        let mut warm = small_chip();
+        // Warm every cache slot, in both banks, on rows the sequence below never
+        // reads back.
+        for bank in 0..2 {
+            for victim in [10, 17, 33, 140, 200, 203, 230, 245] {
+                row_stripe(&mut warm, bank, victim);
+                warm.hammer_double_sided(bank, victim, 1 << 20, 36.0)
+                    .unwrap();
+            }
+        }
+        let mut cold = small_chip();
+        // Same slot (row mod 8) in one bank and across banks, deepening and
+        // shallower prefixes.
+        let sequence = [
+            (0, 64, 256 << 10),
+            (0, 66, 1 << 20),
+            (1, 64, 512 << 10),
+            (0, 72, 4 << 20),
+            (0, 64, 64 << 10),
+            (1, 80, 8 << 20),
+            (0, 64, 2 << 20),
+        ];
+        let mut flips = [Vec::new(), Vec::new()];
+        for (chip, flips) in [&mut cold, &mut warm].into_iter().zip(&mut flips) {
+            for &(bank, victim, hc) in &sequence {
+                row_stripe(chip, bank, victim);
+                flips.push(chip.hammer_double_sided(bank, victim, hc, 36.0).unwrap());
+                // A second burst on the unwritten victim, and a neighbour's.
+                flips.push(chip.hammer_double_sided(bank, victim, hc, 36.0).unwrap());
+                flips.push(
+                    chip.hammer_double_sided(bank, victim + 2, hc, 36.0)
+                        .unwrap(),
+                );
+            }
+        }
+        assert_eq!(flips[0], flips[1]);
+        assert!(flips[0].iter().any(|&f| f > 0));
+        for bank in 0..2 {
+            for row in 56..96 {
+                assert_eq!(
+                    cold.peek_row(bank, row).unwrap(),
+                    warm.peek_row(bank, row).unwrap(),
+                    "bank {bank} row {row}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn neighbours_stop_at_subarray_boundaries() {
+        let chip = small_chip();
+        let sa = chip.profile().bank(0).subarrays().clone();
+        let start = sa.subarray_range(1).start;
+        assert_eq!(chip.physical_neighbours(start).as_slice(), &[start + 1]);
+        assert_eq!(chip.physical_neighbours(start - 1).as_slice(), &[start - 2]);
+        let inner = chip.physical_neighbours(start + 1);
+        assert_eq!(inner.len(), 2);
+        assert_eq!(
+            inner.into_iter().collect::<Vec<_>>(),
+            vec![start, start + 2]
+        );
+        assert_eq!(chip.physical_neighbours(0).as_slice(), &[1]);
     }
 
     #[test]

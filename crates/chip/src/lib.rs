@@ -41,8 +41,9 @@ pub mod chip;
 pub mod config;
 pub mod stats;
 pub mod trr;
+mod weak_cells;
 
-pub use chip::SimChip;
+pub use chip::{Neighbours, SimChip};
 pub use config::ChipConfig;
 pub use stats::ChipStats;
 pub use trr::TrrConfig;
