@@ -41,7 +41,7 @@ impl RowState {
 
     /// Replace the row's data (a RowClone destination). Every cell may flip
     /// again afterwards.
-    pub fn overwrite(&mut self, data: Vec<u8>) {
+    pub(crate) fn overwrite(&mut self, data: Vec<u8>) {
         self.data = data;
         self.forget_flips();
     }

@@ -24,7 +24,7 @@ use crate::weak_cells::WeakCellCache;
 /// Materializing a row flips its weakest cells, at most once each between writes
 /// of their byte. The chip caches the weakest-cell ranking prefixes of at most 8
 /// rows, one per physical row mod 8, so the cache never holds more than
-/// `8 x bits_per_row` cell indices (4 bytes each: 32 KiB at 1 KiB rows). The
+/// `8 x bits_per_row` cell indices (4 bytes each: 32 KiB at 128-byte rows). The
 /// cache holds no memory until the first bitflip.
 #[derive(Debug, Clone)]
 pub struct SimChip {
@@ -61,16 +61,6 @@ impl Neighbours {
     /// The neighbours, lower row first.
     pub fn as_slice(&self) -> &[usize] {
         self.rows.get(..self.len).unwrap_or(&[])
-    }
-
-    /// Number of neighbours (0, 1 or 2).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the row has no neighbour in its subarray.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -859,7 +849,7 @@ mod tests {
         assert_eq!(chip.physical_neighbours(start).as_slice(), &[start + 1]);
         assert_eq!(chip.physical_neighbours(start - 1).as_slice(), &[start - 2]);
         let inner = chip.physical_neighbours(start + 1);
-        assert_eq!(inner.len(), 2);
+        assert_eq!(inner.as_slice(), &[start, start + 2]);
         assert_eq!(
             inner.into_iter().collect::<Vec<_>>(),
             vec![start, start + 2]

@@ -11,7 +11,8 @@
 //!   stored data pattern, and temperature;
 //! * materialization of bitflips in the *weakest cells first*, driven by the
 //!   per-row [`svard_vulnerability`] profile, whenever a disturbed row is next
-//!   sensed (activated or refreshed);
+//!   sensed (activated or refreshed); a cell flips at most once between writes
+//!   of its byte;
 //! * in-DRAM row-address scrambling ([`svard_dram::mapping::RowScramble`]);
 //! * subarray structure: rows at a subarray boundary have a physical neighbour on
 //!   only one side, and intra-subarray RowClone (activate-precharge-activate with
