@@ -13,8 +13,7 @@
 //! * [`bins::VulnerabilityBins`] — quantization of `HC_first` values into at most 16
 //!   bins whose representative value always rounds *down* (the security invariant);
 //! * [`storage`] — the metadata-storage options of §6.2/§6.4: an exact per-row table
-//!   in the memory controller, a Bloom-filter-compressed variant, and an in-DRAM
-//!   metadata variant;
+//!   in the memory controller and a Bloom-filter-compressed variant;
 //! * [`provider::SvardProvider`] — the [`svard_defenses::ThresholdProvider`] that
 //!   plugs Svärd underneath any of the five evaluated defenses (Fig. 11);
 //! * [`hwcost`] — the §6.4 hardware-cost model (table area/latency, DRAM metadata

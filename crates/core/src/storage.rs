@@ -14,16 +14,12 @@ pub enum StorageKind {
     /// rows *at or below* that vulnerability level. False positives only ever push a
     /// row into a *more* vulnerable bin, so the compression is security-preserving.
     BloomCompressed,
-    /// Bin ids stored in the DRAM array alongside the data-integrity bits and
-    /// fetched with the first read of a row (option B in Fig. 11). Functionally
-    /// identical to the exact table; the difference is the hardware-cost account.
-    InDramMetadata,
 }
 
 /// Per-row bin storage for one module (all banks).
 #[derive(Debug, Clone)]
 pub enum BinStorage {
-    /// Exact per-row table (used by both the controller-table and in-DRAM options).
+    /// Exact per-row table (the controller-table option).
     Exact {
         /// `bins[bank][row]` = bin id.
         bins: Vec<Vec<u8>>,

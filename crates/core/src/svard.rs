@@ -113,7 +113,7 @@ impl Svard {
     pub fn provider(&self) -> SharedThresholdProvider {
         let table = assign_bins(&self.scaled_thresholds, &self.bins);
         let storage = match self.storage_kind {
-            StorageKind::ControllerTable | StorageKind::InDramMetadata => BinStorage::exact(table),
+            StorageKind::ControllerTable => BinStorage::exact(table),
             StorageKind::BloomCompressed => {
                 // Size the filters at ~2 bits per row per level for a low
                 // false-positive rate while staying far below the exact table.
@@ -197,11 +197,7 @@ mod tests {
     #[test]
     fn security_invariant_holds_for_all_profiles_and_storages() {
         for label in ["S0", "M0", "H1"] {
-            for storage in [
-                StorageKind::ControllerTable,
-                StorageKind::BloomCompressed,
-                StorageKind::InDramMetadata,
-            ] {
+            for storage in [StorageKind::ControllerTable, StorageKind::BloomCompressed] {
                 let svard = Svard::build_with_storage(&profile(label), 512, 16, storage);
                 let checked = svard.assert_security_invariant();
                 assert_eq!(checked, 2 * 2048);
@@ -216,11 +212,7 @@ mod tests {
         let spec = ModuleSpec::by_label("S0").unwrap().scaled(1024);
         let profile = ProfileGenerator::new(42).generate(&spec, 1);
         let banks = DramGeometry::table4_system().total_banks();
-        for storage in [
-            StorageKind::ControllerTable,
-            StorageKind::BloomCompressed,
-            StorageKind::InDramMetadata,
-        ] {
+        for storage in [StorageKind::ControllerTable, StorageKind::BloomCompressed] {
             let svard = Svard::build_with_storage(&profile, 64, 16, storage);
             let checked = svard.assert_security_invariant_in_banks(banks);
             assert_eq!(checked, banks * 1024);

@@ -69,10 +69,6 @@ pub struct SimpleCore {
     next_request_id: u64,
     cycles: u64,
     finish_cycle: Option<u64>,
-    /// The last retire attempt was a no-op and none of its inputs (outstanding
-    /// completions, issued, retired) have changed since — the retire scan can be
-    /// skipped until a completion arrives or an instruction issues.
-    retire_quiet: bool,
 }
 
 impl SimpleCore {
@@ -103,7 +99,6 @@ impl SimpleCore {
             next_request_id: (id as u64) << 48,
             cycles: 0,
             finish_cycle: None,
-            retire_quiet: false,
         };
         // Stash the first event's memory access as the next access to perform.
         core.stash_event(first);
@@ -150,7 +145,6 @@ impl SimpleCore {
             .position(|m| m.request_id == request_id)
         {
             self.outstanding.remove(pos);
-            self.retire_quiet = false;
         }
     }
 
@@ -175,21 +169,14 @@ impl SimpleCore {
         let mut progressed = false;
 
         // --- Retire: in order, up to `width`, never past an incomplete miss. -----
-        // Skipped while quiescent: a fruitless retire attempt stays fruitless
-        // until a completion arrives or an instruction issues.
-        if !self.retire_quiet {
-            let retire_limit = self.retire_limit();
-            let retire_to = (self.retired + self.config.width as u64)
-                .min(retire_limit)
-                .min(self.issued)
-                .min(self.instruction_limit);
-            if retire_to > self.retired {
-                self.retired = retire_to;
-                progressed = true;
-            } else {
-                self.retire_quiet = true;
-            }
-            if self.finished() && self.finish_cycle.is_none() {
+        let retire_to = (self.retired + self.config.width as u64)
+            .min(self.retire_limit())
+            .min(self.issued)
+            .min(self.instruction_limit);
+        if retire_to > self.retired {
+            self.retired = retire_to;
+            progressed = true;
+            if self.finished() {
                 self.finish_cycle = Some(self.cycles);
                 return true;
             }
@@ -323,10 +310,6 @@ impl SimpleCore {
                 }
             }
         }
-        if progressed {
-            // Issuing (or enqueueing) changes the retire inputs.
-            self.retire_quiet = false;
-        }
         progressed
     }
 
@@ -337,9 +320,14 @@ impl SimpleCore {
     /// When this returns `false` the core is *stalled*: its next tick would only
     /// increment the cycle counter, and that stays true until the memory system
     /// reaches its next event (a completion, a scheduling opportunity that frees a
-    /// queue slot, or a refresh). This is what lets the system runner fast-forward
-    /// whole stall windows; the blocked conditions below mirror the early exits of
-    /// `tick` exactly.
+    /// queue slot, or a refresh). The blocked conditions below mirror the early
+    /// exits of `tick` exactly.
+    ///
+    /// The system runner does not ask: it parks a core after a `false`
+    /// [`tick`](Self::tick) instead. The only caller is, through
+    /// [`next_ready_cycle`](Self::next_ready_cycle), the benchmark's frozen
+    /// split loop (`perfbench/src/layers.rs::run_split`); both methods are
+    /// deleted with it (ROADMAP item 7, one simulation loop).
     pub fn can_make_progress<S: ObsSink>(&self, memory: &MemorySystem<S>) -> bool {
         if self.finished() {
             return false;
@@ -386,6 +374,8 @@ impl SimpleCore {
 
     /// The next cycle (strictly after `now`) at which this core will do work, or
     /// `None` if it is finished or stalled until the memory system's next event.
+    /// Kept only for the benchmark's frozen split loop; see
+    /// [`can_make_progress`](Self::can_make_progress).
     pub fn next_ready_cycle<S: ObsSink>(&self, now: u64, memory: &MemorySystem<S>) -> Option<u64> {
         if self.can_make_progress(memory) {
             Some(now + 1)
@@ -394,9 +384,9 @@ impl SimpleCore {
         }
     }
 
-    /// Account for `n` skipped stall cycles (during which
-    /// [`can_make_progress`](Self::can_make_progress) was `false`), keeping the
-    /// cycle counter — and therefore IPC — identical to ticking through the stall.
+    /// Account for `n` skipped stall cycles (ticks that would each have
+    /// returned `false`), keeping the cycle counter — and therefore IPC —
+    /// identical to ticking through the stall. A finished core stays put.
     pub fn skip_stalled_cycles(&mut self, n: u64) {
         if !self.finished() {
             self.cycles += n;

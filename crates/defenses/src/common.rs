@@ -2,12 +2,12 @@
 //! refresh-window epochs, a counting Bloom filter, and the integer hasher the
 //! defenses' hash maps use.
 //!
-//! # Why the maps hash with [`IntHasher`]
+//! # Why the maps hash with `IntHasher`
 //!
 //! The defenses' per-row tables ([`ActivationCounters`], Hydra's group, row
 //! and row-count-cache tables) sit on the per-activation path, where std's
 //! default SipHash over a 40-byte `(BankId, usize)` key cost more than the
-//! rest of the hook. They hash with [`IntHasher`] instead, a seedless
+//! rest of the hook. They hash with `IntHasher` instead, a seedless
 //! multiply-rotate hasher, which is safe on both counts a seed guards:
 //!
 //! - *Determinism.* The maps are only ever accessed by key (`entry`, `get`,

@@ -58,14 +58,6 @@ impl DramGeometry {
         }
     }
 
-    /// A 16 Gb device with 128K rows per bank (modules H0–H3, M0, M2, M4, S4).
-    pub fn ddr4_16gb() -> Self {
-        Self {
-            rows_per_bank: 128 * 1024,
-            ..Self::ddr4_8gb_x8()
-        }
-    }
-
     /// A deliberately small geometry used by tests and quick experiments: a
     /// single rank with 16 banks of `rows_per_bank` rows and 1 KiB rows.
     ///
@@ -107,11 +99,6 @@ impl DramGeometry {
     /// Number of bits in the row address field.
     pub fn row_bits(&self) -> u32 {
         usize::BITS - (self.rows_per_bank - 1).leading_zeros()
-    }
-
-    /// Number of bits in the column address field.
-    pub fn column_bits(&self) -> u32 {
-        usize::BITS - (self.columns_per_row - 1).leading_zeros()
     }
 
     /// Flatten the (channel, rank, bank group, bank) part of an address into a

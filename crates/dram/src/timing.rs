@@ -71,19 +71,6 @@ impl TimingParams {
         }
     }
 
-    /// DDR4-2400 timings, used by the slower modules in Table 5 (M1, M3, S3).
-    pub fn ddr4_2400() -> Self {
-        Self {
-            t_ck_ps: 833,
-            t_rcd_ps: 14_160,
-            t_rp_ps: 14_160,
-            t_ras_ps: 32_000,
-            t_cl_ps: 14_160,
-            t_cwl_ps: 10_000,
-            ..Self::ddr4_3200()
-        }
-    }
-
     /// Convert a picosecond duration to controller cycles, rounding up.
     pub fn ps_to_cycles(&self, ps: u64) -> u64 {
         ps.div_ceil(self.t_ck_ps)
@@ -139,29 +126,9 @@ impl TimingParams {
     pub fn t_rrd_l(&self) -> u64 {
         self.ps_to_cycles(self.t_rrd_l_ps)
     }
-    /// tRRD (different bank group) in cycles.
-    pub fn t_rrd_s(&self) -> u64 {
-        self.ps_to_cycles(self.t_rrd_s_ps)
-    }
     /// tCCD (same bank group) in cycles.
     pub fn t_ccd_l(&self) -> u64 {
         self.ps_to_cycles(self.t_ccd_l_ps)
-    }
-    /// tCCD (different bank group) in cycles.
-    pub fn t_ccd_s(&self) -> u64 {
-        self.ps_to_cycles(self.t_ccd_s_ps)
-    }
-    /// tWR in cycles.
-    pub fn t_wr(&self) -> u64 {
-        self.ps_to_cycles(self.t_wr_ps)
-    }
-    /// tWTR in cycles.
-    pub fn t_wtr(&self) -> u64 {
-        self.ps_to_cycles(self.t_wtr_ps)
-    }
-    /// tRTP in cycles.
-    pub fn t_rtp(&self) -> u64 {
-        self.ps_to_cycles(self.t_rtp_ps)
     }
 
     /// The maximum number of double-sided "hammers" (one activation to each of the

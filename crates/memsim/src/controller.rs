@@ -173,7 +173,7 @@ pub struct MemorySystem<S: ObsSink = NoopSink> {
     /// which queue is examined). Lets per-cycle ticking skip the FR-FCFS scan
     /// on cycles where nothing can issue.
     no_schedule_before: u64,
-    cycle: u64,
+    /// Cumulative statistics; `stats.cycles` is the controller's clock.
     stats: MemStats,
     sink: S,
 }
@@ -181,7 +181,7 @@ pub struct MemorySystem<S: ObsSink = NoopSink> {
 impl<S: ObsSink> std::fmt::Debug for MemorySystem<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemorySystem")
-            .field("cycle", &self.cycle)
+            .field("cycle", &self.stats.cycles)
             .field("read_queue", &self.read_queue.len())
             .field("write_queue", &self.write_queue.len())
             .field("in_flight", &self.in_flight.len())
@@ -244,7 +244,6 @@ impl<S: ObsSink> MemorySystem<S> {
             draining_writes: false,
             next_refresh,
             no_schedule_before: 0,
-            cycle: 0,
             stats: MemStats::default(),
             sink,
         }
@@ -284,7 +283,7 @@ impl<S: ObsSink> MemorySystem<S> {
 
     /// Current cycle.
     pub fn cycle(&self) -> u64 {
-        self.cycle
+        self.stats.cycles
     }
 
     /// Whether the read queue can accept another request.
@@ -311,7 +310,7 @@ impl<S: ObsSink> MemorySystem<S> {
         if full {
             return Err(request);
         }
-        request.arrival_cycle = self.cycle;
+        request.arrival_cycle = self.stats.cycles;
         request.dram_addr = self
             .config
             .mapper
@@ -386,7 +385,6 @@ impl<S: ObsSink> MemorySystem<S> {
     /// The first step of a tick: advance the cycle, fire a due refresh and
     /// settle the drain flag.
     fn begin_cycle(&mut self) {
-        self.cycle += 1;
         self.stats.cycles += 1;
         self.maybe_refresh();
         self.update_drain_mode();
@@ -407,7 +405,7 @@ impl<S: ObsSink> MemorySystem<S> {
     /// from `in_flight` to `out` (skipping the scan entirely while nothing
     /// can have completed yet).
     fn collect_completions(&mut self, out: &mut Vec<CompletedRequest>) {
-        let cycle = self.cycle;
+        let cycle = self.stats.cycles;
         if cycle < self.in_flight_min_completion {
             return;
         }
@@ -452,7 +450,7 @@ impl<S: ObsSink> MemorySystem<S> {
     /// per-cycle statistics. Returns `None` when the system is fully idle and
     /// refresh is disabled (nothing will ever happen again without an enqueue).
     pub fn next_event_cycle(&self) -> Option<u64> {
-        let floor = self.cycle + 1;
+        let floor = self.stats.cycles + 1;
         let mut next: Option<u64> = None;
         let mut consider = |candidate: u64| {
             let c = candidate.max(floor);
@@ -472,7 +470,7 @@ impl<S: ObsSink> MemorySystem<S> {
             // The last scheduling scan may already have proved nothing can
             // issue before its bound (and nothing has invalidated it since);
             // otherwise take the minimum over the examined queue's banks.
-            let earliest = if self.no_schedule_before > self.cycle {
+            let earliest = if self.no_schedule_before > self.stats.cycles {
                 self.no_schedule_before
             } else {
                 self.earliest_queued_issue(examined)
@@ -496,14 +494,14 @@ impl<S: ObsSink> MemorySystem<S> {
     /// completions and statistics that ticking cycle by cycle would produce, but
     /// skipping runs of dead cycles in O(1) each.
     pub fn tick_until(&mut self, target_cycle: u64, out: &mut Vec<CompletedRequest>) {
-        while self.cycle < target_cycle {
+        while self.stats.cycles < target_cycle {
             let next = self
                 .next_event_cycle()
                 .map_or(target_cycle, |e| e.min(target_cycle));
-            if next > self.cycle + 1 {
-                self.skip_dead_cycles(next - 1 - self.cycle);
+            if next > self.stats.cycles + 1 {
+                self.skip_dead_cycles(next - 1 - self.stats.cycles);
             }
-            if self.cycle < target_cycle {
+            if self.stats.cycles < target_cycle {
                 self.tick_into(out);
             }
         }
@@ -522,8 +520,8 @@ impl<S: ObsSink> MemorySystem<S> {
             self.next_event_cycle().is_none_or(|e| target_cycle < e),
             "skip_to_cycle target must precede the next event"
         );
-        if target_cycle > self.cycle {
-            self.skip_dead_cycles(target_cycle - self.cycle);
+        if target_cycle > self.stats.cycles {
+            self.skip_dead_cycles(target_cycle - self.stats.cycles);
         }
     }
 
@@ -532,15 +530,15 @@ impl<S: ObsSink> MemorySystem<S> {
     /// identical to ticking every cycle.
     pub fn run_until_idle(&mut self, max_cycles: u64) -> Vec<CompletedRequest> {
         let mut out = Vec::new();
-        let end = self.cycle + max_cycles;
-        while self.cycle < end {
+        let end = self.stats.cycles + max_cycles;
+        while self.stats.cycles < end {
             self.tick_into(&mut out);
             if self.outstanding() == 0 {
                 break;
             }
             let next = self.next_event_cycle().map_or(end, |e| e.min(end));
-            if next > self.cycle + 1 {
-                self.skip_dead_cycles(next - 1 - self.cycle);
+            if next > self.stats.cycles + 1 {
+                self.skip_dead_cycles(next - 1 - self.stats.cycles);
             }
         }
         out
@@ -553,7 +551,7 @@ impl<S: ObsSink> MemorySystem<S> {
         if n == 0 {
             return;
         }
-        let start = self.cycle;
+        let start = self.stats.cycles;
         // Settle the drain flag exactly as the first skipped tick would (queue
         // lengths are frozen over the window, so one update settles it for the
         // whole window).
@@ -571,40 +569,38 @@ impl<S: ObsSink> MemorySystem<S> {
             }
             self.stats.throttle_stalls += stalls;
         }
-        self.cycle = start + n;
         self.stats.cycles += n;
         if S::ENABLED {
             // Diagnostic only: fast-forward skips exist in event-driven runs
             // but not per-cycle ones, so they live in the `diag.` namespace
-            // and the diagnostic trace ring, never the canonical stream.
-            self.sink.counter(Counter::DiagMemFfSkips, 1);
+            // and never in the event trace. The histogram's count is the
+            // number of skips.
             self.sink.observe(Hist::DiagMemSkipSpan, n);
-            self.sink.event(start + n, EventKind::FfSkip, n, 0, 0);
         }
     }
 
     // ------------------------------------------------------------------
 
     fn maybe_refresh(&mut self) {
-        if !self.config.refresh_enabled || self.cycle < self.next_refresh {
+        if !self.config.refresh_enabled || self.stats.cycles < self.next_refresh {
             return;
         }
         let t_rfc = self.t.t_rfc;
         for rank in &mut self.ranks {
-            rank.begin_refresh_cycles(self.cycle, t_rfc);
+            rank.begin_refresh_cycles(self.stats.cycles, t_rfc);
         }
         self.stats.refreshes += self.ranks.len() as u64;
         if S::ENABLED {
             self.sink.counter(Counter::MemRefreshFired, 1);
             self.sink.event(
-                self.cycle,
+                self.stats.cycles,
                 EventKind::RefreshFired,
                 self.ranks.len() as u64,
                 0,
                 0,
             );
         }
-        self.mitigation.on_refresh_tick(self.cycle);
+        self.mitigation.on_refresh_tick(self.stats.cycles);
         self.next_refresh += self.t.t_refi;
         // Rank state changed; conservatively allow the next scan to re-derive.
         self.no_schedule_before = 0;
@@ -705,7 +701,7 @@ impl<S: ObsSink> MemorySystem<S> {
     /// `READY_HIT` flags are written: the walk then reads nothing else.
     /// Otherwise every non-empty bank gets all its flags.
     fn classify<const THROTTLES: bool>(&self, writes: bool, ready: &mut [u8]) -> Verdict {
-        let cycle = self.cycle;
+        let cycle = self.stats.cycles;
         let cap = self.config.column_cap;
         let tally = self.tally(writes);
         if !THROTTLES {
@@ -764,7 +760,7 @@ impl<S: ObsSink> MemorySystem<S> {
         // earlier issue has lowered or reset the bound). Skipping is only exact
         // with no active throttles, because a scan over throttled requests
         // records per-cycle stall statistics.
-        if !THROTTLES && self.cycle < self.no_schedule_before {
+        if !THROTTLES && self.stats.cycles < self.no_schedule_before {
             return;
         }
         let from_writes = self.writes_selected(self.draining_writes);
@@ -818,7 +814,7 @@ impl<S: ObsSink> MemorySystem<S> {
         ready: &[u8],
         any_class: bool,
     ) -> Option<usize> {
-        let cycle = self.cycle;
+        let cycle = self.stats.cycles;
         let mut oldest: Option<usize> = None;
         let mut oldest_hit: Option<usize> = None;
         let mut throttle_stalls = 0u64;
@@ -911,7 +907,7 @@ impl<S: ObsSink> MemorySystem<S> {
         let bank_idx = req.flat_bank;
         let rank_idx = req.rank_idx;
         let row = req.dram_addr.row;
-        let cycle = self.cycle;
+        let cycle = self.stats.cycles;
 
         let is_hit = self.bank_at(bank_idx).is_open(row);
         let needs_conflict_pre = !is_hit && self.bank_at(bank_idx).open_row.is_some();
@@ -1080,7 +1076,7 @@ impl<S: ObsSink> MemorySystem<S> {
         // purge-on-lookup in `schedule_one` keeps entries for scheduled rows from
         // lingering; this sweep catches rows that are never requested again).
         if self.throttled.len() > 4096 {
-            let cycle = self.cycle;
+            let cycle = self.stats.cycles;
             self.throttled.retain_active(cycle);
         }
     }
@@ -1543,10 +1539,11 @@ mod tests {
         assert!(kinds.contains(&"cmd_issued"));
         assert!(kinds.contains(&"mitigation_fired"));
         assert!(kinds.contains(&"throttle_engaged"));
-        // Fast-forward skips are diagnostic: present, but never canonical.
-        assert!(kinds.iter().all(|k| *k != "ff_skip"));
-        assert!(snap.counter("diag.mem.ff_skips") > 0);
-        assert!(!mem.sink().diag_trace().is_empty());
+        // Fast-forward skips are diagnostic: recorded, but never as events.
+        assert!(snap
+            .hists
+            .get("diag.mem.skip_span")
+            .is_some_and(|h| h.count > 0));
     }
 
     #[test]
@@ -1571,8 +1568,8 @@ mod tests {
         assert_eq!(slow.sink().trace_jsonl(), fast.sink().trace_jsonl());
         assert_eq!(slow.metrics().canonical(), fast.metrics().canonical());
         // The per-cycle run took no skips; the fast-forward run did.
-        assert_eq!(slow.metrics().counter("diag.mem.ff_skips"), 0);
-        assert!(fast.metrics().counter("diag.mem.ff_skips") > 0);
+        assert!(!slow.metrics().hists.contains_key("diag.mem.skip_span"));
+        assert!(fast.metrics().hists.contains_key("diag.mem.skip_span"));
     }
 
     fn drain_per_cycle_generic<S: svard_obs::ObsSink>(
@@ -1656,10 +1653,10 @@ mod tests {
             assert!(
                 mem.no_schedule_before <= earliest_examined_issue(&mem),
                 "cycle {}: bound {} exceeds an examined request's earliest issue",
-                mem.cycle,
+                mem.cycle(),
                 mem.no_schedule_before
             );
-            if enqueued && mem.no_schedule_before > mem.cycle + 1 {
+            if enqueued && mem.no_schedule_before > mem.cycle() + 1 {
                 skipped_after_enqueue += 1;
             }
             mem.tick();
@@ -1764,7 +1761,7 @@ mod tests {
     /// reference: the id it would issue this cycle and the throttle stalls
     /// it would count. Call it where `schedule_one` would run.
     fn reference_pick(mem: &MemorySystem) -> (Option<u64>, u64) {
-        let cycle = mem.cycle;
+        let cycle = mem.cycle();
         let mut oldest = None;
         let mut oldest_hit = None;
         let mut stalls = 0;
@@ -1795,7 +1792,7 @@ mod tests {
     /// `next_event_cycle` by brute force: every examined request's earliest
     /// issue cycle (throttles included), in-flight completions and refresh.
     fn reference_next_event(mem: &MemorySystem) -> Option<u64> {
-        let floor = mem.cycle + 1;
+        let floor = mem.cycle() + 1;
         let queued = mem
             .queue(mem.writes_selected(mem.draining_writes_next()))
             .iter()
@@ -1871,12 +1868,12 @@ mod tests {
                 .into_iter()
                 .filter(|id| !after.contains(id))
                 .collect();
-            assert_eq!(picked, Vec::from_iter(expected), "cycle {}", mem.cycle);
+            assert_eq!(picked, Vec::from_iter(expected), "cycle {}", mem.cycle());
             assert_eq!(mem.stats.throttle_stalls - stalls_before, stalls);
             mem.collect_completions(&mut out);
 
             let (reads, writes) = recount(&mem);
-            let cycle = mem.cycle;
+            let cycle = mem.cycle();
             assert_eq!(
                 mem.read_tally.canonical(),
                 reads.canonical(),

@@ -7,8 +7,9 @@
 //!
 //! Names prefixed `diag.` are **diagnostic**: they describe how the
 //! simulator executed (e.g. fast-forward skips), not what the simulated
-//! machine did, and are excluded from canonical snapshots and traces so
-//! fast-forward and per-cycle runs stay comparable byte-for-byte.
+//! machine did. Diagnostics are metrics only, never trace events, and
+//! [`crate::MetricsSnapshot::canonical`] strips them, so fast-forward and
+//! per-cycle runs stay comparable byte-for-byte.
 
 /// Monotonic counters (unit: occurrences unless noted).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,15 +40,13 @@ pub enum Counter {
     DefenseMigrations,
     /// RRS row swaps.
     DefenseSwaps,
-    /// Diagnostic: dead-cycle fast-forward skips taken by the controller.
-    DiagMemFfSkips,
     /// Diagnostic: canonical trace events dropped by the bounded ring.
     DiagTraceDropped,
 }
 
 impl Counter {
     /// Number of counter slots.
-    pub const COUNT: usize = 15;
+    pub const COUNT: usize = 14;
 
     /// Every counter, in slot order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -64,7 +63,6 @@ impl Counter {
         Counter::DefenseThrottleEvents,
         Counter::DefenseMigrations,
         Counter::DefenseSwaps,
-        Counter::DiagMemFfSkips,
         Counter::DiagTraceDropped,
     ];
 
@@ -84,7 +82,6 @@ impl Counter {
             Counter::DefenseThrottleEvents => "defense.throttle_events",
             Counter::DefenseMigrations => "defense.migrations",
             Counter::DefenseSwaps => "defense.swaps",
-            Counter::DiagMemFfSkips => "diag.mem.ff_skips",
             Counter::DiagTraceDropped => "diag.trace.dropped",
         }
     }
@@ -150,7 +147,8 @@ pub enum Hist {
     MemWriteQueueDepth,
     /// Hammer burst length in activations per burst.
     ChipHammerCount,
-    /// Diagnostic: fast-forward skip span in cycles.
+    /// Diagnostic: fast-forward skip span in cycles (its count is the number
+    /// of skips).
     DiagMemSkipSpan,
 }
 
@@ -195,9 +193,6 @@ pub enum EventKind {
     /// A row throttle engaged. `a` = flat bank index, `b` = row,
     /// `c` = release cycle.
     ThrottleEngaged,
-    /// Diagnostic: the controller fast-forwarded over dead cycles.
-    /// `a` = span length in cycles, `b`/`c` = 0.
-    FfSkip,
 }
 
 impl EventKind {
@@ -208,14 +203,7 @@ impl EventKind {
             EventKind::RefreshFired => "refresh_fired",
             EventKind::MitigationFired => "mitigation_fired",
             EventKind::ThrottleEngaged => "throttle_engaged",
-            EventKind::FfSkip => "ff_skip",
         }
-    }
-
-    /// Diagnostic events describe the simulator's execution strategy, not
-    /// the simulated machine; they are kept out of canonical traces.
-    pub const fn is_diagnostic(self) -> bool {
-        matches!(self, EventKind::FfSkip)
     }
 }
 
@@ -252,9 +240,7 @@ mod tests {
 
     #[test]
     fn diagnostic_names_carry_the_diag_prefix() {
-        assert!(Counter::DiagMemFfSkips.name().starts_with("diag."));
+        assert!(Counter::DiagTraceDropped.name().starts_with("diag."));
         assert!(Hist::DiagMemSkipSpan.name().starts_with("diag."));
-        assert!(EventKind::FfSkip.is_diagnostic());
-        assert!(!EventKind::CmdIssued.is_diagnostic());
     }
 }

@@ -10,7 +10,8 @@
 //!    ([`trace`]) drained to JSON-lines. Events carry no wall-clock
 //!    timestamps, so a trace is a pure function of the simulated workload:
 //!    bit-identical across thread counts and across fast-forward vs
-//!    per-cycle execution.
+//!    per-cycle execution. How the simulator executed (e.g. fast-forward
+//!    skips) is recorded only as `diag.` metrics, never as events.
 //! 3. **Phase profiling** — wall-clock spans ([`span`], [`wall`]) for the
 //!    harness and serving boundary only. Every span goes through
 //!    [`Profiler::record`] into one bounded store, stamped with the

@@ -357,9 +357,9 @@ mod tests {
     #[test]
     fn canonical_strips_diagnostics() {
         let mut s = sample(4);
-        s.add_counter("diag.mem.ff_skips", 10);
+        s.add_counter("diag.trace.dropped", 10);
         let canon = s.canonical();
-        assert_eq!(canon.counter("diag.mem.ff_skips"), 0);
+        assert_eq!(canon.counter("diag.trace.dropped"), 0);
         assert_eq!(canon.counter("mem.cmd_issued"), s.counter("mem.cmd_issued"));
         assert!(!canon.to_json().contains("diag."));
     }

@@ -61,21 +61,19 @@ impl ObsSink for NoopSink {
     }
 }
 
-/// Default canonical-trace ring capacity for a [`Recorder`].
+/// Default event-ring capacity for a [`Recorder`].
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
 
 /// A recording sink: preallocated counter/gauge/histogram slots indexed by
-/// the dense catalogue enums, plus two event rings — canonical events and
-/// `diag.` execution diagnostics kept separate so the canonical stream is
-/// identical between fast-forward and per-cycle runs even under ring
-/// overflow.
+/// the dense catalogue enums, plus one ring of events. Every event is
+/// canonical (`diag.` diagnostics are metrics only), so the ring is
+/// identical between fast-forward and per-cycle runs even under overflow.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Recorder {
     counters: Vec<u64>,
     gauges: Vec<u64>,
     hists: Vec<Histogram>,
     trace: TraceBuffer,
-    diag: TraceBuffer,
 }
 
 impl Default for Recorder {
@@ -90,29 +88,22 @@ impl Recorder {
         Recorder::default()
     }
 
-    /// A recorder whose canonical and diagnostic rings each hold at most
-    /// `capacity` events.
+    /// A recorder whose event ring holds at most `capacity` events.
     pub fn with_trace_capacity(capacity: usize) -> Self {
         Recorder {
             counters: vec![0; Counter::COUNT],
             gauges: vec![0; Gauge::COUNT],
             hists: vec![Histogram::default(); Hist::COUNT],
             trace: TraceBuffer::new(capacity),
-            diag: TraceBuffer::new(capacity),
         }
     }
 
-    /// The canonical event ring (diagnostics excluded).
+    /// The event ring.
     pub fn trace(&self) -> &TraceBuffer {
         &self.trace
     }
 
-    /// The diagnostic event ring (`EventKind::is_diagnostic`).
-    pub fn diag_trace(&self) -> &TraceBuffer {
-        &self.diag
-    }
-
-    /// Canonical events as JSON-lines, oldest first.
+    /// The recorded events as JSON-lines, oldest first.
     pub fn trace_jsonl(&self) -> String {
         self.trace.to_jsonl()
     }
@@ -148,18 +139,13 @@ impl ObsSink for Recorder {
 
     #[inline]
     fn event(&mut self, cycle: u64, kind: EventKind, a: u64, b: u64, c: u64) {
-        let event = TraceEvent {
+        self.trace.push(TraceEvent {
             cycle,
             kind,
             a,
             b,
             c,
-        };
-        if kind.is_diagnostic() {
-            self.diag.push(event);
-        } else {
-            self.trace.push(event);
-        }
+        });
     }
 
     fn snapshot(&self) -> MetricsSnapshot {
@@ -222,23 +208,6 @@ mod tests {
         assert_eq!(snap.counter("mem.cmd_issued"), 5);
         assert_eq!(snap.gauge("mem.read_queue_peak"), 4);
         assert_eq!(snap.hists.get("mem.read_latency").map(|h| h.count), Some(1));
-    }
-
-    #[test]
-    fn diagnostic_events_do_not_touch_the_canonical_ring() {
-        let mut r = Recorder::with_trace_capacity(2);
-        r.event(10, EventKind::CmdIssued, 0, 0, 0);
-        r.event(11, EventKind::FfSkip, 50, 0, 0);
-        r.event(12, EventKind::CmdIssued, 1, 0, 0);
-        r.event(13, EventKind::FfSkip, 60, 0, 0);
-        r.event(14, EventKind::CmdIssued, 2, 0, 0);
-        // Canonical ring saw exactly the three CmdIssued events; the two
-        // FfSkips went to the diagnostic ring and did not force extra
-        // canonical overwrites.
-        let cycles: Vec<u64> = r.trace().iter().map(|e| e.cycle).collect();
-        assert_eq!(cycles, vec![12, 14]);
-        let diag: Vec<u64> = r.diag_trace().iter().map(|e| e.cycle).collect();
-        assert_eq!(diag, vec![11, 13]);
     }
 
     #[test]

@@ -1,21 +1,24 @@
 //! Running multiprogrammed mixes and collecting Fig. 12-style data points.
 //!
-//! [`run_mix_with_sink`] simulates one mix cycle by cycle. In
-//! [`SimMode::FastForward`] it saves work in two ways, advancing every counter
-//! exactly as per-cycle ticking would:
+//! [`run_mix_with_sink`] simulates one mix cycle by cycle, and
+//! [`MemorySystem::cycle`] is its only clock. In [`SimMode::FastForward`] it
+//! has one stall rule, parking, and advances every counter exactly as
+//! per-cycle ticking would:
 //!
-//! - It jumps over *stall windows* (no core can progress until the memory
-//!   system's next event).
 //! - It *parks* each unfinished core whose [`SimpleCore::tick`] returned
 //!   `false` and stops ticking it. `tick`'s contract is that such a core stays
 //!   stalled until one of its own requests completes, or until the controller
 //!   issues a request while the core holds a rejected one
 //!   ([`SimpleCore::has_rejected_request`]). The loop wakes a parked core on
-//!   exactly those events, and again at the end of the run. On waking, the
-//!   ticks it missed are credited with [`SimpleCore::skip_stalled_cycles`], so
-//!   its cycle count and IPC match ticking every cycle. The loop keeps the
+//!   exactly those events, and again at the end of the run. The loop keeps the
 //!   awake (unparked, unfinished) cores in an id-ordered list and a count of
 //!   unfinished ones, so a cycle visits only the cores it ticks.
+//! - Once every unfinished core is parked, only a memory event can wake one,
+//!   so the loop jumps the memory system to the cycle just before its next
+//!   event ([`MemorySystem::next_event_cycle`]).
+//! - A core is credited for the ticks it missed in one place: on waking,
+//!   [`SimpleCore::skip_stalled_cycles`] brings its cycle count to the memory
+//!   system's, so its IPC matches ticking every cycle.
 //!
 //! [`SimMode::PerCycle`] ticks every core every cycle and is the reference;
 //! [`run_mix`] and [`run_mix_percycle`] are the two sink-less modes, and the
@@ -43,7 +46,7 @@
 //! keeps that run's per-core IPCs, its metrics snapshot and every call the
 //! controller made into its [`MitigationHook`]: each `on_activation(bank,
 //! row, cycle)` and `on_refresh_tick(cycle)`, in order, 16 bytes a call
-//! ([`HookCall`]). A sweep task without a recording sink first builds its
+//! (`HookCall`). A sweep task without a recording sink first builds its
 //! point's hook as a simulation would and feeds it that stream, stopping at
 //! the first call that pushes a preventive action:
 //!
@@ -62,7 +65,7 @@
 //! baseline's next call, and the hook receives the same input as in the
 //! replay. A hook that never acts therefore leaves a run equal to the
 //! baseline bit for bit, and its own state (hence its report) equals the
-//! replayed hook's. A call that does not fit a [`HookCall`] drops the mix's
+//! replayed hook's. A call that does not fit a `HookCall` drops the mix's
 //! stream instead of truncating it, and that mix's tasks all simulate. Traced
 //! sweeps ([`EvaluationHarness::evaluate_all_traced`]) always simulate, as
 //! the trace records the run's own events; they are the full-simulation
@@ -108,8 +111,9 @@ pub struct RunResult {
     pub mem_stats: MemStats,
     /// Merged observability snapshot: the `mem.*` counters, anything the sink
     /// recorded, and the defense's pulled `defense.*` report. `diag.*` entries
-    /// appear only in fast-forward runs with a recording sink; strip them with
-    /// [`MetricsSnapshot::canonical`] when comparing across modes.
+    /// need a recording sink, and `diag.mem.skip_span` appears only in
+    /// fast-forward runs; strip them with [`MetricsSnapshot::canonical`] when
+    /// comparing across modes.
     pub metrics: MetricsSnapshot,
     /// Cycles simulated until every core finished (or the cycle cap).
     pub cycles: u64,
@@ -188,82 +192,53 @@ pub fn run_mix_with_sink<S: ObsSink>(
             )
         })
         .collect();
-    let mut cycles = 0u64;
     let mut completions: Vec<CompletedRequest> = Vec::new();
     let fast_forward = mode == SimMode::FastForward;
     let mut awake = Awake::new(&cores);
-    while cycles < config.max_cycles && awake.unfinished > 0 {
-        let mut any_core_progress = false;
+    while memory.cycle() < config.max_cycles && awake.unfinished > 0 {
         awake.tick(&mut cores, |core| {
             let progressed = core.tick(&mut memory);
-            any_core_progress |= progressed;
             // Finished cores drop out (their tick is a no-op), and in
             // fast-forward so do stalled ones, which park.
             !core.finished() && (progressed || !fast_forward)
         });
         let issues_before = issue_count(memory.stats());
-        let refreshes_before = memory.stats().refreshes;
         completions.clear();
         memory.tick_into(&mut completions);
-        cycles += 1;
+        let now = memory.cycle();
         for done in &completions {
             if let Some(core) = cores.get_mut(done.core) {
                 core.on_completion(done.id);
-                awake.wake(core, done.core, cycles);
+                awake.wake(core, done.core, now);
             }
         }
         // An issue frees a queue slot, which unblocks cores holding a
         // rejected request.
-        let issued = issue_count(memory.stats()) != issues_before;
-        if issued {
+        if issue_count(memory.stats()) != issues_before {
             for (id, core) in cores.iter_mut().enumerate() {
                 if core.has_rejected_request() {
-                    awake.wake(core, id, cycles);
+                    awake.wake(core, id, now);
                 }
             }
         }
-
-        // Fast-forward: if neither the cores nor the memory system did anything
-        // this cycle, the whole system is stalled and its state is frozen until
-        // the memory system's next event — jump to the cycle just before it. The
-        // skipped cycles are no-ops for cores and memory alike, so statistics
-        // stay cycle-identical (see the equivalence tests).
-        if fast_forward && !any_core_progress && completions.is_empty() {
-            // If the memory system was also quiet, the system state is unchanged
-            // and every core is still stalled — no further check needed. If the
-            // memory did schedule something (e.g. freed a queue slot), fall back
-            // to asking each awake core whether the new state unblocks it.
-            let memory_quiet = !issued && memory.stats().refreshes == refreshes_before;
-            let all_stalled = memory_quiet
-                || awake.ids.iter().all(|&id| {
-                    cores
-                        .get(id)
-                        .is_none_or(|c| c.next_ready_cycle(cycles, &memory).is_none())
-                });
-            if all_stalled && awake.unfinished > 0 {
-                if let Some(next_event) = memory.next_event_cycle() {
-                    let target = (next_event - 1).min(config.max_cycles);
-                    if target > memory.cycle() {
-                        let skip = target - memory.cycle();
-                        memory.skip_to_cycle(target);
-                        for core in &mut cores {
-                            core.skip_stalled_cycles(skip);
-                        }
-                        cycles += skip;
-                    }
-                }
+        // Every unfinished core is parked, and only a memory event wakes one:
+        // jump to the cycle just before the memory system's next event.
+        if awake.ids.is_empty() && awake.unfinished > 0 {
+            if let Some(next_event) = memory.next_event_cycle() {
+                memory.skip_to_cycle((next_event - 1).min(config.max_cycles));
             }
         }
     }
     // Cores still parked at the cycle cap stalled through every cycle since.
+    let end = memory.cycle();
     for (id, core) in cores.iter_mut().enumerate() {
-        awake.wake(core, id, cycles);
+        awake.wake(core, id, end);
     }
     let result = RunResult {
         per_core_ipc: cores.iter().map(|c| c.ipc()).collect(),
         mem_stats: memory.stats().clone(),
         metrics: memory.metrics(),
-        cycles,
+        cycles: memory.cycle(),
     };
     (result, memory.into_sink())
 }
@@ -276,7 +251,8 @@ fn issue_count(stats: &MemStats) -> u64 {
 
 /// The loop's view of which cores to tick: the unfinished cores that are not
 /// parked (fast-forward only: a core whose last tick was a pure stall and that
-/// no wake event has reached since).
+/// no wake event has reached since). The loop skips cycles only when `ids` is
+/// empty and `unfinished` is not.
 struct Awake {
     /// Awake core ids, ascending, so cores tick in id order.
     ids: Vec<usize>,
@@ -318,13 +294,13 @@ impl Awake {
         });
     }
 
-    /// Unpark core `id` (a no-op unless parked) at loop cycle `cycles`,
+    /// Unpark core `id` (a no-op unless parked) at memory cycle `now`,
     /// crediting the stall ticks it missed while parked so its cycle count,
     /// and so its IPC, matches ticking every cycle.
-    fn wake(&mut self, core: &mut SimpleCore, id: usize, cycles: u64) {
+    fn wake(&mut self, core: &mut SimpleCore, id: usize, now: u64) {
         if let Some(parked) = self.parked.get_mut(id).filter(|p| **p) {
             *parked = false;
-            core.skip_stalled_cycles(cycles.saturating_sub(core.cycles()));
+            core.skip_stalled_cycles(now.saturating_sub(core.cycles()));
             let at = self.ids.partition_point(|&awake| awake < id);
             self.ids.insert(at, id);
         }
@@ -997,6 +973,36 @@ mod tests {
                 let slow = run_mix_percycle(mix, &config, build());
                 assert_eq!(fast, slow, "defense {defense}, mix {}", mix.id);
             }
+        }
+    }
+
+    #[test]
+    fn fast_forward_skips_the_attackers_stall_windows() {
+        use svard_cpusim::workload::WorkloadSpec;
+        let config = SystemConfig::tiny();
+        for spec in [
+            WorkloadSpec::adversarial_rrs(),
+            WorkloadSpec::adversarial_hydra(),
+        ] {
+            let name = spec.name;
+            let mix = WorkloadMix::adversarial(spec, config.cores);
+            let run = |mode| {
+                let mitigation = Box::new(NoMitigation);
+                run_mix_with_sink(&mix, &config, mitigation, mode, Recorder::new()).0
+            };
+            let fast = run(SimMode::FastForward);
+            let skipped = fast
+                .metrics
+                .hists
+                .get("diag.mem.skip_span")
+                .map_or(0, |h| h.sum);
+            assert!(
+                3 * skipped > fast.cycles,
+                "{name}: skipped {skipped} of {} cycles",
+                fast.cycles
+            );
+            let slow = run(SimMode::PerCycle);
+            assert!(!slow.metrics.hists.contains_key("diag.mem.skip_span"));
         }
     }
 
