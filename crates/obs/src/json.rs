@@ -1,13 +1,24 @@
-//! A dependency-free JSON value with a recursive-descent parser and a
-//! deterministic renderer.
+//! The workspace's one JSON model: a dependency-free value type with a
+//! recursive-descent parser, a deterministic renderer and the string escaper.
 //!
 //! Integer-looking numbers parse as [`Json::Int`] (an `i128`, wide enough to
 //! hold any `u64` seed exactly); everything else as [`Json::Num`]. Objects
 //! are `BTreeMap`s, so rendering is key-ordered and deterministic — the
 //! property the resume path relies on when comparing a submitted grid
 //! against a journal header byte-for-byte.
+//!
+//! Every JSON document the workspace writes is a [`Json`] value rendered
+//! with [`Json::render`], except three line formats that are assembled by
+//! hand: [`crate::TraceEvent::to_json_line`], the trace section header of
+//! `svard_system`'s `EvaluationHarness::evaluate_all_traced`, and the
+//! server's `protocol::point_line`. Their member order is not key order,
+//! and their bytes are pinned by job journals and golden digests; they sit
+//! on hot output paths, so they skip building a value tree. They escape
+//! strings only through [`Quoted`], so they cannot disagree with the
+//! parser about what a string literal is.
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
 /// Deepest array/object nesting [`Json::parse`] accepts, so no input can
 /// overflow the parser's stack. The deepest legitimate frame is a point or
@@ -57,12 +68,12 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => out.push_str(&i.to_string()),
+            Json::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
             Json::Num(n) => out.push_str(&render_f64(*n)),
             Json::Str(s) => {
-                out.push('"');
-                escape_into(s, out);
-                out.push('"');
+                let _ = quote_into(s, out);
             }
             Json::Arr(items) => {
                 out.push('[');
@@ -80,9 +91,8 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('"');
-                    escape_into(key, out);
-                    out.push_str("\":");
+                    let _ = quote_into(key, out);
+                    out.push(':');
                     value.render_into(out);
                 }
                 out.push('}');
@@ -119,15 +129,6 @@ impl Json {
         self.as_u64().and_then(|v| usize::try_from(v).ok())
     }
 
-    /// The value as an `f64` (integers convert).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Int(i) => Some(*i as f64),
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The array items, if this is an array.
     pub fn as_array(&self) -> Option<&[Json]> {
         match self {
@@ -161,6 +162,44 @@ impl Json {
     pub fn uint(v: u64) -> Json {
         Json::Int(v as i128)
     }
+
+    /// Build an object from `(key, value)` members.
+    pub fn obj<'k>(members: impl IntoIterator<Item = (&'k str, Json)>) -> Json {
+        let members = members.into_iter().map(|(k, v)| (k.to_string(), v));
+        Json::Obj(members.collect())
+    }
+}
+
+/// A string displayed as a quoted, escaped JSON string literal: the
+/// escaper behind [`Json::render`], and the only one the hand-rendered line
+/// formats use.
+pub struct Quoted<'a>(pub &'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        quote_into(self.0, f)
+    }
+}
+
+/// Write `s` as a quoted, escaped JSON string literal.
+fn quote_into(s: &str, out: &mut impl fmt::Write) -> fmt::Result {
+    out.write_char('"')?;
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.write_str(s)?;
+    } else {
+        for c in s.chars() {
+            match c {
+                '"' => out.write_str("\\\"")?,
+                '\\' => out.write_str("\\\\")?,
+                '\n' => out.write_str("\\n")?,
+                '\r' => out.write_str("\\r")?,
+                '\t' => out.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+                c => out.write_char(c)?,
+            }
+        }
+    }
+    out.write_char('"')
 }
 
 /// Render an `f64` the way Rust's `Display` does (shortest round-trip form);
@@ -174,20 +213,6 @@ fn render_f64(n: f64) -> String {
         format!("{s}.0")
     } else {
         s
-    }
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
 }
 
@@ -256,14 +281,22 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("bad \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|e| format!("bad \\u: {e}"))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        let code = hex4(bytes, *pos + 1).ok_or("bad \\u escape")?;
                         *pos += 4;
+                        // A high surrogate joins the `\u` low surrogate right
+                        // after it; any other surrogate decodes to U+FFFD.
+                        let low = match bytes.get(*pos + 1..*pos + 3) {
+                            Some(b"\\u") => hex4(bytes, *pos + 3),
+                            _ => None,
+                        };
+                        let c = match (code, low) {
+                            (0xD800..=0xDBFF, Some(low @ 0xDC00..=0xDFFF)) => {
+                                *pos += 6;
+                                char::from_u32(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00))
+                            }
+                            _ => char::from_u32(code),
+                        };
+                        out.push(c.unwrap_or('\u{fffd}'));
                     }
                     _ => return Err("bad escape".to_string()),
                 }
@@ -283,6 +316,14 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             }
         }
     }
+}
+
+/// The four hex digits at `at`, if they are four hex digits.
+fn hex4(bytes: &[u8], at: usize) -> Option<u32> {
+    let hex = bytes
+        .get(at..at + 4)
+        .filter(|h| h.iter().all(u8::is_ascii_hexdigit))?;
+    u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()
 }
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
@@ -419,6 +460,21 @@ mod tests {
     }
 
     #[test]
+    fn surrogate_pairs_join_and_lone_surrogates_become_replacement_chars() {
+        let v = Json::parse(r#""\ud83d\ude00""#).unwrap();
+        assert_eq!(v.as_str(), Some("😀"));
+        assert_eq!(v.render(), "\"😀\"");
+        for (text, want) in [
+            (r#""\ud83d""#, "\u{fffd}"),
+            (r#""\ude00x""#, "\u{fffd}x"),
+            (r#""\ud83d\u0041""#, "\u{fffd}A"),
+            (r#""\ud83d\ud83d\ude00""#, "\u{fffd}😀"),
+        ] {
+            assert_eq!(Json::parse(text).unwrap().as_str(), Some(want), "{text}");
+        }
+    }
+
+    #[test]
     fn trailing_garbage_is_rejected() {
         assert!(Json::parse("{} x").is_err());
         assert!(Json::parse("[1,]").is_err());
@@ -440,5 +496,74 @@ mod tests {
         let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
         assert!(Json::parse(&at_limit).is_ok());
         assert!(Json::parse(&format!("{{\"a\":{at_limit}}}")).is_err());
+    }
+
+    /// Structural equality in which NaN equals NaN.
+    fn same(a: &Json, b: &Json) -> bool {
+        match (a, b) {
+            (Json::Num(x), Json::Num(y)) => x == y || (x.is_nan() && y.is_nan()),
+            (Json::Arr(x), Json::Arr(y)) => {
+                x.len() == y.len() && x.iter().zip(y).all(|(a, b)| same(a, b))
+            }
+            (Json::Obj(x), Json::Obj(y)) => {
+                x.len() == y.len() && x.iter().zip(y).all(|(a, b)| a.0 == b.0 && same(a.1, b.1))
+            }
+            _ => a == b,
+        }
+    }
+
+    #[test]
+    fn mutated_frames_never_panic_and_accepted_values_round_trip() {
+        const FRAMES: [&str; 3] = [
+            r#"{"type":"submit","job_id":"fuzz-1","grid":{"defenses":["PARA","Hydra"],"providers":["none","S0"],"hc_values":[64,4096],"mixes":1,"cores":2,"instructions":18446744073709551615,"rows":256,"seed":7,"bins":8,"workers":0}}"#,
+            r#"{"type":"point","job_id":"jä","index":3,"defense":"PARA","provider":"Svärd-S0","hc_first":64,"weighted_speedup":0.9871,"harmonic_speedup":1,"max_slowdown":1.125e0,"metrics":{"counters":{"mem.cycles":1200},"gauges":{"mem.read_queue_peak":9},"hists":{}}}"#,
+            r#"{"type":"summary","job_id":"\ud83d\ude00","points":2,"completed":2,"resumed":0,"metrics":{"counters":{},"gauges":{},"hists":{"mem.read_latency":{"buckets":[[0,1],[64,1]],"count":2,"sum":18446744073709551615}}},"profile":[{"phase":"sweep","wall_seconds":0.25,"tasks":4,"busy_seconds":-0.0,"threads":2,"utilization":NaN,"tasks_per_second":inf}]}"#,
+        ];
+        const ALPHABET: [char; 32] = [
+            '{', '}', '[', ']', '"', ':', ',', '\\', 'u', 'd', '8', 'D', 'e', 'E', '0', '1', '9',
+            '.', '-', '+', 'n', 't', 'f', 'N', 'i', 'a', ' ', '\n', '\u{1}', '/', 'ä', '😀',
+        ];
+        const MUTANTS: usize = 8_000;
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut below = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n.max(1) as u64) as usize
+        };
+        let mut accepted = 0;
+        for round in 0..MUTANTS {
+            let mut chars: Vec<char> = FRAMES[round % FRAMES.len()].chars().collect();
+            for _ in 0..=below(3) {
+                if chars.is_empty() {
+                    break;
+                }
+                let at = below(chars.len());
+                let end = (at + 1 + below(12)).min(chars.len());
+                match below(5) {
+                    0 => chars.insert(at, ALPHABET[below(ALPHABET.len())]),
+                    1 => chars[at] = ALPHABET[below(ALPHABET.len())],
+                    2 => drop(chars.drain(at..end)),
+                    3 => chars.truncate(at),
+                    _ => {
+                        let copy = chars[at..end].to_vec();
+                        chars.splice(at..at, copy);
+                    }
+                }
+            }
+            let text: String = chars.into_iter().collect();
+            let parsed = std::panic::catch_unwind(|| Json::parse(&text))
+                .unwrap_or_else(|_| panic!("parse panicked on {text:?}"));
+            if let Ok(value) = parsed {
+                accepted += 1;
+                let rendered = value.render();
+                let back = Json::parse(&rendered);
+                assert!(
+                    back.as_ref().is_ok_and(|back| same(back, &value)),
+                    "{text:?} rendered as {rendered:?} parsed back as {back:?}"
+                );
+            }
+        }
+        assert!(accepted > MUTANTS / 20, "only {accepted} mutants parse");
     }
 }

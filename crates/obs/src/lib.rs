@@ -24,14 +24,18 @@
 //! take an [`ObsSink`] type parameter defaulting to [`NoopSink`], whose
 //! recording methods are empty and compile to nothing.
 //!
-//! Two dependency-free exporters make the registry externally consumable:
-//! [`Profiler::chrome_trace_json`] for spans, and
-//! [`MetricsSnapshot::to_text`] for a flat `name value` exposition.
+//! Three dependency-free exporters make the registry externally consumable:
+//! [`Profiler::chrome_trace_json`] for spans, [`MetricsSnapshot::to_json`]
+//! (inverted by [`MetricsSnapshot::from_json`]) and
+//! [`MetricsSnapshot::to_text`] for a flat `name value` exposition. All JSON
+//! goes through [`json`], the workspace's one JSON model; its module doc
+//! names the three pinned line formats rendered by hand.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod catalog;
+pub mod json;
 pub mod metrics;
 pub mod sink;
 pub mod span;

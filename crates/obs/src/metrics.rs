@@ -1,4 +1,4 @@
-//! Metric snapshots: mergeable, deterministic, JSON-exportable.
+//! Metric snapshots: mergeable, deterministic, JSON round-trippable.
 //!
 //! The recording side lives in [`crate::sink::Recorder`]; this module holds
 //! the frozen view. Snapshots key metrics by their stable catalogue name in
@@ -8,6 +8,8 @@
 //! which is what keeps future per-bank sharded runs reducible in any order.
 
 use std::collections::BTreeMap;
+
+use crate::json::Json;
 
 /// Number of log2 buckets: bucket `i` counts values with bit length `i`
 /// (value 0 lands in bucket 0, value `u64::MAX` in bucket 64).
@@ -220,35 +222,65 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Render as one deterministic JSON object. Histograms are emitted as
-    /// `{count, sum, buckets: [[log2, n], ...]}` with zero buckets elided.
+    /// The snapshot as one JSON object of `counters`, `gauges` and `hists`.
+    /// Each histogram is `{buckets: [[log2, n], ...], count, sum}` with zero
+    /// buckets elided.
+    pub fn to_json_value(&self) -> Json {
+        let values =
+            |map: &BTreeMap<&str, u64>| Json::obj(map.iter().map(|(n, v)| (*n, Json::uint(*v))));
+        let hists = self.hists.iter().map(|(name, h)| {
+            let buckets = h.buckets.iter().enumerate().filter(|(_, n)| **n > 0);
+            let buckets =
+                buckets.map(|(log2, n)| Json::Arr(vec![Json::uint(log2 as u64), Json::uint(*n)]));
+            let hist = Json::obj([
+                ("buckets", Json::Arr(buckets.collect())),
+                ("count", Json::uint(h.count)),
+                ("sum", Json::uint(h.sum)),
+            ]);
+            (*name, hist)
+        });
+        Json::obj([
+            ("counters", values(&self.counters)),
+            ("gauges", values(&self.gauges)),
+            ("hists", Json::obj(hists)),
+        ])
+    }
+
+    /// [`to_json_value`](Self::to_json_value), rendered.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str("\"counters\":{");
-        push_map(&mut out, &self.counters);
-        out.push_str("},\"gauges\":{");
-        push_map(&mut out, &self.gauges);
-        out.push_str("},\"hists\":{");
-        for (i, (name, h)) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        self.to_json_value().render()
+    }
+
+    /// The inverse of [`to_json_value`](Self::to_json_value), resolving each
+    /// metric name against `names`. `None` if any part is malformed or names
+    /// a metric outside `names`.
+    pub fn from_json(json: &Json, names: &[&'static str]) -> Option<MetricsSnapshot> {
+        let known = |name: &str| names.iter().copied().find(|known| *known == name);
+        let mut snap = MetricsSnapshot::default();
+        for (family, map) in [
+            ("counters", &mut snap.counters),
+            ("gauges", &mut snap.gauges),
+        ] {
+            for (name, value) in json.get(family)?.as_object()? {
+                map.insert(known(name)?, value.as_u64()?);
             }
-            out.push_str(&format!(
-                "\"{name}\":{{\"count\":{},\"sum\":{},\"buckets\":[",
-                h.count, h.sum
-            ));
-            let mut first = true;
-            for (log2, n) in h.buckets.iter().enumerate().filter(|(_, n)| **n > 0) {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!("[{log2},{n}]"));
-            }
-            out.push_str("]}");
         }
-        out.push_str("}}");
-        out
+        for (name, hist) in json.get("hists")?.as_object()? {
+            let mut buckets = vec![0; HIST_BUCKETS];
+            for pair in hist.get("buckets")?.as_array()? {
+                let [log2, n] = pair.as_array()? else {
+                    return None;
+                };
+                *buckets.get_mut(log2.as_usize()?)? = n.as_u64()?;
+            }
+            let hist = HistogramSnapshot {
+                buckets,
+                count: hist.get("count")?.as_u64()?,
+                sum: hist.get("sum")?.as_u64()?,
+            };
+            snap.hists.insert(known(name)?, hist);
+        }
+        Some(snap)
     }
 
     /// Render as a flat `name value` text exposition, one metric per line.
@@ -276,18 +308,10 @@ impl MetricsSnapshot {
     }
 }
 
-fn push_map(out: &mut String, map: &BTreeMap<&'static str, u64>) {
-    for (i, (name, value)) in map.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{name}\":{value}"));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Counter, Gauge, Hist};
 
     fn sample(seed: u64) -> MetricsSnapshot {
         let mut s = MetricsSnapshot::default();
@@ -426,5 +450,77 @@ mod tests {
         let swaps = json.find("defense.swaps").unwrap_or(usize::MAX);
         let cmds = json.find("mem.cmd_issued").unwrap_or(usize::MAX);
         assert!(swaps < cmds, "BTreeMap order must hold in JSON: {json}");
+    }
+
+    /// The hand renderer `to_json` replaced: the reference for its bytes.
+    fn hand_rendered_json(s: &MetricsSnapshot) -> String {
+        let map = |map: &BTreeMap<&str, u64>| {
+            let members: Vec<String> = map.iter().map(|(n, v)| format!("\"{n}\":{v}")).collect();
+            members.join(",")
+        };
+        let hists: Vec<String> = s
+            .hists
+            .iter()
+            .map(|(name, h)| {
+                let buckets: Vec<String> = h
+                    .buckets
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, n)| **n > 0)
+                    .map(|(log2, n)| format!("[{log2},{n}]"))
+                    .collect();
+                format!(
+                    "\"{name}\":{{\"count\":{},\"sum\":{},\"buckets\":[{}]}}",
+                    h.count,
+                    h.sum,
+                    buckets.join(",")
+                )
+            })
+            .collect();
+        format!(
+            "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"hists\":{{{}}}}}",
+            map(&s.counters),
+            map(&s.gauges),
+            hists.join(",")
+        )
+    }
+
+    #[test]
+    fn to_json_matches_the_hand_renderer_it_replaced() {
+        for seed in 0..6 {
+            let mut s = sample(seed);
+            let parsed = Json::parse(&s.to_json());
+            assert_eq!(parsed, Json::parse(&hand_rendered_json(&s)), "seed {seed}");
+            // Without histograms the bytes are the same too.
+            s.hists.clear();
+            assert_eq!(s.to_json(), hand_rendered_json(&s), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn from_json_inverts_to_json() {
+        let mut snap = sample(9);
+        snap.counters.insert(Counter::MemCmdIssued.name(), u64::MAX);
+        snap.counters.insert(Counter::DefenseSwaps.name(), 0);
+        snap.raise_gauge(Gauge::ALL[0].name(), u64::MAX);
+        for v in [0, 5, 900, u64::MAX] {
+            snap.observe_hist(Hist::ALL[0].name(), v);
+        }
+        let names: Vec<&'static str> = crate::catalog::names().collect();
+        let json = Json::parse(&snap.to_json()).unwrap();
+        assert_eq!(
+            MetricsSnapshot::from_json(&json, &names),
+            Some(snap.clone())
+        );
+        // An unknown name or a malformed member does not convert.
+        for bad in [
+            snap.to_json().replace("mem.cmd_issued", "mem.bogus"),
+            snap.to_json().replace("[64,", "[65,"),
+            r#"{"counters":{"mem.cmd_issued":-1},"gauges":{},"hists":{}}"#.to_string(),
+            r#"{"counters":{},"gauges":{}}"#.to_string(),
+        ] {
+            let json = Json::parse(&bad).unwrap();
+            assert_eq!(MetricsSnapshot::from_json(&json, &names), None, "{bad}");
+        }
     }
 }

@@ -18,6 +18,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
+use crate::json::Json;
+
 /// Default span capacity (see [`Profiler::new`]).
 pub const DEFAULT_SPAN_CAPACITY: usize = 4096;
 
@@ -193,23 +195,27 @@ impl Profiler {
 
     /// Render every stored span as Chrome trace-event JSON (complete `"X"`
     /// events, timestamps in microseconds, one track per recording thread),
-    /// loadable by `chrome://tracing` and Perfetto. Span names are static
-    /// strings from the catalogue and are emitted unescaped.
+    /// loadable by `chrome://tracing` and Perfetto.
     pub fn chrome_trace_json(&self) -> String {
         let spans = self.snapshot_spans();
-        let mut out = String::from("{\"traceEvents\":[");
-        for (i, s) in spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"svard\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":1,\"tid\":{},\"args\":{{\"id\":{},\"arg\":{}}}}}",
-                s.name, s.start_us, s.dur_us, s.tid, s.id, s.arg
-            ));
-        }
-        out.push_str("],\"displayTimeUnit\":\"ms\"}");
-        out
+        let events = spans.iter().map(|s| {
+            let args = Json::obj([("id", Json::uint(s.id)), ("arg", Json::uint(s.arg))]);
+            Json::obj([
+                ("name", Json::str(s.name)),
+                ("cat", Json::str("svard")),
+                ("ph", Json::str("X")),
+                ("ts", Json::uint(s.start_us)),
+                ("dur", Json::uint(s.dur_us)),
+                ("pid", Json::uint(1)),
+                ("tid", Json::uint(s.tid)),
+                ("args", args),
+            ])
+        });
+        Json::obj([
+            ("traceEvents", Json::Arr(events.collect())),
+            ("displayTimeUnit", Json::str("ms")),
+        ])
+        .render()
     }
 }
 
@@ -273,16 +279,30 @@ mod tests {
         profiler.record("server.send", 20, 3, 1);
         profiler.record("server.accept", 10, 5, 0);
         profiler.record("server.queue_wait", 15, 4, 2);
-        let json = profiler.chrome_trace_json();
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.ends_with("],\"displayTimeUnit\":\"ms\"}"));
-        let accept = json.find("server.accept").expect("accept span");
-        let wait = json.find("server.queue_wait").expect("wait span");
-        let send = json.find("server.send").expect("send span");
-        assert!(accept < wait && wait < send, "sorted by start time: {json}");
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"ts\":10"));
-        assert!(json.contains("\"dur\":5"));
+        let trace = Json::parse(&profiler.chrome_trace_json()).expect("valid JSON");
+        assert_eq!(trace.get("displayTimeUnit"), Some(&Json::str("ms")));
+        let events = trace.get("traceEvents").and_then(Json::as_array).unwrap();
+        let field = |i: usize, key: &str| events[i].get(key).cloned();
+        let names: Vec<Option<Json>> = (0..events.len()).map(|i| field(i, "name")).collect();
+        let want = ["server.accept", "server.queue_wait", "server.send"];
+        assert_eq!(
+            names,
+            want.map(|n| Some(Json::str(n))),
+            "sorted by start time"
+        );
+        let spans = profiler.snapshot_spans();
+        for (i, s) in spans.iter().enumerate() {
+            assert_eq!(field(i, "cat"), Some(Json::str("svard")));
+            assert_eq!(field(i, "ph"), Some(Json::str("X")));
+            assert_eq!(field(i, "ts"), Some(Json::uint(s.start_us)));
+            assert_eq!(field(i, "dur"), Some(Json::uint(s.dur_us)));
+            assert_eq!(field(i, "pid"), Some(Json::uint(1)));
+            assert_eq!(field(i, "tid"), Some(Json::uint(s.tid)));
+            let args = Json::obj([("id", Json::uint(s.id)), ("arg", Json::uint(s.arg))]);
+            assert_eq!(field(i, "args"), Some(args));
+        }
+        assert_eq!(field(0, "ts"), Some(Json::uint(10)));
+        assert_eq!(field(0, "dur"), Some(Json::uint(5)));
     }
 
     #[test]

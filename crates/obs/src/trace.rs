@@ -7,6 +7,7 @@
 //! is a pure function of the workload.
 
 use crate::catalog::EventKind;
+use crate::json::Quoted;
 
 /// One cycle-stamped event. Payload semantics per [`EventKind`] variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,12 +25,13 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// One JSONL line (no trailing newline).
+    /// One JSONL line (no trailing newline). Hand-rendered in a pinned
+    /// member order; see [`crate::json`].
     pub fn to_json_line(&self) -> String {
         format!(
-            "{{\"cycle\":{},\"event\":\"{}\",\"a\":{},\"b\":{},\"c\":{}}}",
+            "{{\"cycle\":{},\"event\":{},\"a\":{},\"b\":{},\"c\":{}}}",
             self.cycle,
-            self.kind.name(),
+            Quoted(self.kind.name()),
             self.a,
             self.b,
             self.c

@@ -27,11 +27,11 @@
 //! after the sweep; `--shutdown` asks the server to exit once everything
 //! else is done.
 
+use svard_obs::json::Json;
 use svard_server::bridge;
 use svard_server::cli::{
     arg_flag, arg_list, arg_list_parsed, arg_string, arg_u64, arg_usize, or_exit,
 };
-use svard_server::json::Json;
 use svard_server::protocol::parse_defense;
 use svard_server::{run_job_with_retry, run_load_retrying, Client, GridSpec, RetryPolicy};
 
@@ -109,7 +109,7 @@ fn chaos_check(
     policy: RetryPolicy,
 ) -> Result<(usize, usize), String> {
     let reference = bridge::reference_lines(grid, "X");
-    let reference_metrics = bridge::merge_point_metrics(&reference).render();
+    let reference_metrics = bridge::merge_point_metrics(&reference).to_json();
     let reference_lines: Vec<String> = reference.into_values().collect();
 
     let job_id = format!("{prefix}-chaos-check");

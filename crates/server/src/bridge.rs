@@ -20,14 +20,14 @@ use std::sync::{Arc, Mutex, PoisonError};
 use svard_core::Svard;
 use svard_cpusim::workload::WorkloadMix;
 use svard_defenses::{SharedThresholdProvider, UniformThreshold};
-use svard_obs::{HistogramSnapshot, MetricsSnapshot, PhaseProfile, Profiler};
+use svard_obs::json::Json;
+use svard_obs::{MetricsSnapshot, PhaseProfile, Profiler};
 use svard_system::parallel::default_threads;
 use svard_system::{EvaluationHarness, MemStats, SimMode, SweepPoint, SystemConfig};
 use svard_vulnerability::{ModuleSpec, ProfileGenerator};
 
 use crate::chaos::{FaultPlan, FaultSite};
 use crate::jobstore::{JobJournal, JobStore};
-use crate::json::Json;
 use crate::protocol::{accepted_line, cancelled_line, point_line, summary_line, GridSpec};
 use crate::server::ServerStats;
 
@@ -261,53 +261,24 @@ pub fn reference_lines(grid: &GridSpec, job_id: &str) -> BTreeMap<usize, String>
 }
 
 /// Merge the `metrics` objects of journaled point lines (in index order)
-/// into one summary object with `MetricsSnapshot::merge`, so a resumed
-/// job's summary is byte-identical to a fresh run's. A line that does not
-/// parse, or whose metrics do not convert, is skipped.
-pub fn merge_point_metrics(completed: &BTreeMap<usize, String>) -> Json {
+/// with `MetricsSnapshot::merge`, so a resumed job's summary is
+/// byte-identical to a fresh run's. A line that does not parse, or whose
+/// metrics name anything but the `svard-obs` catalogue and the `mem.*`
+/// counters of `MemStats`, is skipped.
+pub fn merge_point_metrics(completed: &BTreeMap<usize, String>) -> MetricsSnapshot {
+    let names: Vec<&'static str> = svard_obs::catalog::names()
+        .chain(MemStats::metric_names())
+        .collect();
     let mut merged = MetricsSnapshot::default();
     for line in completed.values() {
         let record = Json::parse(line).ok();
-        if let Some(metrics) = record.and_then(|r| metrics_snapshot(r.get("metrics")?)) {
+        if let Some(metrics) =
+            record.and_then(|r| MetricsSnapshot::from_json(r.get("metrics")?, &names))
+        {
             merged.merge(&metrics);
         }
     }
-    Json::parse(&merged.to_json()).unwrap_or(Json::Null)
-}
-
-/// Convert a rendered `MetricsSnapshot::to_json` object back into a
-/// snapshot. `None` if any part is malformed or names an unknown metric.
-fn metrics_snapshot(metrics: &Json) -> Option<MetricsSnapshot> {
-    let mut snap = MetricsSnapshot::default();
-    for (name, value) in metrics.get("counters")?.as_object()? {
-        snap.counters.insert(known_name(name)?, value.as_u64()?);
-    }
-    for (name, value) in metrics.get("gauges")?.as_object()? {
-        snap.gauges.insert(known_name(name)?, value.as_u64()?);
-    }
-    for (name, hist) in metrics.get("hists")?.as_object()? {
-        let mut buckets = vec![0; svard_obs::metrics::HIST_BUCKETS];
-        for pair in hist.get("buckets")?.as_array()? {
-            let [log2, n] = pair.as_array()? else {
-                return None;
-            };
-            *buckets.get_mut(log2.as_usize()?)? = n.as_u64()?;
-        }
-        let hist = HistogramSnapshot {
-            buckets,
-            count: hist.get("count")?.as_u64()?,
-            sum: hist.get("sum")?.as_u64()?,
-        };
-        snap.hists.insert(known_name(name)?, hist);
-    }
-    Some(snap)
-}
-
-/// Resolve a metric name against every name a run can record: the
-/// `svard-obs` catalogue plus the `mem.*` counters of `MemStats`.
-fn known_name(name: &str) -> Option<&'static str> {
-    let mut names = svard_obs::catalog::names().chain(MemStats::metric_names());
-    names.find(|known| *known == name)
+    merged
 }
 
 fn send(out: &Sender<String>, line: String) -> bool {
@@ -532,7 +503,6 @@ mod tests {
     use super::*;
     use crate::jobstore::tests::TempStore;
     use std::sync::mpsc::channel;
-    use svard_obs::{Counter, Gauge, Hist};
 
     fn tiny_grid() -> GridSpec {
         GridSpec {
@@ -819,32 +789,6 @@ mod tests {
     }
 
     #[test]
-    fn journaled_metrics_convert_back_to_the_same_snapshot() {
-        let mut snap = MetricsSnapshot::default();
-        for (i, name) in MemStats::metric_names().into_iter().enumerate() {
-            snap.add_counter(name, i as u64);
-        }
-        snap.add_counter(Counter::MemCmdIssued.name(), 7);
-        snap.counters.insert(Counter::DefenseSwaps.name(), 0);
-        snap.raise_gauge(Gauge::ALL[0].name(), 9);
-        for v in [0, 5, 900, u64::MAX] {
-            snap.observe_hist(Hist::ALL[0].name(), v);
-        }
-        let line = format!("{{\"metrics\":{}}}", snap.to_json());
-        let record = Json::parse(&line).unwrap();
-        let converted = metrics_snapshot(record.get("metrics").unwrap());
-        assert_eq!(converted, Some(snap.clone()));
-
-        // A line naming an unknown metric does not convert and is skipped.
-        let bogus = line.replace("mem.cmd_issued", "mem.bogus");
-        let completed = BTreeMap::from([(0, line.clone()), (1, bogus), (2, line)]);
-        let mut doubled = snap.clone();
-        doubled.merge(&snap);
-        let expected = Json::parse(&doubled.to_json()).unwrap();
-        assert_eq!(merge_point_metrics(&completed), expected);
-    }
-
-    #[test]
     fn default_grid_yields_the_fig12_sweep_with_named_providers() {
         let grid = GridSpec::default();
         let points = sweep_points(&grid);
@@ -865,7 +809,11 @@ mod tests {
         let (harness, points) = build_harness(&grid);
         let (_, summary) = harness.evaluate_all_streamed(&points, |_, _, _| true);
         assert!(summary.counter("mem.cycles") > 0);
-        let merged = merge_point_metrics(&reference_lines(&grid, "m"));
-        assert_eq!(merged, Json::parse(&summary.to_json()).unwrap());
+        let mut lines = reference_lines(&grid, "m");
+        assert_eq!(merge_point_metrics(&lines), summary);
+        // A line that does not parse, or names an unknown metric, is skipped.
+        let bogus = lines[&0].replace("mem.cycles", "mem.bogus");
+        lines.extend([(7, bogus), (8, "{\"metrics\":".to_string())]);
+        assert_eq!(merge_point_metrics(&lines), summary);
     }
 }

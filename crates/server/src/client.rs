@@ -17,10 +17,10 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use svard_obs::json::Json;
 use svard_obs::HistogramSnapshot;
 
 use crate::chaos::mix64;
-use crate::json::Json;
 use crate::protocol::GridSpec;
 use crate::server::METRICS_EOF;
 
@@ -158,13 +158,13 @@ impl Client {
         grid: &GridSpec,
         seen: &mut BTreeMap<usize, String>,
     ) -> Result<JobOutcome, String> {
-        let request = format!(
-            "{{\"type\":\"submit\",\"job_id\":{},\"grid\":{}}}",
-            Json::str(job_id).render(),
-            grid.to_json().render()
-        );
+        let request = Json::obj([
+            ("type", Json::str("submit")),
+            ("job_id", Json::str(job_id)),
+            ("grid", grid.to_json()),
+        ]);
         let start = Instant::now();
-        self.send_line(&request)?;
+        self.send_line(&request.render())?;
         let mut outcome = JobOutcome {
             points: 0,
             resumed: 0,
@@ -244,10 +244,8 @@ impl Client {
     /// Ask the server to cancel a running (or queued) job. Returns whether
     /// the job was active when the cancel arrived.
     pub fn cancel_job(&mut self, job_id: &str) -> Result<bool, String> {
-        self.send_line(&format!(
-            "{{\"type\":\"cancel\",\"job_id\":{}}}",
-            Json::str(job_id).render()
-        ))?;
+        let request = [("type", Json::str("cancel")), ("job_id", Json::str(job_id))];
+        self.send_line(&Json::obj(request).render())?;
         let line = self
             .read_line()?
             .ok_or("server closed the connection mid-cancel")?;
@@ -261,7 +259,7 @@ impl Client {
     /// Request the server's flat `name value` metrics exposition. Returns
     /// the exposition lines (without the `# EOF` terminator).
     pub fn fetch_metrics(&mut self) -> Result<Vec<String>, String> {
-        self.send_line("{\"type\":\"metrics\"}")?;
+        self.send_line(&Json::obj([("type", Json::str("metrics"))]).render())?;
         let mut lines = Vec::new();
         loop {
             let line = self
@@ -277,7 +275,7 @@ impl Client {
     /// Ask the server to shut down. Returns once the server acknowledges
     /// with a `bye` record (it closes the listener shortly after).
     pub fn request_shutdown(&mut self) -> Result<(), String> {
-        self.send_line("{\"type\":\"shutdown\"}")?;
+        self.send_line(&Json::obj([("type", Json::str("shutdown"))]).render())?;
         match self.read_line()? {
             Some(line) => {
                 let record = Json::parse(&line).map_err(|e| format!("bad bye line: {e}"))?;

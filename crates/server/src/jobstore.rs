@@ -20,7 +20,8 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
 
-use crate::json::Json;
+use svard_obs::json::Json;
+
 use crate::protocol::{job_header_line, GridSpec};
 
 /// Directory of job-state files.

@@ -15,7 +15,7 @@
 //!
 //! | module     | role                                                    |
 //! |------------|---------------------------------------------------------|
-//! | [`json`]   | dependency-free JSON value, parser and renderer         |
+//! | [`json`]   | re-export of [`svard_obs::json`], the one JSON model    |
 //! | [`protocol`] | wire records, grid validation, point expansion        |
 //! | [`jobstore`] | on-disk job journals (resume state, GC)               |
 //! | [`queue`]  | bounded delegation work queue between connections and executors |
@@ -42,7 +42,6 @@ pub mod chaos;
 pub mod cli;
 pub mod client;
 pub mod jobstore;
-pub mod json;
 pub mod protocol;
 pub mod queue;
 pub mod server;
@@ -54,3 +53,4 @@ pub use client::{
 };
 pub use protocol::GridSpec;
 pub use server::{serve, ChaosConfig, ServerConfig, ServerHandle, METRICS_EOF};
+pub use svard_obs::json;

@@ -22,12 +22,10 @@
 //! restart and worker count" checkable.
 
 use svard_defenses::DefenseKind;
-use svard_obs::PhaseProfile;
+use svard_obs::json::{Json, Quoted};
+use svard_obs::{MetricsSnapshot, PhaseProfile};
 use svard_system::EvaluationPoint;
 use svard_vulnerability::ModuleSpec;
-
-use crate::json::Json;
-use std::collections::BTreeMap;
 
 /// The provider label of the No-Svärd baseline.
 pub const PROVIDER_NONE: &str = "none";
@@ -103,22 +101,10 @@ impl GridSpec {
     /// unknown keys are rejected (they are almost certainly typos).
     pub fn from_json(value: &Json) -> Result<GridSpec, String> {
         let map = value.as_object().ok_or("grid must be an object")?;
-        const KNOWN: [&str; 10] = [
-            "defenses",
-            "providers",
-            "hc_values",
-            "mixes",
-            "cores",
-            "instructions",
-            "rows",
-            "seed",
-            "bins",
-            "workers",
-        ];
-        for key in map.keys() {
-            if !KNOWN.contains(&key.as_str()) {
-                return Err(format!("unknown grid key {key:?}"));
-            }
+        // The canonical rendering lists every key.
+        let known = GridSpec::default().to_json();
+        if let Some(key) = map.keys().find(|key| known.get(key).is_none()) {
+            return Err(format!("unknown grid key {key:?}"));
         }
         let mut grid = GridSpec::default();
         if let Some(v) = map.get("defenses") {
@@ -239,100 +225,81 @@ impl GridSpec {
     /// Render canonically (sorted keys, every field explicit) — the journal
     /// header form a resume compares against byte-for-byte.
     pub fn to_json(&self) -> Json {
-        let mut map = BTreeMap::new();
-        map.insert(
-            "defenses".to_string(),
-            Json::Arr(
-                self.defenses
-                    .iter()
-                    .map(|d| Json::Str(d.to_string()))
-                    .collect(),
-            ),
-        );
-        map.insert(
-            "providers".to_string(),
-            Json::Arr(self.providers.iter().map(|p| Json::str(p)).collect()),
-        );
-        map.insert(
-            "hc_values".to_string(),
-            Json::Arr(self.hc_values.iter().map(|&v| Json::uint(v)).collect()),
-        );
-        map.insert("mixes".to_string(), Json::uint(self.mixes as u64));
-        map.insert("cores".to_string(), Json::uint(self.cores as u64));
-        map.insert("instructions".to_string(), Json::uint(self.instructions));
-        map.insert("rows".to_string(), Json::uint(self.rows as u64));
-        map.insert("seed".to_string(), Json::uint(self.seed));
-        map.insert("bins".to_string(), Json::uint(self.bins as u64));
-        map.insert("workers".to_string(), Json::uint(self.workers as u64));
-        Json::Obj(map)
+        let defenses = self.defenses.iter().map(|d| Json::Str(d.to_string()));
+        let providers = self.providers.iter().map(|p| Json::str(p));
+        let hc_values = self.hc_values.iter().map(|&v| Json::uint(v));
+        Json::obj([
+            ("defenses", Json::Arr(defenses.collect())),
+            ("providers", Json::Arr(providers.collect())),
+            ("hc_values", Json::Arr(hc_values.collect())),
+            ("mixes", Json::uint(self.mixes as u64)),
+            ("cores", Json::uint(self.cores as u64)),
+            ("instructions", Json::uint(self.instructions)),
+            ("rows", Json::uint(self.rows as u64)),
+            ("seed", Json::uint(self.seed)),
+            ("bins", Json::uint(self.bins as u64)),
+            ("workers", Json::uint(self.workers as u64)),
+        ])
     }
 }
 
-fn base_record(kind: &str, job_id: &str) -> BTreeMap<String, Json> {
-    let mut map = BTreeMap::new();
-    map.insert("type".to_string(), Json::str(kind));
-    map.insert("job_id".to_string(), Json::str(job_id));
-    map
+/// Render a record of type `kind` with `members`.
+fn render_record<'k>(kind: &str, members: impl IntoIterator<Item = (&'k str, Json)>) -> String {
+    Json::obj([("type", Json::str(kind))].into_iter().chain(members)).render()
+}
+
+/// The `job_id` member of a job's records.
+fn id(job_id: &str) -> (&'static str, Json) {
+    ("job_id", Json::str(job_id))
 }
 
 /// Render an `error` record.
 pub fn error_line(message: &str) -> String {
-    let mut map = BTreeMap::new();
-    map.insert("type".to_string(), Json::str("error"));
-    map.insert("message".to_string(), Json::str(message));
-    Json::Obj(map).render()
+    render_record("error", [("message", Json::str(message))])
 }
 
 /// Render a *retryable* `error` record: the job failed transiently (an
 /// injected or genuine executor panic, a duplicate active submit) and a
 /// resubmit will resume from the journal.
 pub fn error_line_retryable(message: &str) -> String {
-    let mut map = BTreeMap::new();
-    map.insert("type".to_string(), Json::str("error"));
-    map.insert("message".to_string(), Json::str(message));
-    map.insert("retryable".to_string(), Json::Bool(true));
-    Json::Obj(map).render()
+    let retryable = ("retryable", Json::Bool(true));
+    render_record("error", [("message", Json::str(message)), retryable])
 }
 
 /// Render the `busy` backpressure record: the work queue is full and the
 /// submit was not enqueued. Retryable by definition.
 pub fn busy_line(job_id: &str, depth: usize) -> String {
-    let mut map = base_record("busy", job_id);
-    map.insert("depth".to_string(), Json::uint(depth as u64));
-    map.insert("retryable".to_string(), Json::Bool(true));
-    Json::Obj(map).render()
+    let depth = ("depth", Json::uint(depth as u64));
+    render_record("busy", [id(job_id), depth, ("retryable", Json::Bool(true))])
 }
 
 /// Render the `cancelled` record that closes a cancelled job's response
 /// stream. The same line doubles as the journal's cancel marker, so a
 /// resumed journal shows where the cancel landed.
 pub fn cancelled_line(job_id: &str, points: usize, completed: usize) -> String {
-    let mut map = base_record("cancelled", job_id);
-    map.insert("points".to_string(), Json::uint(points as u64));
-    map.insert("completed".to_string(), Json::uint(completed as u64));
-    Json::Obj(map).render()
+    let points = ("points", Json::uint(points as u64));
+    let completed = ("completed", Json::uint(completed as u64));
+    render_record("cancelled", [id(job_id), points, completed])
 }
 
 /// Render the `cancel_ack` record answering a `cancel` request. `active`
 /// says whether the job was actually running or queued when the cancel
 /// arrived.
 pub fn cancel_ack_line(job_id: &str, active: bool) -> String {
-    let mut map = base_record("cancel_ack", job_id);
-    map.insert("active".to_string(), Json::Bool(active));
-    Json::Obj(map).render()
+    render_record("cancel_ack", [id(job_id), ("active", Json::Bool(active))])
 }
 
 /// Render the `accepted` record that opens a job's response stream.
 pub fn accepted_line(job_id: &str, points: usize, resumed: usize) -> String {
-    let mut map = base_record("accepted", job_id);
-    map.insert("points".to_string(), Json::uint(points as u64));
-    map.insert("resumed".to_string(), Json::uint(resumed as u64));
-    Json::Obj(map).render()
+    let points = ("points", Json::uint(points as u64));
+    let resumed = ("resumed", Json::uint(resumed as u64));
+    render_record("accepted", [id(job_id), points, resumed])
 }
 
 /// Render one completed sweep point. This is the **only** renderer for point
 /// records: the live path, the journal and the equality tests all share it,
-/// so a byte comparison of point lines is a comparison of results.
+/// so a byte comparison of point lines is a comparison of results. It is
+/// hand-rendered in a pinned member order (see [`svard_obs::json`]).
 pub fn point_line(
     job_id: &str,
     index: usize,
@@ -344,9 +311,9 @@ pub fn point_line(
         "{{\"type\":\"point\",\"job_id\":{},\"index\":{index},\"defense\":{},\"provider\":{},\
          \"hc_first\":{},\"weighted_speedup\":{},\"harmonic_speedup\":{},\"max_slowdown\":{},\
          \"metrics\":{metrics_json}}}",
-        Json::str(job_id).render(),
-        Json::Str(point.defense.to_string()).render(),
-        Json::str(&point.provider).render(),
+        Quoted(job_id),
+        Quoted(&point.defense.to_string()),
+        Quoted(&point.provider),
         point.hc_first,
         n.weighted_speedup,
         n.harmonic_speedup,
@@ -360,37 +327,33 @@ pub fn summary_line(
     points: usize,
     completed: usize,
     resumed: usize,
-    metrics: &Json,
+    metrics: &MetricsSnapshot,
     profiles: &[PhaseProfile],
 ) -> String {
-    let mut map = base_record("summary", job_id);
-    map.insert("points".to_string(), Json::uint(points as u64));
-    map.insert("completed".to_string(), Json::uint(completed as u64));
-    map.insert("resumed".to_string(), Json::uint(resumed as u64));
-    map.insert("metrics".to_string(), metrics.clone());
     let profile_values = profiles.iter().map(|p| {
-        Json::Obj(BTreeMap::from([
-            ("phase".to_string(), Json::str(p.phase)),
-            ("wall_seconds".to_string(), Json::Num(p.wall_seconds)),
-            ("tasks".to_string(), Json::uint(p.tasks as u64)),
-            ("busy_seconds".to_string(), Json::Num(p.busy_seconds)),
-            ("threads".to_string(), Json::uint(p.threads as u64)),
-            ("utilization".to_string(), Json::Num(p.utilization())),
-            (
-                "tasks_per_second".to_string(),
-                Json::Num(p.tasks_per_second()),
-            ),
-        ]))
+        Json::obj([
+            ("phase", Json::str(p.phase)),
+            ("wall_seconds", Json::Num(p.wall_seconds)),
+            ("tasks", Json::uint(p.tasks as u64)),
+            ("busy_seconds", Json::Num(p.busy_seconds)),
+            ("threads", Json::uint(p.threads as u64)),
+            ("utilization", Json::Num(p.utilization())),
+            ("tasks_per_second", Json::Num(p.tasks_per_second())),
+        ])
     });
-    map.insert("profile".to_string(), Json::Arr(profile_values.collect()));
-    Json::Obj(map).render()
+    let members = [
+        ("points", Json::uint(points as u64)),
+        ("completed", Json::uint(completed as u64)),
+        ("resumed", Json::uint(resumed as u64)),
+        ("metrics", metrics.to_json_value()),
+        ("profile", Json::Arr(profile_values.collect())),
+    ];
+    render_record("summary", [id(job_id)].into_iter().chain(members))
 }
 
 /// Render the journal header for a job-state file.
 pub fn job_header_line(job_id: &str, grid: &GridSpec) -> String {
-    let mut map = base_record("job", job_id);
-    map.insert("grid".to_string(), grid.to_json());
-    Json::Obj(map).render()
+    render_record("job", [id(job_id), ("grid", grid.to_json())])
 }
 
 #[cfg(test)]
@@ -460,10 +423,7 @@ mod tests {
             parsed.get("provider").and_then(Json::as_str),
             Some("Svärd-S0")
         );
-        assert_eq!(
-            parsed.get("weighted_speedup").and_then(Json::as_f64),
-            Some(0.987)
-        );
+        assert_eq!(parsed.get("weighted_speedup"), Some(&Json::Num(0.987)));
     }
 
     #[test]
@@ -475,7 +435,7 @@ mod tests {
             busy_seconds: 0.0,
             threads: 0,
         };
-        let line = summary_line("job-1", 2, 2, 1, &Json::Null, &[empty]);
+        let line = summary_line("job-1", 2, 2, 1, &MetricsSnapshot::default(), &[empty]);
         let profile = "\"profile\":[{\"busy_seconds\":0.0,\"phase\":\"empty\",\"tasks\":0,\
                        \"tasks_per_second\":0.0,\"threads\":0,\"utilization\":0.0,\"wall_seconds\":0.0}]";
         assert!(line.contains(profile), "{line}");

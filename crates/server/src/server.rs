@@ -26,16 +26,16 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use svard_obs::json::Json;
 use svard_obs::{MetricsSnapshot, Profiler, DEFAULT_SPAN_CAPACITY};
 
 use crate::bridge::{self, JobCtrl, JobObs};
 use crate::chaos::{ChaosRates, FaultPlan, FaultSite};
 use crate::jobstore::{validate_job_id, JobStore};
-use crate::json::Json;
 use crate::protocol::{busy_line, cancel_ack_line, error_line, error_line_retryable, GridSpec};
 use crate::queue::{JobQueue, PushOutcome, QueuedJob};
 
@@ -209,46 +209,30 @@ impl ServerStats {
         f(&mut metrics);
     }
 
+    fn progress_table(&self) -> MutexGuard<'_, BTreeMap<String, (usize, usize)>> {
+        self.progress.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Record a job's progress, shown in the `stats` record's `jobs` object.
     pub fn set_progress(&self, job_id: &str, completed: usize, points: usize) {
-        let mut progress = match self.progress.lock() {
-            Ok(guard) => guard,
-            // lint: allow(panic) -- poisoned only if a holder panicked; propagating is correct
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        progress.insert(job_id.to_string(), (completed, points));
+        self.progress_table()
+            .insert(job_id.to_string(), (completed, points));
     }
 
     /// Drop a finished job from the progress table.
     pub fn clear_progress(&self, job_id: &str) {
-        let mut progress = match self.progress.lock() {
-            Ok(guard) => guard,
-            // lint: allow(panic) -- poisoned only if a holder panicked; propagating is correct
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        progress.remove(job_id);
+        self.progress_table().remove(job_id);
     }
 
-    /// Per-job progress as a deterministic JSON object:
+    /// Per-job progress as a JSON object:
     /// `{"job": {"completed": 3, "points": 8}, ...}`.
-    pub fn progress_json(&self) -> String {
-        let progress = match self.progress.lock() {
-            Ok(guard) => guard,
-            // lint: allow(panic) -- poisoned only if a holder panicked; propagating is correct
-            Err(poisoned) => poisoned.into_inner(),
+    pub fn progress_json(&self) -> Json {
+        let job = |&(completed, points): &(usize, usize)| {
+            let completed = ("completed", Json::uint(completed as u64));
+            Json::obj([completed, ("points", Json::uint(points as u64))])
         };
-        let mut out = String::from("{");
-        for (i, (job_id, (completed, points))) in progress.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{}:{{\"completed\":{completed},\"points\":{points}}}",
-                Json::str(job_id).render()
-            ));
-        }
-        out.push('}');
-        out
+        let table = self.progress_table();
+        Json::obj(table.iter().map(|(id, p)| (id.as_str(), job(p))))
     }
 
     /// A frozen copy of the current metrics.
@@ -752,14 +736,14 @@ fn handle_request(
         }
     };
     match request.get("type").and_then(Json::as_str) {
-        Some("ping") => io.write_line("{\"type\":\"pong\"}"),
+        Some("ping") => io.write_line(&Json::obj([("type", Json::str("pong"))]).render()),
         Some("stats") => {
-            let snap = registry_snapshot(stats, queue);
-            io.write_line(&format!(
-                "{{\"type\":\"stats\",\"metrics\":{},\"jobs\":{}}}",
-                snap.to_json(),
-                stats.progress_json()
-            ))
+            let record = Json::obj([
+                ("type", Json::str("stats")),
+                ("metrics", registry_snapshot(stats, queue).to_json_value()),
+                ("jobs", stats.progress_json()),
+            ]);
+            io.write_line(&record.render())
         }
         Some("metrics") => {
             let text = registry_snapshot(stats, queue).to_text();
@@ -788,7 +772,7 @@ fn handle_request(
         Some("shutdown") => {
             // Acknowledge, then raise the stop flag the connection handlers
             // and the `svard-server` binary poll, and wake the accept loop.
-            let _ = io.write_line("{\"type\":\"bye\"}");
+            let _ = io.write_line(&Json::obj([("type", Json::str("bye"))]).render());
             stop.store(true, Ordering::Release);
             wake_accept_loop(conn.listen_addr);
             false

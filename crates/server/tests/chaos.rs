@@ -8,9 +8,9 @@
 use std::time::Duration;
 
 use svard_defenses::DefenseKind;
+use svard_obs::json::Json;
 use svard_server::bridge;
 use svard_server::chaos::ChaosRates;
-use svard_server::json::Json;
 use svard_server::{
     run_job_with_retry, serve, ChaosConfig, Client, GridSpec, RetryPolicy, ServerConfig,
     ServerHandle,

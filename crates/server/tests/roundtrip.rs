@@ -11,9 +11,9 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use svard_defenses::DefenseKind;
+use svard_obs::json::Json;
 use svard_server::bridge;
 use svard_server::jobstore::JobStore;
-use svard_server::json::Json;
 use svard_server::protocol::point_line;
 use svard_server::{serve, Client, GridSpec, ServerConfig};
 
@@ -462,7 +462,10 @@ fn ping_stats_and_malformed_requests_get_answers() {
 
     client.send_line("{\"type\":\"stats\"}").unwrap();
     let stats = client.read_line().unwrap().unwrap();
-    assert!(stats.starts_with("{\"type\":\"stats\""), "{stats}");
+    let stats_type = Json::parse(&stats)
+        .ok()
+        .and_then(|s| s.get("type").cloned());
+    assert_eq!(stats_type, Some(Json::str("stats")), "{stats}");
 
     client.send_line("not json").unwrap();
     let err = client.read_line().unwrap().unwrap();

@@ -8,9 +8,9 @@ use std::sync::atomic::AtomicBool;
 use std::sync::mpsc::channel;
 
 use svard_defenses::DefenseKind;
+use svard_obs::json::Json;
 use svard_server::bridge::{self, JobCtrl};
 use svard_server::jobstore::JobStore;
-use svard_server::json::Json;
 use svard_server::GridSpec;
 
 mod common;

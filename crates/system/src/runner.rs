@@ -80,6 +80,7 @@ use svard_memsim::{
     BankId, CompletedRequest, MemStats, MemorySystem, MitigationHook, NoMitigation,
     PreventiveAction,
 };
+use svard_obs::json::Quoted;
 use svard_obs::{MetricsSnapshot, NoopSink, ObsSink, PhaseProfile, Profiler, Recorder};
 
 use std::cell::RefCell;
@@ -630,7 +631,8 @@ impl EvaluationHarness {
     /// plus the event trace as JSON lines: per `(point, mix)` task, in input
     /// order, a section header and that run's canonical (cycle-domain) events,
     /// so the bytes are identical for any thread count and either [`SimMode`].
-    /// Every task simulates; none is replayed from its baseline.
+    /// Every task simulates; none is replayed from its baseline. The header's
+    /// bytes are pinned; see [`svard_obs::json`].
     pub fn evaluate_all_traced(&self, points: &[SweepPoint]) -> (Vec<EvaluationPoint>, String) {
         let all = vec![true; points.len()];
         let sweep = self.sweep(points, &all, Recorder::new, |_, _, _| true);
@@ -642,9 +644,9 @@ impl EvaluationHarness {
         for ((point, m), slot) in sections.zip(&sweep.slots) {
             let Some((_, _, sink)) = slot else { continue };
             trace.push_str(&format!(
-                "{{\"section\":{{\"defense\":\"{}\",\"provider\":\"{}\",\"hc_first\":{},\"mix\":{m}}}}}\n",
-                point.defense,
-                point.provider.name(),
+                "{{\"section\":{{\"defense\":{},\"provider\":{},\"hc_first\":{},\"mix\":{m}}}}}\n",
+                Quoted(&point.defense.to_string()),
+                Quoted(point.provider.name()),
                 point.hc_first,
             ));
             trace.push_str(&sink.trace_jsonl());
@@ -914,7 +916,8 @@ fn phase_profile(
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use svard_defenses::provider::UniformThreshold;
+    use svard_defenses::provider::{ThresholdProvider, UniformThreshold};
+    use svard_obs::json::Json;
 
     fn tiny_mixes(n: usize) -> Vec<WorkloadMix> {
         WorkloadMix::generate(n, 2, 3)
@@ -1186,6 +1189,41 @@ mod tests {
         hook.on_refresh_tick(7);
         hook.activation_actions(bank, 7, 8);
         assert_eq!(*log.borrow(), None);
+    }
+
+    /// A uniform threshold under a name that needs JSON escaping.
+    struct QuotedName(UniformThreshold);
+
+    impl ThresholdProvider for QuotedName {
+        fn victim_threshold(&self, bank: BankId, aggressor_row: usize) -> u64 {
+            self.0.victim_threshold(bank, aggressor_row)
+        }
+        fn worst_case(&self) -> u64 {
+            self.0.worst_case()
+        }
+        fn name(&self) -> &str {
+            "Svärd \"quoted\" \\ name"
+        }
+    }
+
+    #[test]
+    fn trace_section_headers_escape_provider_names() {
+        let harness = EvaluationHarness::new(SystemConfig::tiny(), tiny_mixes(1));
+        let point = SweepPoint {
+            defense: DefenseKind::Para,
+            provider: Arc::new(QuotedName(UniformThreshold::new(64))) as SharedThresholdProvider,
+            hc_first: 64,
+        };
+        let (_, trace) = harness.evaluate_all_traced(&[point]);
+        let header = trace.lines().next().unwrap_or_default();
+        let section = Json::parse(header)
+            .ok()
+            .and_then(|h| h.get("section").cloned());
+        let field = |key: &str| section.as_ref().and_then(|s| s.get(key)).cloned();
+        let provider = Json::str("Svärd \"quoted\" \\ name");
+        assert_eq!(field("provider"), Some(provider), "{header}");
+        assert_eq!(field("defense"), Some(Json::str("PARA")));
+        assert_eq!(field("mix"), Some(Json::uint(0)));
     }
 
     #[test]
