@@ -2,14 +2,21 @@
 //! recursive-descent parser, a deterministic renderer and the string escaper.
 //!
 //! Integer-looking numbers parse as [`Json::Int`] (an `i128`, wide enough to
-//! hold any `u64` seed exactly); everything else as [`Json::Num`]. Objects
+//! hold any `u64` seed exactly); everything else as [`Json::Num`]. The
+//! parser follows JSON's grammar strictly (no `+1`, `.5`, `01`, `1.` or
+//! `1e`, no number that overflows to infinity, no unescaped control
+//! character in a string), with one extension: the literals `NaN`, `inf`
+//! and `-inf`. The server's `protocol::point_line` renders `f64`s with
+//! `Display`, which spells non-finite values that way, and a job journal
+//! holds those lines verbatim, so they must parse back on resume. Objects
 //! are `BTreeMap`s, so rendering is key-ordered and deterministic — the
 //! property the resume path relies on when comparing a submitted grid
 //! against a journal header byte-for-byte.
 //!
 //! Every JSON document the workspace writes is a [`Json`] value rendered
-//! with [`Json::render`], except three line formats that are assembled by
-//! hand: [`crate::TraceEvent::to_json_line`], the trace section header of
+//! with [`Json::render`] (the Chrome trace export renders each event as its
+//! own value, inside a hand-written shell, so a large span store is never
+//! one tree), except three line formats that are assembled by hand: [`crate::TraceEvent::to_json_line`], the trace section header of
 //! `svard_system`'s `EvaluationHarness::evaluate_all_traced`, and the
 //! server's `protocol::point_line`. Their member order is not key order,
 //! and their bytes are pinned by job journals and golden digests; they sit
@@ -64,7 +71,8 @@ impl Json {
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Append the [`render`](Self::render) bytes to `out`.
+    pub(crate) fn render_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -302,6 +310,12 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
+            Some(&b) if b < 0x20 => {
+                return Err(format!(
+                    "unescaped control character at byte {pos}",
+                    pos = *pos
+                ))
+            }
             Some(_) => {
                 // Consume one UTF-8 code point (multi-byte sequences pass
                 // through unchanged; the input is a &str, so it is valid).
@@ -326,8 +340,20 @@ fn hex4(bytes: &[u8], at: usize) -> Option<u32> {
     u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()
 }
 
+/// Parse a number with JSON's grammar: an optional `-`, then `0` or a digit
+/// run without a leading zero, then optionally `.digits` and `e[+-]digits`.
+/// `-inf` is the one non-JSON spelling accepted here (see the module doc);
+/// a float that overflows to infinity is rejected.
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos - from
+    };
+    let invalid = || format!("invalid number at byte {start}");
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
         if bytes.get(*pos..).unwrap_or(&[]).starts_with(b"inf") {
@@ -335,26 +361,37 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Ok(Json::Num(f64::NEG_INFINITY));
         }
     }
+    let int_start = *pos;
+    let int_digits = digits(pos);
+    if int_digits == 0 || (int_digits > 1 && bytes.get(int_start) == Some(&b'0')) {
+        return Err(invalid());
+    }
     let mut is_float = false;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                is_float = true;
-                *pos += 1;
-            }
-            _ => break,
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if digits(pos) == 0 {
+            return Err(invalid());
         }
+        is_float = true;
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if digits(pos) == 0 {
+            return Err(invalid());
+        }
+        is_float = true;
     }
     let text =
         std::str::from_utf8(bytes.get(start..*pos).unwrap_or(&[])).map_err(|e| e.to_string())?;
-    if text.is_empty() || text == "-" {
-        return Err(format!("invalid number at byte {start}"));
-    }
     if is_float {
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|e| format!("bad number {text:?}: {e}"))
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            Ok(_) => Err(format!("number {text:?} overflows f64")),
+            Err(e) => Err(format!("bad number {text:?}: {e}")),
+        }
     } else {
         text.parse::<i128>()
             .map(Json::Int)
@@ -496,6 +533,39 @@ mod tests {
         let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
         assert!(Json::parse(&at_limit).is_ok());
         assert!(Json::parse(&format!("{{\"a\":{at_limit}}}")).is_err());
+    }
+
+    #[test]
+    fn parse_follows_the_json_grammar_plus_non_finite_literals() {
+        let cases: [(&str, Option<Json>); 23] = [
+            ("0", Some(Json::Int(0))),
+            ("-0", Some(Json::Int(0))),
+            ("10", Some(Json::Int(10))),
+            ("-1.5e-3", Some(Json::Num(-1.5e-3))),
+            ("2E+2", Some(Json::Num(200.0))),
+            ("1e308", Some(Json::Num(1e308))),
+            ("inf", Some(Json::Num(f64::INFINITY))),
+            ("-inf", Some(Json::Num(f64::NEG_INFINITY))),
+            ("\"tab\\\\there\"", Some(Json::str("tab\\there"))),
+            ("\"\\t\"", Some(Json::str("\t"))),
+            ("+1", None),
+            (".5", None),
+            ("01", None),
+            ("-01", None),
+            ("1.", None),
+            ("1.e3", None),
+            ("1e", None),
+            ("1e+", None),
+            ("-", None),
+            ("1e999", None),
+            ("-1e999", None),
+            ("\"a\tb\"", None),
+            ("\"\u{1}\"", None),
+        ];
+        for (text, want) in cases {
+            assert_eq!(Json::parse(text).ok(), want, "{text:?}");
+        }
+        assert!(Json::parse("NaN").is_ok_and(|v| matches!(v, Json::Num(n) if n.is_nan())));
     }
 
     /// Structural equality in which NaN equals NaN.

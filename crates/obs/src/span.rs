@@ -195,12 +195,19 @@ impl Profiler {
 
     /// Render every stored span as Chrome trace-event JSON (complete `"X"`
     /// events, timestamps in microseconds, one track per recording thread),
-    /// loadable by `chrome://tracing` and Perfetto.
+    /// loadable by `chrome://tracing` and Perfetto. Each event is rendered
+    /// as its own small [`Json`] value straight into the output, so a full
+    /// store never exists as one value tree.
     pub fn chrome_trace_json(&self) -> String {
         let spans = self.snapshot_spans();
-        let events = spans.iter().map(|s| {
+        // Keys in `Json::render` order: `displayTimeUnit` < `traceEvents`.
+        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+        for (i, s) in spans.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
             let args = Json::obj([("id", Json::uint(s.id)), ("arg", Json::uint(s.arg))]);
-            Json::obj([
+            let event = Json::obj([
                 ("name", Json::str(s.name)),
                 ("cat", Json::str("svard")),
                 ("ph", Json::str("X")),
@@ -209,13 +216,11 @@ impl Profiler {
                 ("pid", Json::uint(1)),
                 ("tid", Json::uint(s.tid)),
                 ("args", args),
-            ])
-        });
-        Json::obj([
-            ("traceEvents", Json::Arr(events.collect())),
-            ("displayTimeUnit", Json::str("ms")),
-        ])
-        .render()
+            ]);
+            event.render_into(&mut out);
+        }
+        out.push_str("]}");
+        out
     }
 }
 
@@ -303,6 +308,43 @@ mod tests {
         }
         assert_eq!(field(0, "ts"), Some(Json::uint(10)));
         assert_eq!(field(0, "dur"), Some(Json::uint(5)));
+    }
+
+    #[test]
+    fn streamed_chrome_trace_matches_the_tree_render() {
+        let profiler = Profiler::new(64);
+        assert_eq!(
+            profiler.chrome_trace_json(),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}"
+        );
+        for i in 0..40u64 {
+            profiler.record("server.send", 1_000 - i, i * 7, u64::MAX - i);
+        }
+        let tree = Json::obj([
+            ("traceEvents", Json::Arr(tree_events(&profiler))),
+            ("displayTimeUnit", Json::str("ms")),
+        ]);
+        assert_eq!(profiler.chrome_trace_json(), tree.render());
+    }
+
+    /// The trace events as one value tree, as the export built them before
+    /// it streamed.
+    fn tree_events(profiler: &Profiler) -> Vec<Json> {
+        let spans = profiler.snapshot_spans();
+        let event = |s: &Span| {
+            let args = Json::obj([("id", Json::uint(s.id)), ("arg", Json::uint(s.arg))]);
+            Json::obj([
+                ("name", Json::str(s.name)),
+                ("cat", Json::str("svard")),
+                ("ph", Json::str("X")),
+                ("ts", Json::uint(s.start_us)),
+                ("dur", Json::uint(s.dur_us)),
+                ("pid", Json::uint(1)),
+                ("tid", Json::uint(s.tid)),
+                ("args", args),
+            ])
+        };
+        spans.iter().map(event).collect()
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! re-simulating). `--state-gc-age`/`--state-gc-max` prune finished-job
 //! journals on startup and after each summary. `--chaos SEED` turns on
 //! deterministic fault injection (connection drops, delayed writes, failed
-//! and torn journal fsyncs, executor panics) at the default rates;
+//! and torn journal appends, executor panics) at the default rates;
 //! `--chaos-rates` overrides per-site rates and budgets
 //! (`site=rate[:budget]`, sites `drop`/`delay`/`fsync`/`torn`/`panic`).
 //! With `--profile-out`, the wall-clock span store is dumped as Chrome

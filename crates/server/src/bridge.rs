@@ -4,8 +4,9 @@
 //! job journal, replays already-completed points verbatim, builds the
 //! evaluation harness and threshold providers for the remaining points, and
 //! streams each freshly completed point the moment the harness reduces it.
-//! Every point line is journaled *before* it is sent, so a crash between the
-//! two loses nothing, and a resumed run replays the identical bytes.
+//! Every point line is journaled *before* it is sent, so killing the server
+//! between the two loses nothing, and a resumed run replays the identical
+//! bytes.
 //!
 //! Determinism: traces and defenses are seeded from the grid, results land
 //! in input-order slots, and [`crate::protocol::point_line`] is the only
@@ -27,24 +28,27 @@ use svard_system::{EvaluationHarness, MemStats, SimMode, SweepPoint, SystemConfi
 use svard_vulnerability::{ModuleSpec, ProfileGenerator};
 
 use crate::chaos::{FaultPlan, FaultSite};
-use crate::jobstore::{JobJournal, JobStore};
+use crate::jobstore::{JobJournal, JobStore, RecordError};
 use crate::protocol::{accepted_line, cancelled_line, point_line, summary_line, GridSpec};
-use crate::server::ServerStats;
+use crate::server::{LiveJob, ServerStats};
 
 /// The watchdog stays quiet until the execute-time histogram has at least
 /// this many observations — a p99 over fewer points is noise.
 const WATCHDOG_MIN_POINTS: u64 = 16;
 
 /// Executor-side observability for one job run: the span store, the server
-/// metric registry, and the watchdog threshold.
+/// metric registry, the watchdog threshold, and the job's progress entry.
 pub struct JobObs<'a> {
     /// Span store and time base (a cheap clone of the server's profiler).
     pub profiler: Profiler,
-    /// Registry receiving histograms, counters and per-job progress.
+    /// Registry receiving histograms and counters.
     pub stats: &'a ServerStats,
     /// Flag points slower than this multiple of the running p99 point
     /// execute time (0 disables the watchdog).
     pub watchdog_multiple: u64,
+    /// The job's live-table entry, which receives its progress (`None`
+    /// reports none).
+    pub job: Option<&'a LiveJob>,
 }
 
 impl<'a> JobObs<'a> {
@@ -55,26 +59,26 @@ impl<'a> JobObs<'a> {
             profiler: Profiler::disabled(),
             stats,
             watchdog_multiple: 0,
+            job: None,
+        }
+    }
+
+    fn set_progress(&self, completed: usize, points: usize) {
+        if let Some(job) = self.job {
+            job.set_progress(completed, points);
         }
     }
 
     /// Record one freshly completed point: execute/fsync histograms, the
     /// completion counter, per-job progress, and the watchdog check against
     /// the p99 of every *earlier* point.
-    fn on_point(
-        &self,
-        job_id: &str,
-        index: usize,
-        completed: usize,
-        points: usize,
-        t: PointTiming,
-    ) {
+    fn on_point(&self, index: usize, completed: usize, points: usize, t: PointTiming) {
         let (p99, prior) = self
             .stats
             .observe_with_prior_p99("server.point_exec_us", t.exec_us);
         self.stats.observe("server.journal_fsync_us", t.fsync_us);
         self.stats.add("server.points_completed", 1);
-        self.stats.set_progress(job_id, completed, points);
+        self.set_progress(completed, points);
         if self.watchdog_multiple > 0
             && prior >= WATCHDOG_MIN_POINTS
             && p99 > 0
@@ -114,7 +118,8 @@ struct PointTiming {
     exec_start_us: u64,
     /// Simulate time: gap to the previous completion on this executor.
     exec_us: u64,
-    /// Journal append + fsync time.
+    /// Journal append time (one `write`; no `fsync`, see
+    /// [`crate::jobstore`]). Reported as `server.journal_fsync_us`.
     fsync_us: u64,
 }
 
@@ -141,10 +146,6 @@ impl<'a> JobCtrl<'a> {
 
     fn halted(&self) -> bool {
         self.stop.load(Ordering::Acquire) || self.cancel.load(Ordering::Acquire)
-    }
-
-    fn fire(&self, site: FaultSite) -> bool {
-        self.chaos.map(|plan| plan.fire(site)).unwrap_or(false)
     }
 }
 
@@ -289,10 +290,11 @@ fn send(out: &Sender<String>, line: String) -> bool {
 ///
 /// Returns an error only for setup failures (journal I/O, grid mismatch) —
 /// the caller turns that into an `error` record. A vanished client, a
-/// raised `stop` flag or a `cancel` request is not an error: the run stops,
-/// the journal keeps whatever finished, and the report says so. A cancel
-/// additionally journals a `cancelled` marker and streams the same record,
-/// so resubmitting later resumes cleanly from the completed points.
+/// raised `stop` flag, a journal fault or a `cancel` request is not an
+/// error: the run stops, the journal keeps whatever finished, and the
+/// report says so. A cancel additionally journals a `cancelled` marker and
+/// streams the same record, so resubmitting later resumes cleanly from the
+/// completed points.
 pub fn run_job(
     job_id: &str,
     grid: &GridSpec,
@@ -301,9 +303,8 @@ pub fn run_job(
     ctrl: &JobCtrl<'_>,
     obs: &JobObs<'_>,
 ) -> Result<JobReport, String> {
-    let journal = store.open_job(job_id, grid)?;
-    let specs = grid.points();
-    let n = specs.len();
+    let mut journal = store.open_job(job_id, grid)?.with_chaos(ctrl.chaos);
+    let n = grid.points().len();
     let resumed = journal.completed.range(..n).count();
     let report = |completed: usize, cancelled: bool| {
         let report = JobReport {
@@ -315,7 +316,7 @@ pub fn run_job(
         obs.on_job_end(&report);
         report
     };
-    obs.stats.set_progress(job_id, resumed, n);
+    obs.set_progress(resumed, n);
     if resumed > 0 {
         // A resubmit after a fault/cancel landed here: journal replay is the
         // server half of the client's reconnect-and-resume loop.
@@ -331,167 +332,116 @@ pub fn run_job(
         }
     }
 
-    let job_start_us = obs.profiler.now_us();
-    let (fresh, sink) = if resumed < n {
+    let mut profiles: Vec<PhaseProfile> = Vec::new();
+    if resumed < n {
         let (harness, points) = build_harness_with_profiler(grid, obs.profiler.clone());
-        let mut mask = vec![true; n];
-        for (&i, _) in journal.completed.range(..n) {
-            if let Some(slot) = mask.get_mut(i) {
-                *slot = false;
-            }
-        }
-        // Journal-then-send under one lock: the callback is already
-        // serialized by the harness, the Mutex just satisfies `Sync`.
-        // `last_us` starts after harness prep, so the first point's execute
-        // span covers simulation time only.
-        let sink = Mutex::new(StreamSink {
-            journal,
-            out: out.clone(),
+        let mask: Vec<bool> = (0..n)
+            .map(|i| !journal.completed.contains_key(&i))
+            .collect();
+        // The harness serializes the callback; the Mutex just satisfies
+        // `Sync`. `last_us` starts after harness prep, so the first point's
+        // execute span covers simulation time only.
+        let stream = Mutex::new(Stream {
+            journal: &mut journal,
+            completed: resumed,
             failed: false,
             last_us: obs.profiler.now_us(),
         });
-        let _ = harness.evaluate_masked_streamed(&points, &mask, |i, point, metrics| {
-            if ctrl.halted() {
-                return false;
-            }
-            let line = point_line(job_id, i, point, &metrics.to_json());
-            if ctrl.fire(FaultSite::ExecPanic) {
-                obs.stats.count("server.fault.exec_panics");
-                // The panic unwinds through the harness scope into the
-                // executor thread, whose catch_unwind fails only this job.
-                // The point was not journaled, so a resubmit re-runs it.
-                // lint: allow(panic) -- deliberate chaos injection site
-                panic!("chaos: injected executor panic at point {i}");
-            }
-            let mut sink = match sink.lock() {
-                Ok(guard) => guard,
-                // lint: allow(panic) -- poisoned only if a worker panicked; propagating is correct
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            // Point execute time is the stream-side gap since the previous
-            // completion (points finish concurrently; the stream is where
-            // per-point service time is well defined).
-            let done_us = obs.profiler.now_us();
-            let exec_us = done_us.saturating_sub(sink.last_us);
-            sink.last_us = done_us;
-            let exec_start_us = done_us.saturating_sub(exec_us);
-            obs.profiler
-                .record("server.execute", exec_start_us, exec_us, i as u64);
-            if ctrl.fire(FaultSite::FsyncFail) {
-                // Nothing reaches the file: the point is lost and the run
-                // fails as if the fsync errored. Resume re-simulates it.
-                obs.stats.count("server.fault.fsync_fails");
-                sink.failed = true;
-                return false;
-            }
-            if let Some(plan) = ctrl.chaos.filter(|p| p.fire(FaultSite::TornWrite)) {
-                // Half a line lands on disk with no newline — exactly what a
-                // kill mid-write leaves. The next open_job truncates it away.
-                obs.stats.count("server.fault.torn_writes");
-                let fired = plan.fired(FaultSite::TornWrite);
-                let keep = plan.torn_prefix_len(fired, line.len());
-                sink.journal
-                    .inject_torn_write(line.as_bytes().get(..keep).unwrap_or(line.as_bytes()));
-                sink.failed = true;
-                return false;
-            }
-            if sink.journal.record_point(i, &line).is_err() {
-                sink.failed = true;
-                return false;
-            }
-            let fsync_us = obs.profiler.now_us().saturating_sub(done_us);
-            obs.profiler
-                .record("server.journal", done_us, fsync_us, i as u64);
-            let send_start_us = obs.profiler.now_us();
-            if !send(&sink.out, line) {
-                sink.failed = true;
-                return false;
-            }
-            obs.profiler.record(
-                "server.send",
-                send_start_us,
-                obs.profiler.now_us().saturating_sub(send_start_us),
-                i as u64,
-            );
-            let completed = sink.journal.completed.range(..n).count();
-            drop(sink);
-            obs.on_point(
-                job_id,
-                i,
-                completed,
-                n,
-                PointTiming {
+        let (_, _, sweep) =
+            harness.evaluate_masked_streamed(&points, &mask, |i, point, metrics| {
+                if ctrl.halted() {
+                    return false;
+                }
+                let line = point_line(job_id, i, point, &metrics.to_json());
+                if ctrl
+                    .chaos
+                    .is_some_and(|plan| plan.fire(FaultSite::ExecPanic))
+                {
+                    obs.stats.count("server.fault.exec_panics");
+                    // The panic unwinds through the harness scope into the
+                    // executor thread, whose catch_unwind fails only this job.
+                    // The point was not journaled, so a resubmit re-runs it.
+                    // lint: allow(panic) -- deliberate chaos injection site
+                    panic!("chaos: injected executor panic at point {i}");
+                }
+                let mut stream = stream.lock().unwrap_or_else(PoisonError::into_inner);
+                // Point execute time is the stream-side gap since the previous
+                // completion (points finish concurrently; the stream is where
+                // per-point service time is well defined).
+                let (done_us, arg) = (obs.profiler.now_us(), i as u64);
+                let exec_us = done_us.saturating_sub(stream.last_us);
+                let exec_start_us = std::mem::replace(&mut stream.last_us, done_us);
+                obs.profiler
+                    .record("server.execute", exec_start_us, exec_us, arg);
+                if let Err(e) = stream.journal.record_point(i, &line) {
+                    match e {
+                        RecordError::FsyncFail => obs.stats.count("server.fault.fsync_fails"),
+                        RecordError::TornWrite => obs.stats.count("server.fault.torn_writes"),
+                        RecordError::Io(_) => {}
+                    }
+                    stream.failed = true;
+                    return false;
+                }
+                stream.completed += 1;
+                let fsync_us = obs.profiler.now_us().saturating_sub(done_us);
+                obs.profiler
+                    .record("server.journal", done_us, fsync_us, arg);
+                let send_start_us = obs.profiler.now_us();
+                if !send(out, line) {
+                    stream.failed = true;
+                    return false;
+                }
+                let send_us = obs.profiler.now_us().saturating_sub(send_start_us);
+                obs.profiler
+                    .record("server.send", send_start_us, send_us, arg);
+                let timing = PointTiming {
                     exec_start_us,
                     exec_us,
                     fsync_us,
-                },
-            );
-            true
-        });
-        let mut sink = match sink.into_inner() {
-            Ok(inner) => inner,
-            // lint: allow(panic) -- poisoned only if a worker panicked; propagating is correct
-            Err(poisoned) => poisoned.into_inner(),
-        };
+                };
+                obs.on_point(i, stream.completed, n, timing);
+                true
+            });
+        let Stream {
+            completed, failed, ..
+        } = stream.into_inner().unwrap_or_else(PoisonError::into_inner);
         if ctrl.cancel.load(Ordering::Acquire) {
             // First-class cancel: journal a marker documenting where the run
             // stopped (skipped on replay) and close the stream with a
             // `cancelled` record instead of a summary.
-            let completed = sink.journal.completed.range(..n).count();
             let marker = cancelled_line(job_id, n, completed);
-            if sink.journal.record_marker(&marker).is_ok() {
+            if journal.record_marker(&marker).is_ok() {
                 obs.stats.count("server.cancel.markers");
             }
             let cancelled = report(completed, true);
-            let _ = send(&sink.out, marker);
+            let _ = send(out, marker);
             return Ok(cancelled);
         }
-        let profile = PhaseProfile {
-            phase: "job",
-            wall_seconds: obs.profiler.now_us().saturating_sub(job_start_us) as f64 / 1e6,
-            tasks: sink.journal.completed.range(..n).count() - resumed,
-            // Per-task busy time is not tracked on the streamed path; the
-            // profile reports span + throughput only.
-            busy_seconds: 0.0,
-            threads: worker_threads(grid),
-        };
-        let completed = sink.journal.completed.range(..n).count();
-        if sink.failed || ctrl.stop.load(Ordering::Acquire) || completed < n {
+        if failed || ctrl.stop.load(Ordering::Acquire) || completed < n {
             return Ok(report(completed, true));
         }
-        (Some((harness, profile)), sink)
-    } else {
-        (
-            None,
-            StreamSink {
-                journal,
-                out: out.clone(),
-                failed: false,
-                last_us: job_start_us,
-            },
-        )
-    };
-
-    let merged = merge_point_metrics(&sink.journal.completed);
-    let mut profiles: Vec<PhaseProfile> = Vec::new();
-    if let Some((harness, sweep_profile)) = &fresh {
         profiles.extend(harness.prep_profile().iter().cloned());
-        profiles.push(sweep_profile.clone());
+        profiles.push(sweep);
     }
+
+    let merged = merge_point_metrics(&journal.completed);
     let summary = summary_line(job_id, n, n, resumed, &merged, &profiles);
     // Every point is journaled, so the job counts as completed even if its
     // client has left and the summary cannot be delivered.
     let done = report(n, false);
-    let delivered = send(&sink.out, summary);
+    let delivered = send(out, summary);
     Ok(JobReport {
         cancelled: !delivered,
         ..done
     })
 }
 
-struct StreamSink {
-    journal: JobJournal,
-    out: Sender<String>,
+/// The streaming state of a job's fresh points.
+struct Stream<'j, 'c> {
+    journal: &'j mut JobJournal<'c>,
+    /// Points journaled so far, resumed ones included.
+    completed: usize,
+    /// Whether a journal fault or a vanished client stopped the stream.
     failed: bool,
     /// Profiler timestamp of the previous point completion (or of harness
     /// readiness, for the first point) — the base of the execute-time gap.
@@ -551,6 +501,32 @@ mod tests {
         assert!(lines[1].contains("\"type\":\"point\""));
         assert!(lines[3].contains("\"type\":\"summary\""));
         assert!(lines[3].contains("\"completed\":2"));
+    }
+
+    #[test]
+    fn a_finished_jobs_summary_profiles_its_sweep() {
+        let store = TempStore::new("bridge-profile");
+        let grid = tiny_grid();
+        let (tx, rx) = channel();
+        let (stop, cancel) = (AtomicBool::new(false), AtomicBool::new(false));
+        let stats = ServerStats::default();
+        let ctrl = JobCtrl::plain(&stop, &cancel);
+        run_job("busy", &grid, &tx, &store, &ctrl, &JobObs::disabled(&stats)).unwrap();
+        let summary = rx.try_iter().last().map(|l| Json::parse(&l).unwrap());
+        let profile = summary.as_ref().and_then(|s| s.get("profile")?.as_array());
+        let sweep = profile
+            .and_then(|p| {
+                p.iter()
+                    .find(|p| p.get("phase") == Some(&Json::str("sweep")))
+            })
+            .expect("a sweep profile");
+        let busy = sweep.get("busy_seconds").and_then(|b| match b {
+            Json::Num(x) => Some(*x),
+            _ => None,
+        });
+        assert!(busy.is_some_and(|b| b > 0.0), "{sweep:?}");
+        // Two fresh points on one mix: two tasks.
+        assert_eq!(sweep.get("tasks").and_then(Json::as_usize), Some(2));
     }
 
     #[test]
@@ -713,14 +689,17 @@ mod tests {
         let stop = AtomicBool::new(false);
         let cancel = AtomicBool::new(false);
         let stats = ServerStats::default();
+        let live = LiveJob::default();
         let obs = JobObs {
             profiler: Profiler::new(256),
             stats: &stats,
             watchdog_multiple: 8,
+            job: Some(&live),
         };
         let ctrl = JobCtrl::plain(&stop, &cancel);
         let report = run_job("spans", &grid, &tx, &store, &ctrl, &obs).unwrap();
         assert_eq!(report.completed, 2);
+        assert_eq!(live.progress(), Some((2, 2)));
         drop(rx);
         let snap = stats.snapshot();
         assert_eq!(snap.counter("mem.cmd_issued"), 0, "no sim metrics leak in");
@@ -759,14 +738,15 @@ mod tests {
             profiler: Profiler::new(64),
             stats: &stats,
             watchdog_multiple: 8,
+            job: None,
         };
         // 20 ordinary points (~100us): too few at first, then a stable p99.
         for i in 0..20 {
-            obs.on_point("wd", i, i + 1, 100, timing(100));
+            obs.on_point(i, i + 1, 100, timing(100));
         }
         assert_eq!(stats.snapshot().counter("server.watchdog_slow_points"), 0);
         // A point 8x slower than the p99 upper bound (127us) trips the dog.
-        obs.on_point("wd", 20, 21, 100, timing(5_000));
+        obs.on_point(20, 21, 100, timing(5_000));
         let snap = stats.snapshot();
         assert_eq!(snap.counter("server.watchdog_slow_points"), 1);
         assert!(obs
@@ -780,11 +760,12 @@ mod tests {
             profiler: Profiler::new(64),
             stats: &quiet,
             watchdog_multiple: 0,
+            job: None,
         };
         for i in 0..20 {
-            obs.on_point("wd", i, i + 1, 100, timing(100));
+            obs.on_point(i, i + 1, 100, timing(100));
         }
-        obs.on_point("wd", 20, 21, 100, timing(1_000_000));
+        obs.on_point(20, 21, 100, timing(1_000_000));
         assert_eq!(quiet.snapshot().counter("server.watchdog_slow_points"), 0);
     }
 

@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] decides, at explicit seams in the serving path, whether to
 //! inject a fault: dropping a connection, delaying (and splitting) a socket
-//! write, failing or tearing a journal fsync, or panicking an executor. Every
+//! write, failing or tearing a journal append, or panicking an executor. Every
 //! decision is a pure function of `(seed, site, poll_counter)` through a
 //! SplitMix64 finalizer — no wall clock, no OS entropy — so a chaos run is
 //! replayable: the same request interleaving makes the same faults fire at
@@ -24,7 +24,8 @@ pub enum FaultSite {
     ConnDrop,
     /// Split a response line into a short write, a delay, and the remainder.
     WriteDelay,
-    /// Fail a journal append before any byte reaches the file.
+    /// Fail a journal append before any byte reaches the file (named for
+    /// the fsync it stands in for; the journal itself never calls `fsync`).
     FsyncFail,
     /// Write only a prefix of a journal line (no newline), then fail.
     TornWrite,
@@ -112,7 +113,7 @@ pub struct ChaosRates {
     pub drop: SiteRate,
     /// Delayed + short socket writes.
     pub delay: SiteRate,
-    /// Failed journal fsyncs (nothing written).
+    /// Failed journal appends (nothing written).
     pub fsync: SiteRate,
     /// Torn journal writes (prefix written, no newline).
     pub torn: SiteRate,
@@ -192,6 +193,7 @@ impl ChaosRates {
     }
 }
 
+#[derive(Debug)]
 struct SiteState {
     /// Fire when `mix64(seed ^ salt ^ poll) < threshold`. A `rate` of 1.0
     /// maps to `u64::MAX` and a dedicated always-fire check.
@@ -208,6 +210,7 @@ struct SiteState {
 /// one tick of that site's poll counter, so decisions are independent of
 /// thread interleaving *given the same per-site poll order*. Budgets are
 /// decremented atomically; once exhausted the site never fires again.
+#[derive(Debug)]
 pub struct FaultPlan {
     seed: u64,
     sites: [SiteState; 5],

@@ -7,21 +7,32 @@
 //! line is a completed point record exactly as it was streamed to the
 //! client. On resume the store replays those lines verbatim and hands the
 //! bridge the set of completed indices so only the remainder is
-//! re-simulated. A torn final line (server killed mid-write, or an injected
-//! torn-fsync fault) is *repaired*: the corrupt tail is truncated away so the
-//! next append starts on a fresh line and the journal stays replayable.
-//! Indexless marker lines (the `cancelled` record a cancel leaves behind)
-//! are kept in the file but skipped on replay. [`JobStore::gc`] prunes
-//! finished-job journals by age and count.
+//! re-simulated.
+//!
+//! One private scan reads a journal's text, for both [`JobStore::open_job`]
+//! and [`JobStore::gc`]: it keeps the complete header line and the point
+//! lines up to the first torn (no newline) or unparseable line. A torn or
+//! corrupt tail (server killed mid-write, or an injected torn write) is
+//! *repaired* on open: it is truncated away so the next append starts on a
+//! fresh line and the journal stays replayable. Indexless marker lines (the
+//! `cancelled` record a cancel leaves behind) are kept in the file but
+//! replay nothing. [`JobStore::gc`] prunes finished-job journals by age and
+//! count.
+//!
+//! Durability: each line reaches the file in one `write`, and nothing calls
+//! `fsync`. A journaled line is in the OS page cache before its point is
+//! sent, so it survives the server process being killed (`kill -9`), but a
+//! host crash or power loss can still lose the journal's newest lines.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
 
 use svard_obs::json::Json;
 
+use crate::chaos::{FaultPlan, FaultSite};
 use crate::protocol::{job_header_line, GridSpec};
 
 /// Directory of job-state files.
@@ -31,13 +42,77 @@ pub struct JobStore {
 }
 
 /// An open journal for one job: the completed points recovered from disk
-/// plus an append handle for new ones.
+/// plus an append handle for new ones, and the chaos plan whose journal
+/// faults [`JobJournal::record_point`] injects.
 #[derive(Debug)]
-pub struct JobJournal {
+pub struct JobJournal<'a> {
     file: File,
+    chaos: Option<&'a FaultPlan>,
     /// Completed point records recovered from (or written to) the journal,
     /// keyed by sweep-point index; values are full wire lines.
     pub completed: BTreeMap<usize, String>,
+}
+
+/// Why [`JobJournal::record_point`] journaled no complete line.
+#[derive(Debug)]
+pub enum RecordError {
+    /// The chaos plan fired [`FaultSite::FsyncFail`]: nothing was written.
+    FsyncFail,
+    /// The chaos plan fired [`FaultSite::TornWrite`]: a prefix of the line
+    /// was written, with no newline.
+    TornWrite,
+    /// The append failed.
+    Io(std::io::Error),
+}
+
+/// What one scan of a journal's text keeps.
+struct Scan<'t> {
+    /// The header line, without its newline; `None` if the text has no
+    /// complete first line.
+    header: Option<&'t str>,
+    /// Point lines by index, up to the first torn or unparseable line.
+    completed: BTreeMap<usize, String>,
+    /// Bytes up to the end of the last kept line: what survives a repair.
+    good_len: usize,
+}
+
+/// Scan a journal's bytes: the one reader of the journal format. A torn
+/// write can cut the file mid-code-point, so only the valid UTF-8 prefix is
+/// read; whatever follows the last kept line is left for a repair to drop.
+fn scan(bytes: &[u8]) -> Scan<'_> {
+    let text = match std::str::from_utf8(bytes) {
+        Ok(text) => text,
+        Err(e) => std::str::from_utf8(bytes.get(..e.valid_up_to()).unwrap_or_default())
+            .unwrap_or_default(),
+    };
+    let mut lines = text.split_inclusive('\n');
+    let mut scan = Scan {
+        header: None,
+        completed: BTreeMap::new(),
+        good_len: 0,
+    };
+    let Some(first) = lines.next().filter(|l| l.ends_with('\n')) else {
+        return scan;
+    };
+    scan.header = Some(first.trim_end());
+    scan.good_len = first.len();
+    for line in lines {
+        // A line without its newline is a torn final write.
+        let trimmed = line.trim_end();
+        let Some(record) = line
+            .ends_with('\n')
+            .then(|| Json::parse(trimmed).ok())
+            .flatten()
+        else {
+            break;
+        };
+        // Indexless records (the cancel marker) stay but replay nothing.
+        if let Some(index) = record.get("index").and_then(Json::as_usize) {
+            scan.completed.insert(index, trimmed.to_string());
+        }
+        scan.good_len += line.len();
+    }
+    scan
 }
 
 /// Job ids become file names, so restrict them hard: 1–64 characters from
@@ -71,96 +146,53 @@ impl JobStore {
 
     /// Open a job journal. A fresh job writes its header; an existing job is
     /// recovered — the stored grid must render byte-identically to `grid`,
-    /// otherwise resuming would silently mix two different sweeps.
-    pub fn open_job(&self, job_id: &str, grid: &GridSpec) -> Result<JobJournal, String> {
+    /// otherwise resuming would silently mix two different sweeps. A journal
+    /// without a complete header holds no point, so it is started over.
+    pub fn open_job(&self, job_id: &str, grid: &GridSpec) -> Result<JobJournal<'static>, String> {
         validate_job_id(job_id)?;
         let path = self.path_for(job_id);
         let header = job_header_line(job_id, grid);
-        let mut completed = BTreeMap::new();
-        let exists = path.exists();
-        // Bytes of the journal that survive recovery; anything past this is
-        // a torn tail and gets truncated so appends start on a fresh line.
-        let mut good_len = 0usize;
-        let mut write_header = !exists;
-        if exists {
-            let bytes = std::fs::read(&path).map_err(|e| format!("read journal: {e}"))?;
-            let disk_len = bytes.len();
-            // A torn write can cut the file mid-UTF-8-codepoint; recover the
-            // valid prefix and let the truncate-repair below drop the rest.
-            let text = match String::from_utf8(bytes) {
-                Ok(text) => text,
-                Err(e) => {
-                    let valid = e.utf8_error().valid_up_to();
-                    let mut bytes = e.into_bytes();
-                    bytes.truncate(valid);
-                    String::from_utf8(bytes).unwrap_or_default()
-                }
-            };
-            let mut lines = text.split_inclusive('\n');
-            match lines.next() {
-                Some(first) if first.trim_end() == header => {
-                    if first.ends_with('\n') {
-                        good_len = first.len();
-                    } else {
-                        // Torn header write: start over with a clean header.
-                        write_header = true;
-                    }
-                }
-                Some(_) => {
-                    return Err(format!(
-                        "job {job_id:?} already exists with a different grid"
-                    ))
-                }
-                None => write_header = true,
-            }
-            if !write_header {
-                for line in lines {
-                    // A line without the trailing newline is a torn final
-                    // write; stop here and truncate it away below.
-                    if !line.ends_with('\n') {
-                        break;
-                    }
-                    let trimmed = line.trim_end();
-                    let Ok(record) = Json::parse(trimmed) else {
-                        break;
-                    };
-                    if let Some(index) = record.get("index").and_then(Json::as_usize) {
-                        completed.insert(index, trimmed.to_string());
-                    }
-                    // Indexless records (the cancel marker) stay in the file
-                    // but replay nothing.
-                    good_len += line.len();
-                }
-            }
-            if good_len < disk_len {
-                // Repair the tear: drop the corrupt tail so the next append
-                // cannot merge with half a line.
-                let repair = OpenOptions::new()
-                    .write(true)
-                    .open(&path)
-                    .map_err(|e| format!("repair journal: {e}"))?;
-                repair
-                    .set_len(good_len as u64)
-                    .map_err(|e| format!("truncate torn journal: {e}"))?;
-            }
+        let bytes = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(format!("read journal: {e}")),
+        };
+        let scan = scan(&bytes);
+        if scan.header.is_some_and(|h| h != header) {
+            return Err(format!(
+                "job {job_id:?} already exists with a different grid"
+            ));
+        }
+        if scan.good_len < bytes.len() {
+            // Repair the tear: drop the corrupt tail so the next append
+            // cannot merge with half a line.
+            OpenOptions::new()
+                .write(true)
+                .open(&path)
+                .and_then(|f| f.set_len(scan.good_len as u64))
+                .map_err(|e| format!("truncate torn journal: {e}"))?;
         }
         let mut file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(&path)
             .map_err(|e| format!("open journal: {e}"))?;
-        if write_header {
-            writeln!(file, "{header}").map_err(|e| format!("write header: {e}"))?;
-            file.flush().map_err(|e| format!("flush header: {e}"))?;
+        if scan.header.is_none() {
+            append_line(&mut file, &header).map_err(|e| format!("write header: {e}"))?;
         }
-        Ok(JobJournal { file, completed })
+        Ok(JobJournal {
+            file,
+            chaos: None,
+            completed: scan.completed,
+        })
     }
 
     /// Prune *finished* job journals (every grid point journaled): journals
     /// older than `age_secs` (0 disables the age rule) are removed, and when
     /// `max_keep` > 0 only the `max_keep` most recent finished journals
     /// survive. Unfinished journals are never touched — they are resume
-    /// state. Returns the number of files removed.
+    /// state; so is anything unreadable or without a complete, decodable
+    /// header. Returns the number of files removed.
     pub fn gc(&self, age_secs: u64, max_keep: usize) -> usize {
         if age_secs == 0 && max_keep == 0 {
             return 0;
@@ -174,7 +206,17 @@ impl JobStore {
             if path.extension().and_then(|e| e.to_str()) != Some("jsonl") {
                 continue;
             }
-            if !journal_is_finished(&path) {
+            let Ok(bytes) = std::fs::read(&path) else {
+                continue;
+            };
+            let scan = scan(&bytes);
+            // The header's grid fixes how many points finish the job.
+            let points = scan
+                .header
+                .and_then(|h| Json::parse(h).ok())
+                .and_then(|h| GridSpec::from_json(h.get("grid")?).ok())
+                .map(|grid| grid.points().len());
+            if points.is_none_or(|n| scan.completed.range(..n).count() < n) {
                 continue;
             }
             let mtime = entry
@@ -202,47 +244,40 @@ impl JobStore {
     }
 }
 
-/// Whether a journal records every point of its own grid (and so is safe to
-/// prune). Anything unreadable or torn counts as unfinished.
-fn journal_is_finished(path: &Path) -> bool {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return false;
-    };
-    let mut lines = text.split_inclusive('\n');
-    let Some(first) = lines.next() else {
-        return false;
-    };
-    if !first.ends_with('\n') {
-        return false;
-    }
-    let Ok(record) = Json::parse(first.trim_end()) else {
-        return false;
-    };
-    let total = match record.get("grid").map(GridSpec::from_json) {
-        Some(Ok(grid)) => grid.points().len(),
-        _ => return false,
-    };
-    let mut done: BTreeSet<usize> = BTreeSet::new();
-    for line in lines {
-        if !line.ends_with('\n') {
-            break;
-        }
-        let Ok(rec) = Json::parse(line.trim_end()) else {
-            break;
-        };
-        if let Some(index) = rec.get("index").and_then(Json::as_usize) {
-            done.insert(index);
-        }
-    }
-    done.range(..total).count() >= total
+/// Append `line` and its newline to a journal in one write.
+fn append_line(file: &mut File, line: &str) -> std::io::Result<()> {
+    file.write_all(format!("{line}\n").as_bytes())
 }
 
-impl JobJournal {
-    /// Append a completed point record (a full wire line, no newline) and
-    /// flush it so a kill immediately afterwards cannot lose it.
-    pub fn record_point(&mut self, index: usize, line: &str) -> Result<(), String> {
-        writeln!(self.file, "{line}").map_err(|e| format!("append point: {e}"))?;
-        self.file.flush().map_err(|e| format!("flush point: {e}"))?;
+impl JobJournal<'_> {
+    /// This journal with `chaos` applied to its point writes.
+    pub(crate) fn with_chaos(self, chaos: Option<&FaultPlan>) -> JobJournal<'_> {
+        JobJournal {
+            file: self.file,
+            chaos,
+            completed: self.completed,
+        }
+    }
+
+    /// Append a completed point record (a full wire line, no newline): the
+    /// journal's one point-write seam, where the chaos plan's journal sites
+    /// fire, polled in this order. [`FaultSite::FsyncFail`] writes nothing;
+    /// [`FaultSite::TornWrite`] writes a prefix of the line with no newline,
+    /// as a kill mid-write would, which the next [`JobStore::open_job`]
+    /// truncates away. Either way the point is not journaled.
+    pub fn record_point(&mut self, index: usize, line: &str) -> Result<(), RecordError> {
+        if let Some(plan) = self.chaos {
+            if plan.fire(FaultSite::FsyncFail) {
+                return Err(RecordError::FsyncFail);
+            }
+            if plan.fire(FaultSite::TornWrite) {
+                let keep = plan.torn_prefix_len(plan.fired(FaultSite::TornWrite), line.len());
+                let prefix = line.as_bytes().get(..keep).unwrap_or_default();
+                let _ = self.file.write_all(prefix);
+                return Err(RecordError::TornWrite);
+            }
+        }
+        append_line(&mut self.file, line).map_err(RecordError::Io)?;
         self.completed.insert(index, line.to_string());
         Ok(())
     }
@@ -251,25 +286,13 @@ impl JobJournal {
     /// event without completing a point. Markers survive in the file but are
     /// skipped when a resume replays the journal.
     pub fn record_marker(&mut self, line: &str) -> Result<(), String> {
-        writeln!(self.file, "{line}").map_err(|e| format!("append marker: {e}"))?;
-        self.file
-            .flush()
-            .map_err(|e| format!("flush marker: {e}"))?;
-        Ok(())
-    }
-
-    /// Chaos-only: append `bytes` verbatim with **no** trailing newline,
-    /// simulating a write torn by a kill. The journal is corrupt past this
-    /// point until the next [`JobStore::open_job`] repairs it by truncation.
-    pub fn inject_torn_write(&mut self, bytes: &[u8]) {
-        let _ = self.file.write_all(bytes);
-        let _ = self.file.flush();
+        append_line(&mut self.file, line).map_err(|e| format!("append marker: {e}"))
     }
 }
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::chaos::{ChaosRates, SiteRate};
 
     /// A store in a per-process temp directory that is removed on drop, so
     /// test runs leave no state directories behind.
@@ -338,10 +361,27 @@ pub(crate) mod tests {
         );
     }
 
+    /// A plan that fires only `site`, once.
+    fn once(site: FaultSite) -> FaultPlan {
+        let rate = SiteRate::capped(1.0, 1);
+        let rates = match site {
+            FaultSite::FsyncFail => ChaosRates {
+                fsync: rate,
+                ..ChaosRates::QUIET
+            },
+            _ => ChaosRates {
+                torn: rate,
+                ..ChaosRates::QUIET
+            },
+        };
+        FaultPlan::new(1, rates)
+    }
+
     #[test]
     fn torn_tails_are_truncated_and_markers_replay_nothing() {
         let store = TempStore::new("jobstore-repair");
         let grid = GridSpec::default();
+        let plan = once(FaultSite::TornWrite);
         {
             let mut journal = store.open_job("torn", &grid).unwrap();
             journal
@@ -350,9 +390,12 @@ pub(crate) mod tests {
             journal
                 .record_marker("{\"type\":\"cancelled\",\"job_id\":\"torn\",\"completed\":1}")
                 .unwrap();
-            journal.inject_torn_write(b"{\"type\":\"point\",\"ind");
+            let mut journal = journal.with_chaos(Some(&plan));
+            let torn = journal.record_point(2, "{\"type\":\"point\",\"index\":2}");
+            assert!(matches!(torn, Err(RecordError::TornWrite)));
         }
         let before = std::fs::read(store.path_for("torn")).unwrap();
+        assert!(!before.ends_with(b"\n"), "the torn write left no newline");
         let journal = store.open_job("torn", &grid).unwrap();
         assert_eq!(
             journal.completed.keys().copied().collect::<Vec<_>>(),
@@ -364,6 +407,93 @@ pub(crate) mod tests {
         assert!(after.len() < before.len(), "torn tail truncated away");
         assert!(after.ends_with(b"\n"), "repaired journal ends on a newline");
         assert_eq!(before.get(..after.len()), Some(after.as_slice()));
+    }
+
+    #[test]
+    fn an_injected_fsync_fault_writes_nothing() {
+        let store = TempStore::new("jobstore-fsync");
+        let grid = GridSpec::default();
+        let plan = once(FaultSite::FsyncFail);
+        let mut journal = store
+            .open_job("fsync", &grid)
+            .unwrap()
+            .with_chaos(Some(&plan));
+        let before = std::fs::read(store.path_for("fsync")).unwrap();
+        let line = "{\"type\":\"point\",\"index\":0}";
+        let failed = journal.record_point(0, line);
+        assert!(matches!(failed, Err(RecordError::FsyncFail)));
+        assert!(journal.completed.is_empty());
+        assert_eq!(std::fs::read(store.path_for("fsync")).unwrap(), before);
+        // The budget is spent: the retry journals the point.
+        journal.record_point(0, line).unwrap();
+        let after = std::fs::read_to_string(store.path_for("fsync")).unwrap();
+        assert!(after.ends_with(&format!("{line}\n")));
+    }
+
+    #[test]
+    fn one_scan_decides_resume_repair_and_gc() {
+        let store = TempStore::new("jobstore-table");
+        let grid = GridSpec {
+            defenses: vec![svard_defenses::DefenseKind::Para],
+            providers: vec!["none".to_string()],
+            hc_values: vec![64, 256],
+            ..GridSpec::default()
+        };
+        let header = format!("{}\n", job_header_line("t", &grid));
+        let point = |i: usize| format!("{{\"type\":\"point\",\"index\":{i}}}\n");
+        let (p0, p1) = (point(0), point(1));
+        let marker = "{\"type\":\"cancelled\",\"job_id\":\"t\",\"completed\":1}\n";
+        let (h, a, b) = (header.as_bytes(), p0.as_bytes(), p1.as_bytes());
+        let cut = "{\"provider\":\"Sv\u{e4}rd".as_bytes();
+        let cut = &cut[..cut.len() - 3];
+        let (bad, marker) = (b"{\"type\":\"point\",\n".as_slice(), marker.as_bytes());
+        // (case, journal lines, lines that survive, indices resumed, gc prunes it)
+        let cases = [
+            ("clean", vec![h, a], 2, vec![0], false),
+            ("torn header", vec![&h[..20]], 0, vec![], false),
+            ("torn last line", vec![h, a, &b[..9]], 2, vec![0], false),
+            (
+                "cut mid-code-point",
+                vec![h, a, b, cut],
+                3,
+                vec![0, 1],
+                true,
+            ),
+            (
+                "unparseable middle line",
+                vec![h, a, bad, b],
+                2,
+                vec![0],
+                false,
+            ),
+            ("cancel marker", vec![h, a, marker], 3, vec![0], false),
+            ("all points present", vec![h, a, b], 3, vec![0, 1], true),
+        ];
+        let path = store.path_for("t");
+        for (case, lines, kept, resumed, finished) in cases {
+            let text = lines.concat();
+            std::fs::write(&path, &text).unwrap();
+            let old = SystemTime::now() - std::time::Duration::from_secs(7200);
+            File::options()
+                .write(true)
+                .open(&path)
+                .unwrap()
+                .set_modified(old)
+                .unwrap();
+            assert_eq!(store.gc(3600, 0), usize::from(finished), "{case}: gc");
+            std::fs::write(&path, &text).unwrap();
+            let journal = store.open_job("t", &grid).unwrap();
+            let keys: Vec<usize> = journal.completed.keys().copied().collect();
+            assert_eq!(keys, resumed, "{case}: resumed");
+            drop(journal);
+            // A journal with no complete header is started over.
+            let want = if kept == 0 {
+                h.to_vec()
+            } else {
+                lines[..kept].concat()
+            };
+            assert_eq!(std::fs::read(&path).unwrap(), want, "{case}: repaired file");
+        }
     }
 
     #[test]

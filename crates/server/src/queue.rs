@@ -9,11 +9,11 @@
 //! memory grow without limit.
 
 use std::collections::VecDeque;
-use std::sync::atomic::AtomicBool;
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::protocol::GridSpec;
+use crate::server::LiveJob;
 
 /// A validated job waiting for an executor.
 pub struct QueuedJob {
@@ -24,9 +24,10 @@ pub struct QueuedJob {
     /// Where to stream response lines; the connection thread drains the
     /// receiving end. Dropped senders mean the client went away.
     pub out: Sender<String>,
-    /// Per-job cancel flag, shared with the job table so a `cancel` request
-    /// can stop the run whether it is queued or already executing.
-    pub cancel: Arc<AtomicBool>,
+    /// The job's entry in the job table: its cancel flag, which a `cancel`
+    /// request can raise whether the job is queued or already executing,
+    /// and the progress its executor reports.
+    pub live: Arc<LiveJob>,
     /// Enqueue timestamp in profiler microseconds; the executor turns it
     /// into the `server.queue_wait` span and histogram.
     pub enqueued_us: u64,
@@ -158,7 +159,7 @@ mod tests {
             job_id: id.to_string(),
             grid: GridSpec::default(),
             out: tx,
-            cancel: Arc::new(AtomicBool::new(false)),
+            live: Arc::default(),
             enqueued_us: 0,
         }
     }

@@ -111,42 +111,64 @@ impl Default for ServerConfig {
     }
 }
 
-/// Active jobs (queued or executing) keyed by job id, sharing each job's
-/// cancel flag with the `cancel` request handler. Doubles as the duplicate
-/// guard: two live submits of the same job id would race on one journal, so
-/// the second is rejected (retryably — the first may be a dead connection
-/// the server has not noticed yet).
+/// A live job's state, added to and removed from the server's job table in
+/// one entry: the cancel flag a `cancel` request raises, and the progress its
+/// executor reports once it has started the job.
+#[derive(Default)]
+pub struct LiveJob {
+    /// Raised by a `cancel` request, whether the job is queued or running.
+    pub cancel: AtomicBool,
+    /// `(completed, points)`; `None` while the job waits in the queue.
+    progress: Mutex<Option<(usize, usize)>>,
+}
+
+impl LiveJob {
+    fn progress_slot(&self) -> MutexGuard<'_, Option<(usize, usize)>> {
+        self.progress.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Record the job's progress, shown in the `stats` record's `jobs` object.
+    pub(crate) fn set_progress(&self, completed: usize, points: usize) {
+        *self.progress_slot() = Some((completed, points));
+    }
+
+    /// The job's `(completed, points)`, once an executor has started it.
+    pub(crate) fn progress(&self) -> Option<(usize, usize)> {
+        *self.progress_slot()
+    }
+}
+
+/// Active jobs (queued or executing) keyed by job id. Doubles as the
+/// duplicate guard: two live submits of the same job id would race on one
+/// journal, so the second is rejected (retryably — the first may be a dead
+/// connection the server has not noticed yet).
 #[derive(Default)]
 pub(crate) struct JobTable {
-    jobs: Mutex<BTreeMap<String, Arc<AtomicBool>>>,
+    jobs: Mutex<BTreeMap<String, Arc<LiveJob>>>,
 }
 
 impl JobTable {
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Arc<AtomicBool>>> {
-        match self.jobs.lock() {
-            Ok(guard) => guard,
-            // lint: allow(panic) -- poisoned only if a holder panicked; propagating is correct
-            Err(poisoned) => poisoned.into_inner(),
-        }
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<String, Arc<LiveJob>>> {
+        self.jobs.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Register a job as active. `None` means the id is already active.
-    fn begin(&self, job_id: &str) -> Option<Arc<AtomicBool>> {
+    fn begin(&self, job_id: &str) -> Option<Arc<LiveJob>> {
         let mut jobs = self.lock();
         if jobs.contains_key(job_id) {
             return None;
         }
-        let flag = Arc::new(AtomicBool::new(false));
-        jobs.insert(job_id.to_string(), Arc::clone(&flag));
-        Some(flag)
+        let job = Arc::new(LiveJob::default());
+        jobs.insert(job_id.to_string(), Arc::clone(&job));
+        Some(job)
     }
 
     /// Raise the cancel flag of an active job. Returns whether the job was
     /// active.
     fn cancel(&self, job_id: &str) -> bool {
         match self.lock().get(job_id) {
-            Some(flag) => {
-                flag.store(true, Ordering::Release);
+            Some(job) => {
+                job.cancel.store(true, Ordering::Release);
                 true
             }
             None => false,
@@ -155,11 +177,24 @@ impl JobTable {
 
     /// Remove a finished job — only if the entry still belongs to this run
     /// (guards against deleting a newer resubmit's entry).
-    fn finish(&self, job_id: &str, flag: &Arc<AtomicBool>) {
+    fn finish(&self, job_id: &str, job: &Arc<LiveJob>) {
         let mut jobs = self.lock();
-        if jobs.get(job_id).is_some_and(|f| Arc::ptr_eq(f, flag)) {
+        if jobs.get(job_id).is_some_and(|j| Arc::ptr_eq(j, job)) {
             jobs.remove(job_id);
         }
+    }
+
+    /// Progress of every started job as a JSON object:
+    /// `{"job": {"completed": 3, "points": 8}, ...}`.
+    fn progress_json(&self) -> Json {
+        let jobs = self.lock();
+        let started = jobs.iter().filter_map(|(id, job)| {
+            let (completed, points) = job.progress()?;
+            let completed = ("completed", Json::uint(completed as u64));
+            let record = Json::obj([completed, ("points", Json::uint(points as u64))]);
+            Some((id.as_str(), record))
+        });
+        Json::obj(started)
     }
 }
 
@@ -168,9 +203,6 @@ impl JobTable {
 pub struct ServerStats {
     metrics: Mutex<MetricsSnapshot>,
     inflight: AtomicUsize,
-    /// Per-job progress (completed, total points) of accepted jobs that have
-    /// not finished yet; keyed by job id.
-    progress: Mutex<BTreeMap<String, (usize, usize)>>,
 }
 
 impl ServerStats {
@@ -207,32 +239,6 @@ impl ServerStats {
             Err(poisoned) => poisoned.into_inner(),
         };
         f(&mut metrics);
-    }
-
-    fn progress_table(&self) -> MutexGuard<'_, BTreeMap<String, (usize, usize)>> {
-        self.progress.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Record a job's progress, shown in the `stats` record's `jobs` object.
-    pub fn set_progress(&self, job_id: &str, completed: usize, points: usize) {
-        self.progress_table()
-            .insert(job_id.to_string(), (completed, points));
-    }
-
-    /// Drop a finished job from the progress table.
-    pub fn clear_progress(&self, job_id: &str) {
-        self.progress_table().remove(job_id);
-    }
-
-    /// Per-job progress as a JSON object:
-    /// `{"job": {"completed": 3, "points": 8}, ...}`.
-    pub fn progress_json(&self) -> Json {
-        let job = |&(completed, points): &(usize, usize)| {
-            let completed = ("completed", Json::uint(completed as u64));
-            Json::obj([completed, ("points", Json::uint(points as u64))])
-        };
-        let table = self.progress_table();
-        Json::obj(table.iter().map(|(id, p)| (id.as_str(), job(p))))
     }
 
     /// A frozen copy of the current metrics.
@@ -432,10 +438,11 @@ fn executor_loop(ctx: &ExecCtx) {
             profiler: ctx.profiler.clone(),
             stats: &ctx.stats,
             watchdog_multiple: ctx.watchdog_multiple,
+            job: Some(&job.live),
         };
         let ctrl = JobCtrl {
             stop: &ctx.stop,
-            cancel: &job.cancel,
+            cancel: &job.live.cancel,
             chaos: ctx.chaos.as_deref(),
         };
         // Crash isolation: a panicking point (injected or genuine) unwinds
@@ -450,10 +457,10 @@ fn executor_loop(ctx: &ExecCtx) {
             Ok(Ok(report)) => {
                 if report.cancelled
                     && report.completed < report.points
-                    && !job.cancel.load(Ordering::Acquire)
+                    && !job.live.cancel.load(Ordering::Acquire)
                     && !ctx.stop.load(Ordering::Acquire)
                 {
-                    // A journal fault (failed or torn fsync) ended the run
+                    // A journal fault (failed or torn append) ended the run
                     // early with no terminating record. A vanished client's
                     // channel is already dead, so this only reaches clients
                     // still listening — and they can resume.
@@ -486,8 +493,7 @@ fn executor_loop(ctx: &ExecCtx) {
                 )));
             }
         }
-        ctx.stats.clear_progress(&job.job_id);
-        ctx.table.finish(&job.job_id, &job.cancel);
+        ctx.table.finish(&job.job_id, &job.live);
         ctx.stats.inflight.fetch_sub(1, Ordering::AcqRel);
     }
 }
@@ -741,7 +747,7 @@ fn handle_request(
             let record = Json::obj([
                 ("type", Json::str("stats")),
                 ("metrics", registry_snapshot(stats, queue).to_json_value()),
-                ("jobs", stats.progress_json()),
+                ("jobs", table.progress_json()),
             ]);
             io.write_line(&record.render())
         }
@@ -812,7 +818,7 @@ fn handle_submit(
     // Duplicate guard: two live submits of one job id would race on one
     // journal. Retryable — the earlier submit may be a dead connection whose
     // executor has not noticed yet, in which case a retry will get through.
-    let Some(cancel) = table.begin(&job_id) else {
+    let Some(live) = table.begin(&job_id) else {
         stats.count("server.errors");
         return io.write_line(&error_line_retryable(&format!(
             "job {job_id:?} is already active"
@@ -824,7 +830,7 @@ fn handle_submit(
         job_id: job_id.clone(),
         grid,
         out: tx,
-        cancel: Arc::clone(&cancel),
+        live: Arc::clone(&live),
         enqueued_us: profiler.now_us(),
     }) {
         PushOutcome::Queued => {}
@@ -832,12 +838,12 @@ fn handle_submit(
             // Backpressure: the queue is full, so say so instead of growing
             // without bound. The job never reached an executor, so release
             // its table entry here.
-            table.finish(&job_id, &cancel);
+            table.finish(&job_id, &live);
             stats.count("server.busy_rejections");
             return io.write_line(&busy_line(&job_id, queue.depth()));
         }
         PushOutcome::Shutdown => {
-            table.finish(&job_id, &cancel);
+            table.finish(&job_id, &live);
             return io.write_line(&error_line("server is shutting down"));
         }
     }
@@ -873,4 +879,25 @@ fn validate_submit(request: &Json) -> Result<(String, GridSpec), String> {
         None => GridSpec::default(),
     };
     Ok((job_id.to_string(), grid))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_job_shows_progress_only_once_started_and_leaves_with_its_entry() {
+        let table = JobTable::default();
+        let job = table.begin("q").expect("a fresh id");
+        assert!(table.begin("q").is_none(), "a live id is refused");
+        assert_eq!(table.progress_json().render(), "{}", "queued: no progress");
+        job.set_progress(1, 4);
+        let started = r#"{"q":{"completed":1,"points":4}}"#;
+        assert_eq!(table.progress_json().render(), started);
+        assert!(table.cancel("q"));
+        assert!(job.cancel.load(Ordering::Acquire));
+        table.finish("q", &job);
+        assert_eq!(table.progress_json().render(), "{}");
+        assert!(!table.cancel("q"), "the entry is gone");
+    }
 }

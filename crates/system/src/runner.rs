@@ -30,10 +30,11 @@
 //! and reduces each point over its mixes, in mix order, with the one
 //! reduction `mean_over_mixes`. Wrappers:
 //!
-//! - `evaluate_masked_streamed`: the core, streaming points to a callback that can cancel.
+//! - `evaluate_masked_streamed`: the core inside a `harness.sweep` span, streaming points to a
+//!   callback that can cancel, plus the sweep's [`PhaseProfile`].
 //! - `evaluate_all_streamed`: `evaluate_masked_streamed` over every point.
 //! - `evaluate_all`: every point, no callback, results in input order.
-//! - `evaluate_all_profiled`: the core inside a `harness.sweep` span, plus a [`PhaseProfile`].
+//! - `evaluate_all_profiled`: every point, results in input order, plus the sweep's [`PhaseProfile`].
 //! - `evaluate_all_traced`: the core with a [`Recorder`] per simulation, plus the JSONL trace.
 //!
 //! Seeds come from the configuration alone (workload traces from `config.seed`,
@@ -662,12 +663,9 @@ impl EvaluationHarness {
         &self,
         points: &[SweepPoint],
     ) -> (Vec<EvaluationPoint>, PhaseProfile) {
-        let (all, tasks) = (vec![true; points.len()], points.len() * self.mixes.len());
-        let (sweep, wall_us) = timed(&self.profiler, "harness.sweep", tasks as u64, || {
-            self.sweep(points, &all, || NoopSink, |_, _, _| true)
-        });
-        let profile = phase_profile("harness.sweep", wall_us, tasks, sweep.busy_us, self.threads);
-        (sweep.results.into_iter().flatten().collect(), profile)
+        let all = vec![true; points.len()];
+        let (results, _, profile) = self.evaluate_masked_streamed(points, &all, |_, _, _| true);
+        (results.into_iter().flatten().collect(), profile)
     }
 
     /// [`evaluate_all`](Self::evaluate_all) that streams every completed
@@ -681,7 +679,9 @@ impl EvaluationHarness {
     where
         F: Fn(usize, &EvaluationPoint, &MetricsSnapshot) -> bool + Sync,
     {
-        self.evaluate_masked_streamed(points, &vec![true; points.len()], on_point)
+        let (results, summary, _) =
+            self.evaluate_masked_streamed(points, &vec![true; points.len()], on_point);
+        (results, summary)
     }
 
     /// Evaluate the points whose `run_point` flag is set, streaming each
@@ -695,18 +695,27 @@ impl EvaluationHarness {
     /// are serialized under an internal lock — keep them fast.
     ///
     /// Returns one slot per input point (`None` if masked out or not completed
-    /// before a cancellation) and the snapshot merged over completed points.
+    /// before a cancellation), the snapshot merged over completed points, and
+    /// the sweep's [`PhaseProfile`] (phase `sweep`, timed as a
+    /// `harness.sweep` span): its `tasks` are the `(point, mix)` tasks that
+    /// completed and its busy time is theirs summed.
     pub fn evaluate_masked_streamed<F>(
         &self,
         points: &[SweepPoint],
         run_point: &[bool],
         on_point: F,
-    ) -> (Vec<Option<EvaluationPoint>>, MetricsSnapshot)
+    ) -> (Vec<Option<EvaluationPoint>>, MetricsSnapshot, PhaseProfile)
     where
         F: Fn(usize, &EvaluationPoint, &MetricsSnapshot) -> bool + Sync,
     {
-        let sweep = self.sweep(points, run_point, || NoopSink, on_point);
-        (sweep.results, sweep.summary)
+        let selected = (0..points.len()).filter(|&p| run_point.get(p) == Some(&true));
+        let tasks = selected.count() * self.mixes.len();
+        let (sweep, wall_us) = timed(&self.profiler, "harness.sweep", tasks as u64, || {
+            self.sweep(points, run_point, || NoopSink, on_point)
+        });
+        let done = sweep.slots.iter().flatten().count();
+        let profile = phase_profile("harness.sweep", wall_us, done, sweep.busy_us, self.threads);
+        (sweep.results, sweep.summary, profile)
     }
 
     /// The sweep core behind every `evaluate*` entry point: simulate every
@@ -1283,7 +1292,7 @@ mod tests {
             EvaluationHarness::with_threads_and_mode(config, mixes, 2, SimMode::FastForward);
         let reference = harness.evaluate_all(&points);
         let mask = [true, false, true];
-        let (slots, _) = harness.evaluate_masked_streamed(&points, &mask, |_, _, _| true);
+        let (slots, _, _) = harness.evaluate_masked_streamed(&points, &mask, |_, _, _| true);
         assert_eq!(slots[0].as_ref(), Some(&reference[0]));
         assert_eq!(slots[1], None);
         assert_eq!(slots[2].as_ref(), Some(&reference[2]));
