@@ -2,13 +2,15 @@
 //! recursive-descent parser, a deterministic renderer and the string escaper.
 //!
 //! Integer-looking numbers parse as [`Json::Int`] (an `i128`, wide enough to
-//! hold any `u64` seed exactly); everything else as [`Json::Num`]. The
-//! parser follows JSON's grammar strictly (no `+1`, `.5`, `01`, `1.` or
-//! `1e`, no number that overflows to infinity, no unescaped control
-//! character in a string), with one extension: the literals `NaN`, `inf`
-//! and `-inf`. The server's `protocol::point_line` renders `f64`s with
-//! `Display`, which spells non-finite values that way, and a job journal
-//! holds those lines verbatim, so they must parse back on resume. Objects
+//! hold any `u64` seed exactly); everything else, including an integer
+//! literal too large for `i128`, as [`Json::Num`]. The parser follows JSON's
+//! grammar strictly (no `+1`, `.5`, `01`, `1.` or `1e`, no number that
+//! overflows to infinity, no unescaped control character in a string), with
+//! one extension: the literals `NaN`, `inf` and `-inf`. The server's
+//! `protocol::point_line` renders `f64`s with `Display`, which spells
+//! non-finite values that way and a finite value of about 1.7e38 or more as
+//! a bare integer of 39 or more digits; a job journal holds those lines
+//! verbatim, so they must parse back on resume. Objects
 //! are `BTreeMap`s, so rendering is key-ordered and deterministic — the
 //! property the resume path relies on when comparing a submitted grid
 //! against a journal header byte-for-byte.
@@ -386,17 +388,16 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
     let text =
         std::str::from_utf8(bytes.get(start..*pos).unwrap_or(&[])).map_err(|e| e.to_string())?;
+    let float = || match text.parse::<f64>() {
+        Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+        Ok(_) => Err(format!("number {text:?} overflows f64")),
+        Err(e) => Err(format!("bad number {text:?}: {e}")),
+    };
     if is_float {
-        match text.parse::<f64>() {
-            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
-            Ok(_) => Err(format!("number {text:?} overflows f64")),
-            Err(e) => Err(format!("bad number {text:?}: {e}")),
-        }
-    } else {
-        text.parse::<i128>()
-            .map(Json::Int)
-            .map_err(|e| format!("bad integer {text:?}: {e}"))
+        return float();
     }
+    // JSON bounds no integer: one past `i128` is a (finite) float.
+    text.parse::<i128>().map(Json::Int).or_else(|_| float())
 }
 
 fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
@@ -537,8 +538,20 @@ mod tests {
 
     #[test]
     fn parse_follows_the_json_grammar_plus_non_finite_literals() {
-        let cases: [(&str, Option<Json>); 23] = [
+        let cases: [(&str, Option<Json>); 27] = [
             ("0", Some(Json::Int(0))),
+            (
+                "-170141183460469231731687303715884105728",
+                Some(Json::Int(i128::MIN)),
+            ),
+            (
+                "1000000000000000000000000000000000000000",
+                Some(Json::Num(1e39)),
+            ),
+            (
+                "-1000000000000000000000000000000000000000",
+                Some(Json::Num(-1e39)),
+            ),
             ("-0", Some(Json::Int(0))),
             ("10", Some(Json::Int(10))),
             ("-1.5e-3", Some(Json::Num(-1.5e-3))),
@@ -558,6 +571,7 @@ mod tests {
             ("1e+", None),
             ("-", None),
             ("1e999", None),
+            (&format!("1{}", "0".repeat(309)), None),
             ("-1e999", None),
             ("\"a\tb\"", None),
             ("\"\u{1}\"", None),

@@ -6,7 +6,9 @@
 //! streams each freshly completed point the moment the harness reduces it.
 //! Every point line is journaled *before* it is sent, so killing the server
 //! between the two loses nothing, and a resumed run replays the identical
-//! bytes.
+//! bytes. It takes the [`ServerState`] (store, registry, profiler, chaos plan,
+//! stop flag, watchdog setting) and the [`QueuedJob`] it runs (id, grid,
+//! response channel, cancel flag and progress entry), and nothing else.
 //!
 //! Determinism: traces and defenses are seeded from the grid, results land
 //! in input-order slots, and [`crate::protocol::point_line`] is the only
@@ -14,7 +16,7 @@
 //! at any worker count, with or without a kill-and-resume in the middle.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -27,91 +29,64 @@ use svard_system::parallel::default_threads;
 use svard_system::{EvaluationHarness, MemStats, SimMode, SweepPoint, SystemConfig};
 use svard_vulnerability::{ModuleSpec, ProfileGenerator};
 
-use crate::chaos::{FaultPlan, FaultSite};
-use crate::jobstore::{JobJournal, JobStore, RecordError};
+use crate::chaos::FaultSite;
+use crate::jobstore::{JobJournal, RecordError};
 use crate::protocol::{accepted_line, cancelled_line, point_line, summary_line, GridSpec};
-use crate::server::{LiveJob, ServerStats};
+use crate::queue::QueuedJob;
+use crate::server::{LiveJob, ServerState, ServerStats};
 
 /// The watchdog stays quiet until the execute-time histogram has at least
 /// this many observations — a p99 over fewer points is noise.
 const WATCHDOG_MIN_POINTS: u64 = 16;
 
-/// Executor-side observability for one job run: the span store, the server
-/// metric registry, the watchdog threshold, and the job's progress entry.
-pub struct JobObs<'a> {
-    /// Span store and time base (a cheap clone of the server's profiler).
-    pub profiler: Profiler,
-    /// Registry receiving histograms and counters.
-    pub stats: &'a ServerStats,
-    /// Flag points slower than this multiple of the running p99 point
-    /// execute time (0 disables the watchdog).
-    pub watchdog_multiple: u64,
-    /// The job's live-table entry, which receives its progress (`None`
-    /// reports none).
-    pub job: Option<&'a LiveJob>,
-}
-
-impl<'a> JobObs<'a> {
-    /// An observer that keeps no spans and never flags anything; timestamps
-    /// still work. For tests and offline tools.
-    pub fn disabled(stats: &'a ServerStats) -> JobObs<'a> {
-        JobObs {
-            profiler: Profiler::disabled(),
-            stats,
-            watchdog_multiple: 0,
-            job: None,
-        }
-    }
-
-    fn set_progress(&self, completed: usize, points: usize) {
-        if let Some(job) = self.job {
-            job.set_progress(completed, points);
-        }
-    }
-
-    /// Record one freshly completed point: execute/fsync histograms, the
-    /// completion counter, per-job progress, and the watchdog check against
-    /// the p99 of every *earlier* point.
-    fn on_point(&self, index: usize, completed: usize, points: usize, t: PointTiming) {
-        let (p99, prior) = self
-            .stats
-            .observe_with_prior_p99("server.point_exec_us", t.exec_us);
-        self.stats.observe("server.journal_fsync_us", t.fsync_us);
-        self.stats.add("server.points_completed", 1);
-        self.set_progress(completed, points);
-        if self.watchdog_multiple > 0
-            && prior >= WATCHDOG_MIN_POINTS
-            && p99 > 0
-            && t.exec_us > self.watchdog_multiple.saturating_mul(p99)
-        {
-            self.stats.add("server.watchdog_slow_points", 1);
-            self.profiler.record(
-                "server.watchdog_slow",
-                t.exec_start_us,
-                t.exec_us,
-                index as u64,
-            );
-        }
-    }
-
-    /// Count a job run's end: points streamed and resumed, and the job as
-    /// completed or cancelled. `run_job` calls it before the job's last
-    /// line goes out, so a client that reads the metrics once it has that
-    /// line always sees its job counted.
-    fn on_job_end(&self, report: &JobReport) {
-        let streamed = report.completed - report.resumed.min(report.completed);
-        self.stats.add("server.points_streamed", streamed as u64);
-        self.stats
-            .add("server.points_resumed", report.resumed as u64);
-        self.stats.count(if report.cancelled {
-            "server.jobs_cancelled"
-        } else {
-            "server.jobs_completed"
-        });
+/// Record one freshly completed point in the server's registry:
+/// execute/fsync histograms, the completion counter, the job's progress, and
+/// the watchdog check against the p99 of every *earlier* point.
+fn on_point(
+    state: &ServerState,
+    job: &LiveJob,
+    index: usize,
+    completed: usize,
+    points: usize,
+    t: PointTiming,
+) {
+    let stats = &state.stats;
+    let (p99, prior) = stats.observe_with_prior_p99("server.point_exec_us", t.exec_us);
+    stats.observe("server.journal_fsync_us", t.fsync_us);
+    stats.add("server.points_completed", 1);
+    job.set_progress(completed, points);
+    let multiple = state.config.watchdog_multiple;
+    if multiple > 0
+        && prior >= WATCHDOG_MIN_POINTS
+        && p99 > 0
+        && t.exec_us > multiple.saturating_mul(p99)
+    {
+        stats.add("server.watchdog_slow_points", 1);
+        state.profiler.record(
+            "server.watchdog_slow",
+            t.exec_start_us,
+            t.exec_us,
+            index as u64,
+        );
     }
 }
 
-/// Wall-clock timings for one completed point, as fed to [`JobObs::on_point`].
+/// Count a job run's end: points streamed and resumed, and the job as
+/// completed or cancelled. `run_job` calls it before the job's last line
+/// goes out, so a client that reads the metrics once it has that line
+/// always sees its job counted.
+fn on_job_end(stats: &ServerStats, report: &JobReport) {
+    let streamed = report.completed - report.resumed.min(report.completed);
+    stats.add("server.points_streamed", streamed as u64);
+    stats.add("server.points_resumed", report.resumed as u64);
+    stats.count(if report.cancelled {
+        "server.jobs_cancelled"
+    } else {
+        "server.jobs_completed"
+    });
+}
+
+/// Wall-clock timings for one completed point, as fed to [`on_point`].
 #[derive(Clone, Copy)]
 struct PointTiming {
     /// Start of the execute span (µs since the profiler epoch).
@@ -121,32 +96,6 @@ struct PointTiming {
     /// Journal append time (one `write`; no `fsync`, see
     /// [`crate::jobstore`]). Reported as `server.journal_fsync_us`.
     fsync_us: u64,
-}
-
-/// Execution controls for one job run: the server-wide stop flag, the
-/// per-job cancel flag, and the optional deterministic chaos plan.
-pub struct JobCtrl<'a> {
-    /// Server-wide stop flag (raised by `shutdown`).
-    pub stop: &'a AtomicBool,
-    /// Per-job cancel flag (raised by a `cancel` request).
-    pub cancel: &'a AtomicBool,
-    /// Deterministic fault plan; `None` runs fault-free.
-    pub chaos: Option<&'a FaultPlan>,
-}
-
-impl<'a> JobCtrl<'a> {
-    /// Controls for a plain, fault-free run driven only by `stop`.
-    pub fn plain(stop: &'a AtomicBool, cancel: &'a AtomicBool) -> JobCtrl<'a> {
-        JobCtrl {
-            stop,
-            cancel,
-            chaos: None,
-        }
-    }
-
-    fn halted(&self) -> bool {
-        self.stop.load(Ordering::Acquire) || self.cancel.load(Ordering::Acquire)
-    }
 }
 
 /// What happened to a job run.
@@ -286,7 +235,9 @@ fn send(out: &Sender<String>, line: String) -> bool {
     out.send(line).is_ok()
 }
 
-/// Run one sweep job end to end, streaming response lines into `out`.
+/// Run one queued sweep job end to end on `state`'s store, registry,
+/// profiler and chaos plan, streaming response lines into `job.out` and its
+/// progress into `job.live`.
 ///
 /// Returns an error only for setup failures (journal I/O, grid mismatch) —
 /// the caller turns that into an `error` record. A vanished client, a
@@ -295,15 +246,19 @@ fn send(out: &Sender<String>, line: String) -> bool {
 /// report says so. A cancel additionally journals a `cancelled` marker and
 /// streams the same record, so resubmitting later resumes cleanly from the
 /// completed points.
-pub fn run_job(
-    job_id: &str,
-    grid: &GridSpec,
-    out: &Sender<String>,
-    store: &JobStore,
-    ctrl: &JobCtrl<'_>,
-    obs: &JobObs<'_>,
-) -> Result<JobReport, String> {
-    let mut journal = store.open_job(job_id, grid)?.with_chaos(ctrl.chaos);
+pub fn run_job(state: &ServerState, job: &QueuedJob) -> Result<JobReport, String> {
+    let QueuedJob {
+        job_id,
+        grid,
+        out,
+        live,
+        ..
+    } = job;
+    let (stats, profiler) = (&state.stats, &state.profiler);
+    let mut journal = state
+        .store
+        .open_job(job_id, grid)?
+        .with_chaos(state.chaos.as_ref());
     let n = grid.points().len();
     let resumed = journal.completed.range(..n).count();
     let report = |completed: usize, cancelled: bool| {
@@ -313,14 +268,15 @@ pub fn run_job(
             resumed,
             cancelled,
         };
-        obs.on_job_end(&report);
+        on_job_end(stats, &report);
         report
     };
-    obs.set_progress(resumed, n);
+    let cancelled = || live.cancel.load(Ordering::Acquire);
+    live.set_progress(resumed, n);
     if resumed > 0 {
         // A resubmit after a fault/cancel landed here: journal replay is the
         // server half of the client's reconnect-and-resume loop.
-        obs.stats.count("server.retry.resubmits");
+        stats.count("server.retry.resubmits");
     }
 
     if !send(out, accepted_line(job_id, n, resumed)) {
@@ -334,7 +290,7 @@ pub fn run_job(
 
     let mut profiles: Vec<PhaseProfile> = Vec::new();
     if resumed < n {
-        let (harness, points) = build_harness_with_profiler(grid, obs.profiler.clone());
+        let (harness, points) = build_harness_with_profiler(grid, profiler.clone());
         let mask: Vec<bool> = (0..n)
             .map(|i| !journal.completed.contains_key(&i))
             .collect();
@@ -345,19 +301,20 @@ pub fn run_job(
             journal: &mut journal,
             completed: resumed,
             failed: false,
-            last_us: obs.profiler.now_us(),
+            last_us: profiler.now_us(),
         });
         let (_, _, sweep) =
             harness.evaluate_masked_streamed(&points, &mask, |i, point, metrics| {
-                if ctrl.halted() {
+                if state.stopping() || cancelled() {
                     return false;
                 }
                 let line = point_line(job_id, i, point, &metrics.to_json());
-                if ctrl
+                if state
                     .chaos
+                    .as_ref()
                     .is_some_and(|plan| plan.fire(FaultSite::ExecPanic))
                 {
-                    obs.stats.count("server.fault.exec_panics");
+                    stats.count("server.fault.exec_panics");
                     // The panic unwinds through the harness scope into the
                     // executor thread, whose catch_unwind fails only this job.
                     // The point was not journaled, so a resubmit re-runs it.
@@ -368,56 +325,53 @@ pub fn run_job(
                 // Point execute time is the stream-side gap since the previous
                 // completion (points finish concurrently; the stream is where
                 // per-point service time is well defined).
-                let (done_us, arg) = (obs.profiler.now_us(), i as u64);
+                let (done_us, arg) = (profiler.now_us(), i as u64);
                 let exec_us = done_us.saturating_sub(stream.last_us);
                 let exec_start_us = std::mem::replace(&mut stream.last_us, done_us);
-                obs.profiler
-                    .record("server.execute", exec_start_us, exec_us, arg);
+                profiler.record("server.execute", exec_start_us, exec_us, arg);
                 if let Err(e) = stream.journal.record_point(i, &line) {
                     match e {
-                        RecordError::FsyncFail => obs.stats.count("server.fault.fsync_fails"),
-                        RecordError::TornWrite => obs.stats.count("server.fault.torn_writes"),
+                        RecordError::FsyncFail => stats.count("server.fault.fsync_fails"),
+                        RecordError::TornWrite => stats.count("server.fault.torn_writes"),
                         RecordError::Io(_) => {}
                     }
                     stream.failed = true;
                     return false;
                 }
                 stream.completed += 1;
-                let fsync_us = obs.profiler.now_us().saturating_sub(done_us);
-                obs.profiler
-                    .record("server.journal", done_us, fsync_us, arg);
-                let send_start_us = obs.profiler.now_us();
+                let fsync_us = profiler.now_us().saturating_sub(done_us);
+                profiler.record("server.journal", done_us, fsync_us, arg);
+                let send_start_us = profiler.now_us();
                 if !send(out, line) {
                     stream.failed = true;
                     return false;
                 }
-                let send_us = obs.profiler.now_us().saturating_sub(send_start_us);
-                obs.profiler
-                    .record("server.send", send_start_us, send_us, arg);
+                let send_us = profiler.now_us().saturating_sub(send_start_us);
+                profiler.record("server.send", send_start_us, send_us, arg);
                 let timing = PointTiming {
                     exec_start_us,
                     exec_us,
                     fsync_us,
                 };
-                obs.on_point(i, stream.completed, n, timing);
+                on_point(state, live, i, stream.completed, n, timing);
                 true
             });
         let Stream {
             completed, failed, ..
         } = stream.into_inner().unwrap_or_else(PoisonError::into_inner);
-        if ctrl.cancel.load(Ordering::Acquire) {
+        if cancelled() {
             // First-class cancel: journal a marker documenting where the run
             // stopped (skipped on replay) and close the stream with a
             // `cancelled` record instead of a summary.
             let marker = cancelled_line(job_id, n, completed);
             if journal.record_marker(&marker).is_ok() {
-                obs.stats.count("server.cancel.markers");
+                stats.count("server.cancel.markers");
             }
             let cancelled = report(completed, true);
             let _ = send(out, marker);
             return Ok(cancelled);
         }
-        if failed || ctrl.stop.load(Ordering::Acquire) || completed < n {
+        if failed || state.stopping() || completed < n {
             return Ok(report(completed, true));
         }
         profiles.extend(harness.prep_profile().iter().cloned());
@@ -451,7 +405,8 @@ struct Stream<'j, 'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jobstore::tests::TempStore;
+    use crate::server::tests::{queued, TempState};
+    use crate::server::ServerConfig;
     use std::sync::mpsc::channel;
 
     fn tiny_grid() -> GridSpec {
@@ -469,23 +424,18 @@ mod tests {
         }
     }
 
+    /// Run `job_id` on `state` to its end, returning the report and every
+    /// line it streamed.
+    fn run(state: &ServerState, job_id: &str, grid: &GridSpec) -> (JobReport, Vec<String>) {
+        let (tx, rx) = channel();
+        let report = run_job(state, &queued(job_id, grid, tx)).unwrap();
+        (report, rx.try_iter().collect())
+    }
+
     #[test]
     fn run_job_streams_accepted_points_and_summary() {
-        let store = TempStore::new("bridge-stream");
-        let grid = tiny_grid();
-        let (tx, rx) = channel();
-        let stop = AtomicBool::new(false);
-        let cancel = AtomicBool::new(false);
-        let stats = ServerStats::default();
-        let report = run_job(
-            "smoke",
-            &grid,
-            &tx,
-            &store,
-            &JobCtrl::plain(&stop, &cancel),
-            &JobObs::disabled(&stats),
-        )
-        .unwrap();
+        let state = TempState::new("bridge-stream", ServerConfig::default());
+        let (report, lines) = run(&state, "smoke", &tiny_grid());
         assert_eq!(
             report,
             JobReport {
@@ -495,7 +445,6 @@ mod tests {
                 cancelled: false
             }
         );
-        let lines: Vec<String> = rx.try_iter().collect();
         assert_eq!(lines.len(), 4, "accepted + 2 points + summary");
         assert!(lines[0].contains("\"type\":\"accepted\""));
         assert!(lines[1].contains("\"type\":\"point\""));
@@ -505,14 +454,9 @@ mod tests {
 
     #[test]
     fn a_finished_jobs_summary_profiles_its_sweep() {
-        let store = TempStore::new("bridge-profile");
-        let grid = tiny_grid();
-        let (tx, rx) = channel();
-        let (stop, cancel) = (AtomicBool::new(false), AtomicBool::new(false));
-        let stats = ServerStats::default();
-        let ctrl = JobCtrl::plain(&stop, &cancel);
-        run_job("busy", &grid, &tx, &store, &ctrl, &JobObs::disabled(&stats)).unwrap();
-        let summary = rx.try_iter().last().map(|l| Json::parse(&l).unwrap());
+        let state = TempState::new("bridge-profile", ServerConfig::default());
+        let (_, lines) = run(&state, "busy", &tiny_grid());
+        let summary = lines.last().map(|l| Json::parse(l).unwrap());
         let profile = summary.as_ref().and_then(|s| s.get("profile")?.as_array());
         let sweep = profile
             .and_then(|p| {
@@ -531,21 +475,12 @@ mod tests {
 
     #[test]
     fn rerunning_a_finished_job_replays_identical_points() {
-        let store = TempStore::new("bridge-replay");
+        let state = TempState::new("bridge-replay", ServerConfig::default());
         let grid = tiny_grid();
-        let stop = AtomicBool::new(false);
-        let cancel = AtomicBool::new(false);
-        let ctrl = JobCtrl::plain(&stop, &cancel);
-        let stats = ServerStats::default();
-        let obs = JobObs::disabled(&stats);
-        let (tx, rx) = channel();
-        run_job("again", &grid, &tx, &store, &ctrl, &obs).unwrap();
-        let first: Vec<String> = rx.try_iter().collect();
-        let (tx, rx) = channel();
-        let report = run_job("again", &grid, &tx, &store, &ctrl, &obs).unwrap();
+        let (_, first) = run(&state, "again", &grid);
+        let (report, second) = run(&state, "again", &grid);
         assert_eq!(report.resumed, 2);
         assert!(!report.cancelled);
-        let second: Vec<String> = rx.try_iter().collect();
         // Point lines replay byte-identically; accepted/summary differ only
         // in their resumed count.
         assert_eq!(first[1..3], second[1..3]);
@@ -554,66 +489,34 @@ mod tests {
 
     #[test]
     fn a_raised_stop_flag_cancels_the_run() {
-        let store = TempStore::new("bridge-stop");
-        let grid = tiny_grid();
-        let (tx, _rx) = channel();
-        let stop = AtomicBool::new(true);
-        let cancel = AtomicBool::new(false);
-        let stats = ServerStats::default();
-        let report = run_job(
-            "halted",
-            &grid,
-            &tx,
-            &store,
-            &JobCtrl::plain(&stop, &cancel),
-            &JobObs::disabled(&stats),
-        )
-        .unwrap();
+        let state = TempState::new("bridge-stop", ServerConfig::default());
+        state.stop.store(true, Ordering::Release);
+        let (report, _) = run(&state, "halted", &tiny_grid());
         assert!(report.cancelled);
         assert_eq!(report.completed, 0);
     }
 
     #[test]
     fn a_cancel_journals_a_marker_and_streams_a_cancelled_record() {
-        let store = TempStore::new("bridge-cancel");
+        let state = TempState::new("bridge-cancel", ServerConfig::default());
         let grid = tiny_grid();
-        let stop = AtomicBool::new(false);
-        let cancel = AtomicBool::new(true);
-        let stats = ServerStats::default();
         let (tx, rx) = channel();
-        let report = run_job(
-            "cxl",
-            &grid,
-            &tx,
-            &store,
-            &JobCtrl::plain(&stop, &cancel),
-            &JobObs::disabled(&stats),
-        )
-        .unwrap();
+        let job = queued("cxl", &grid, tx);
+        job.live.cancel.store(true, Ordering::Release);
+        let report = run_job(&state, &job).unwrap();
         assert!(report.cancelled);
         assert_eq!(report.completed, 0);
         let lines: Vec<String> = rx.try_iter().collect();
         assert!(lines
             .last()
             .is_some_and(|l| l.contains("\"type\":\"cancelled\"")));
-        assert_eq!(stats.snapshot().counter("server.cancel.markers"), 1);
-        let journal_text = std::fs::read_to_string(store.path_for("cxl")).unwrap();
+        assert_eq!(state.stats.snapshot().counter("server.cancel.markers"), 1);
+        let journal_text = std::fs::read_to_string(state.store.path_for("cxl")).unwrap();
         assert!(journal_text.contains("\"type\":\"cancelled\""));
         // The marker does not block a later resubmit from finishing the job.
-        cancel.store(false, Ordering::Release);
-        let (tx, rx) = channel();
-        let report = run_job(
-            "cxl",
-            &grid,
-            &tx,
-            &store,
-            &JobCtrl::plain(&stop, &cancel),
-            &JobObs::disabled(&stats),
-        )
-        .unwrap();
+        let (report, lines) = run(&state, "cxl", &grid);
         assert_eq!(report.completed, 2);
         assert!(!report.cancelled);
-        let lines: Vec<String> = rx.try_iter().collect();
         assert!(lines
             .last()
             .is_some_and(|l| l.contains("\"type\":\"summary\"")));
@@ -622,55 +525,32 @@ mod tests {
     #[test]
     fn chaos_fsync_and_torn_faults_fail_the_run_but_resume_recovers() {
         use crate::chaos::{ChaosRates, SiteRate};
-        let store = TempStore::new("bridge-chaos-journal");
+        use crate::server::ChaosConfig;
         let grid = tiny_grid();
-        let stop = AtomicBool::new(false);
-        let cancel = AtomicBool::new(false);
-        let stats = ServerStats::default();
-        let obs = JobObs::disabled(&stats);
-        // First point tears its journal write, every later write is clean.
-        let plan = FaultPlan::new(
-            5,
-            ChaosRates {
-                torn: SiteRate::capped(1.0, 1),
-                ..ChaosRates::QUIET
-            },
-        );
-        let ctrl = JobCtrl {
-            stop: &stop,
-            cancel: &cancel,
-            chaos: Some(&plan),
+        // First point tears its journal write, every later write is clean:
+        // the plan's one torn write is spent by the first run.
+        let rates = ChaosRates {
+            torn: SiteRate::capped(1.0, 1),
+            ..ChaosRates::QUIET
         };
-        let (tx, _rx) = channel();
-        let report = run_job("healme", &grid, &tx, &store, &ctrl, &obs).unwrap();
+        let chaos = Some(ChaosConfig { seed: 5, rates });
+        let config = ServerConfig {
+            chaos,
+            ..ServerConfig::default()
+        };
+        let state = TempState::new("bridge-chaos-journal", config);
+        let (report, _) = run(&state, "healme", &grid);
         assert!(report.cancelled, "torn write fails the run");
-        assert_eq!(stats.snapshot().counter("server.fault.torn_writes"), 1);
+        assert_eq!(
+            state.stats.snapshot().counter("server.fault.torn_writes"),
+            1
+        );
         // Resubmit fault-free: the torn tail is repaired and the job
         // finishes, byte-identical to a never-faulted run.
-        let (tx, rx) = channel();
-        let healed = run_job(
-            "healme",
-            &grid,
-            &tx,
-            &store,
-            &JobCtrl::plain(&stop, &cancel),
-            &obs,
-        )
-        .unwrap();
+        let (healed, healed_lines) = run(&state, "healme", &grid);
         assert_eq!(healed.completed, 2);
-        let healed_lines: Vec<String> = rx.try_iter().collect();
-        let clean_store = TempStore::new("bridge-chaos-journal-ref");
-        let (tx, rx) = channel();
-        run_job(
-            "healme",
-            &grid,
-            &tx,
-            &clean_store,
-            &JobCtrl::plain(&stop, &cancel),
-            &obs,
-        )
-        .unwrap();
-        let clean_lines: Vec<String> = rx.try_iter().collect();
+        let clean = TempState::new("bridge-chaos-journal-ref", ServerConfig::default());
+        let (_, clean_lines) = run(&clean, "healme", &grid);
         let points = |lines: &[String]| -> Vec<String> {
             lines
                 .iter()
@@ -683,25 +563,19 @@ mod tests {
 
     #[test]
     fn an_instrumented_run_fills_histograms_progress_and_spans() {
-        let store = TempStore::new("bridge-instrumented");
-        let grid = tiny_grid();
-        let (tx, rx) = channel();
-        let stop = AtomicBool::new(false);
-        let cancel = AtomicBool::new(false);
-        let stats = ServerStats::default();
-        let live = LiveJob::default();
-        let obs = JobObs {
-            profiler: Profiler::new(256),
-            stats: &stats,
+        let config = ServerConfig {
+            profile_spans: 256,
             watchdog_multiple: 8,
-            job: Some(&live),
+            ..ServerConfig::default()
         };
-        let ctrl = JobCtrl::plain(&stop, &cancel);
-        let report = run_job("spans", &grid, &tx, &store, &ctrl, &obs).unwrap();
+        let state = TempState::new("bridge-instrumented", config);
+        let (tx, rx) = channel();
+        let job = queued("spans", &tiny_grid(), tx);
+        let report = run_job(&state, &job).unwrap();
         assert_eq!(report.completed, 2);
-        assert_eq!(live.progress(), Some((2, 2)));
+        assert_eq!(job.live.progress(), Some((2, 2)));
         drop(rx);
-        let snap = stats.snapshot();
+        let snap = state.stats.snapshot();
         assert_eq!(snap.counter("mem.cmd_issued"), 0, "no sim metrics leak in");
         assert_eq!(snap.counter("server.points_completed"), 2);
         let exec = snap.hists.get("server.point_exec_us").expect("exec hist");
@@ -712,7 +586,7 @@ mod tests {
             .expect("fsync hist");
         assert_eq!(fsync.count, 2);
         // One execute/journal/send span per fresh point.
-        let spans = obs.profiler.snapshot_spans();
+        let spans = state.profiler.snapshot_spans();
         for name in ["server.execute", "server.journal", "server.send"] {
             assert_eq!(
                 spans.iter().filter(|s| s.name == name).count(),
@@ -733,40 +607,44 @@ mod tests {
 
     #[test]
     fn watchdog_flags_points_beyond_the_running_p99() {
-        let stats = ServerStats::default();
-        let obs = JobObs {
-            profiler: Profiler::new(64),
-            stats: &stats,
-            watchdog_multiple: 8,
-            job: None,
+        let watched = |tag, watchdog_multiple| {
+            let config = ServerConfig {
+                profile_spans: 64,
+                watchdog_multiple,
+                ..ServerConfig::default()
+            };
+            TempState::new(tag, config)
         };
+        let state = watched("bridge-watchdog", 8);
+        let job = LiveJob::default();
         // 20 ordinary points (~100us): too few at first, then a stable p99.
         for i in 0..20 {
-            obs.on_point(i, i + 1, 100, timing(100));
+            on_point(&state, &job, i, i + 1, 100, timing(100));
         }
-        assert_eq!(stats.snapshot().counter("server.watchdog_slow_points"), 0);
+        assert_eq!(
+            state
+                .stats
+                .snapshot()
+                .counter("server.watchdog_slow_points"),
+            0
+        );
         // A point 8x slower than the p99 upper bound (127us) trips the dog.
-        obs.on_point(20, 21, 100, timing(5_000));
-        let snap = stats.snapshot();
+        on_point(&state, &job, 20, 21, 100, timing(5_000));
+        let snap = state.stats.snapshot();
         assert_eq!(snap.counter("server.watchdog_slow_points"), 1);
-        assert!(obs
+        assert!(state
             .profiler
             .snapshot_spans()
             .iter()
             .any(|s| s.name == "server.watchdog_slow" && s.arg == 20));
         // Disabled watchdog stays quiet no matter what.
-        let quiet = ServerStats::default();
-        let obs = JobObs {
-            profiler: Profiler::new(64),
-            stats: &quiet,
-            watchdog_multiple: 0,
-            job: None,
-        };
+        let quiet = watched("bridge-watchdog-quiet", 0);
         for i in 0..20 {
-            obs.on_point(i, i + 1, 100, timing(100));
+            on_point(&quiet, &job, i, i + 1, 100, timing(100));
         }
-        obs.on_point(20, 21, 100, timing(1_000_000));
-        assert_eq!(quiet.snapshot().counter("server.watchdog_slow_points"), 0);
+        on_point(&quiet, &job, 20, 21, 100, timing(1_000_000));
+        let snap = quiet.stats.snapshot();
+        assert_eq!(snap.counter("server.watchdog_slow_points"), 0);
     }
 
     #[test]

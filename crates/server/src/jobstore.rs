@@ -290,36 +290,11 @@ impl JobJournal<'_> {
     }
 }
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::chaos::{ChaosRates, SiteRate};
-
-    /// A store in a per-process temp directory that is removed on drop, so
-    /// test runs leave no state directories behind.
-    pub(crate) struct TempStore(JobStore);
-
-    impl TempStore {
-        /// A fresh store at `$TMPDIR/svard-<tag>-<pid>`.
-        pub(crate) fn new(tag: &str) -> TempStore {
-            let dir = std::env::temp_dir().join(format!("svard-{tag}-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            TempStore(JobStore::new(&dir).expect("create the temp state dir"))
-        }
-    }
-
-    impl std::ops::Deref for TempStore {
-        type Target = JobStore;
-
-        fn deref(&self) -> &JobStore {
-            &self.0
-        }
-    }
-
-    impl Drop for TempStore {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0.dir);
-        }
-    }
+    use crate::server::tests::TempState;
+    use crate::server::ServerConfig;
 
     #[test]
     fn job_ids_are_restricted_to_safe_characters() {
@@ -331,7 +306,8 @@ pub(crate) mod tests {
 
     #[test]
     fn journal_recovers_completed_points_and_ignores_torn_lines() {
-        let store = TempStore::new("jobstore-recover");
+        let state = TempState::new("jobstore-recover", ServerConfig::default());
+        let store = &state.store;
         let grid = GridSpec::default();
         {
             let mut journal = store.open_job("resume-me", &grid).unwrap();
@@ -379,7 +355,8 @@ pub(crate) mod tests {
 
     #[test]
     fn torn_tails_are_truncated_and_markers_replay_nothing() {
-        let store = TempStore::new("jobstore-repair");
+        let state = TempState::new("jobstore-repair", ServerConfig::default());
+        let store = &state.store;
         let grid = GridSpec::default();
         let plan = once(FaultSite::TornWrite);
         {
@@ -411,7 +388,8 @@ pub(crate) mod tests {
 
     #[test]
     fn an_injected_fsync_fault_writes_nothing() {
-        let store = TempStore::new("jobstore-fsync");
+        let state = TempState::new("jobstore-fsync", ServerConfig::default());
+        let store = &state.store;
         let grid = GridSpec::default();
         let plan = once(FaultSite::FsyncFail);
         let mut journal = store
@@ -431,8 +409,40 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_point_with_a_huge_finite_value_parses_and_resumes() {
+        use svard_cpusim::metrics::SystemMetrics;
+        use svard_system::EvaluationPoint;
+        // `Display` spells 1e39 as a bare 40-digit integer, past `i128`.
+        let point = EvaluationPoint {
+            defense: svard_defenses::DefenseKind::Para,
+            provider: "No Svärd".to_string(),
+            hc_first: 64,
+            normalized: SystemMetrics {
+                weighted_speedup: 1.0,
+                harmonic_speedup: 1.0,
+                max_slowdown: 1e39,
+            },
+        };
+        let line = crate::protocol::point_line("huge", 0, &point, "{}");
+        assert!(line.contains(&format!("\"max_slowdown\":1{},", "0".repeat(39))));
+        let parsed = Json::parse(&line).unwrap();
+        assert_eq!(parsed.get("max_slowdown"), Some(&Json::Num(1e39)));
+        let state = TempState::new("jobstore-huge", ServerConfig::default());
+        let store = &state.store;
+        let grid = GridSpec::default();
+        store
+            .open_job("huge", &grid)
+            .unwrap()
+            .record_point(0, &line)
+            .unwrap();
+        let resumed = store.open_job("huge", &grid).unwrap();
+        assert_eq!(resumed.completed.get(&0), Some(&line));
+    }
+
+    #[test]
     fn one_scan_decides_resume_repair_and_gc() {
-        let store = TempStore::new("jobstore-table");
+        let state = TempState::new("jobstore-table", ServerConfig::default());
+        let store = &state.store;
         let grid = GridSpec {
             defenses: vec![svard_defenses::DefenseKind::Para],
             providers: vec!["none".to_string()],
@@ -498,7 +508,8 @@ pub(crate) mod tests {
 
     #[test]
     fn gc_prunes_only_finished_journals() {
-        let store = TempStore::new("jobstore-gc");
+        let state = TempState::new("jobstore-gc", ServerConfig::default());
+        let store = &state.store;
         let grid = GridSpec {
             defenses: vec![svard_defenses::DefenseKind::Para],
             providers: vec!["none".to_string()],
@@ -544,7 +555,8 @@ pub(crate) mod tests {
 
     #[test]
     fn grid_mismatch_is_rejected_on_resume() {
-        let store = TempStore::new("jobstore-mismatch");
+        let state = TempState::new("jobstore-mismatch", ServerConfig::default());
+        let store = &state.store;
         let grid = GridSpec::default();
         drop(store.open_job("fixed-grid", &grid).unwrap());
         let mut other = grid.clone();

@@ -19,9 +19,9 @@
 //! | [`protocol`] | wire records, grid validation, point expansion        |
 //! | [`jobstore`] | on-disk job journals (resume state, GC)               |
 //! | [`queue`]  | bounded delegation work queue between connections and executors |
-//! | [`bridge`] | grid → harness translation and streamed job execution   |
+//! | [`bridge`] | grid → harness translation; `run_job(&ServerState, &QueuedJob)` |
 //! | [`chaos`]  | seeded deterministic fault injection for chaos testing  |
-//! | [`server`] | TCP accept/connection/executor loops                    |
+//! | [`server`] | `ServerState` (the one shared handle) and the TCP accept/connection/executor loops |
 //! | [`client`] | client connection, retrying job driver and load generator |
 //! | [`cli`]    | minimal `--flag value` argument helpers for the bins    |
 //!

@@ -58,18 +58,7 @@ pub struct JobQueue {
     capacity: usize,
 }
 
-impl Default for JobQueue {
-    fn default() -> Self {
-        JobQueue::with_capacity(0)
-    }
-}
-
 impl JobQueue {
-    /// Create an empty, unbounded queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Create an empty queue holding at most `capacity` waiting jobs
     /// (0 = unbounded).
     pub fn with_capacity(capacity: usize) -> Self {
@@ -166,7 +155,7 @@ mod tests {
 
     #[test]
     fn queue_is_fifo_and_tracks_peak_depth() {
-        let q = JobQueue::new();
+        let q = JobQueue::with_capacity(0);
         assert_eq!(q.push(job("a")), PushOutcome::Queued);
         assert_eq!(q.push(job("b")), PushOutcome::Queued);
         assert_eq!(q.depth_peak(), 2);
@@ -189,7 +178,7 @@ mod tests {
 
     #[test]
     fn shutdown_wakes_blocked_pop_and_rejects_new_jobs() {
-        let q = Arc::new(JobQueue::new());
+        let q = Arc::new(JobQueue::with_capacity(0));
         let waiter = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || q.pop().map(|j| j.job_id))

@@ -8,6 +8,13 @@
 //! through one [`JobQueue`] into a small executor pool, so the number of
 //! concurrently simulating jobs is bounded regardless of connection count.
 //!
+//! Shared state: every thread holds one `Arc<`[`ServerState`]`>` — the queue,
+//! journal store, metric registry, job table, stop flag, profiler, chaos plan
+//! and configuration — and each thread function takes `&ServerState` plus its
+//! own per-call values (a listener, a stream, a request line, a
+//! [`QueuedJob`]). [`ServerState::new`] builds it from a [`ServerConfig`], for
+//! [`serve`] and for tests that drive [`bridge::run_job`] without a socket.
+//!
 //! Fault tolerance: executors wrap job execution in `catch_unwind`, so a
 //! panicking point fails only its own job (with a retryable `error` record;
 //! the journal keeps what finished) while a supervisor respawns any worker
@@ -33,7 +40,7 @@ use std::time::{Duration, Instant};
 use svard_obs::json::Json;
 use svard_obs::{MetricsSnapshot, Profiler, DEFAULT_SPAN_CAPACITY};
 
-use crate::bridge::{self, JobCtrl, JobObs};
+use crate::bridge;
 use crate::chaos::{ChaosRates, FaultPlan, FaultSite};
 use crate::jobstore::{validate_job_id, JobStore};
 use crate::protocol::{busy_line, cancel_ack_line, error_line, error_line_retryable, GridSpec};
@@ -200,7 +207,7 @@ impl JobTable {
 
 /// Operational metrics, exposed through the `stats` and `metrics` requests.
 #[derive(Default)]
-pub struct ServerStats {
+pub(crate) struct ServerStats {
     metrics: Mutex<MetricsSnapshot>,
     inflight: AtomicUsize,
 }
@@ -249,27 +256,75 @@ impl ServerStats {
     }
 }
 
-/// The full registry view served to `stats` and `metrics` requests: the
-/// recorded counters and histograms plus live queue-depth and inflight
-/// gauges (inserted even when 0, so scrapers always see the keys).
-fn registry_snapshot(stats: &ServerStats, queue: &JobQueue) -> MetricsSnapshot {
-    let mut snap = stats.snapshot();
-    snap.raise_gauge("server.queue_depth", queue.depth() as u64);
-    snap.raise_gauge("server.queue_depth_peak", queue.depth_peak() as u64);
-    snap.raise_gauge(
-        "server.jobs_inflight",
-        stats.inflight.load(Ordering::Acquire) as u64,
-    );
-    snap
+/// Everything the server's threads share, behind one `Arc` (see the module
+/// docs); `config` carries the connection, watchdog and GC settings.
+pub struct ServerState {
+    pub(crate) queue: JobQueue,
+    pub(crate) store: JobStore,
+    pub(crate) stats: ServerStats,
+    pub(crate) jobs: JobTable,
+    /// Raised by [`ServerHandle::shutdown`] or a wire `shutdown` request.
+    pub(crate) stop: AtomicBool,
+    pub(crate) profiler: Profiler,
+    /// The one fault plan every seam polls; `None` runs fault-free.
+    pub(crate) chaos: Option<FaultPlan>,
+    pub(crate) config: ServerConfig,
+}
+
+impl ServerState {
+    /// The state [`serve`] runs on, and tests drive [`bridge::run_job`] with:
+    /// creates `config.state_dir` if needed; queue, registry and job table
+    /// start empty.
+    pub fn new(config: &ServerConfig) -> Result<ServerState, String> {
+        Ok(ServerState {
+            queue: JobQueue::with_capacity(config.queue_depth),
+            store: JobStore::new(&config.state_dir)?,
+            stats: ServerStats::default(),
+            jobs: JobTable::default(),
+            stop: AtomicBool::new(false),
+            profiler: if config.profile_spans > 0 {
+                Profiler::new(config.profile_spans)
+            } else {
+                Profiler::disabled()
+            },
+            chaos: config.chaos.map(|c| FaultPlan::new(c.seed, c.rates)),
+            config: config.clone(),
+        })
+    }
+
+    pub(crate) fn stopping(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
+    }
+
+    /// Prune finished journals past the configured age or count budget
+    /// ([`JobStore::gc`] prunes nothing when both are 0), on startup and
+    /// after each summary, so a long-lived server's state dir stays bounded.
+    fn gc(&self) {
+        let pruned = self.store.gc(self.config.gc_age_secs, self.config.gc_max);
+        if pruned > 0 {
+            self.stats.add("server.gc.pruned_journals", pruned as u64);
+        }
+    }
+
+    /// The full registry view served to `stats` and `metrics` requests: the
+    /// recorded counters and histograms plus live queue-depth and inflight
+    /// gauges (inserted even when 0, so scrapers always see the keys).
+    fn registry_snapshot(&self) -> MetricsSnapshot {
+        let mut snap = self.stats.snapshot();
+        snap.raise_gauge("server.queue_depth", self.queue.depth() as u64);
+        snap.raise_gauge("server.queue_depth_peak", self.queue.depth_peak() as u64);
+        snap.raise_gauge(
+            "server.jobs_inflight",
+            self.stats.inflight.load(Ordering::Acquire) as u64,
+        );
+        snap
+    }
 }
 
 /// A running server: background threads plus the handle to stop them.
 pub struct ServerHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    queue: Arc<JobQueue>,
-    stats: Arc<ServerStats>,
-    profiler: Profiler,
+    state: Arc<ServerState>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -281,48 +336,32 @@ impl ServerHandle {
 
     /// A frozen copy of the operational metrics.
     pub fn stats_snapshot(&self) -> MetricsSnapshot {
-        registry_snapshot(&self.stats, &self.queue)
+        self.state.registry_snapshot()
     }
 
     /// The server's span profiler. Clone it before [`ServerHandle::shutdown`]
     /// to export the spans recorded up to and during shutdown.
     pub fn profiler(&self) -> &Profiler {
-        &self.profiler
+        &self.state.profiler
     }
 
     /// Whether a `shutdown` wire request has asked the server to stop (the
     /// `svard-server` binary polls this to exit cleanly).
     pub fn stop_requested(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
+        self.state.stopping()
     }
 
     /// Stop accepting, drain the queue, and join every background thread.
     /// Jobs already executing finish their in-flight points (journaled), so
     /// nothing completed is lost.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Release);
+        self.state.stop.store(true, Ordering::Release);
         wake_accept_loop(self.addr);
-        self.queue.shutdown();
+        self.state.queue.shutdown();
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
     }
-}
-
-/// Everything one executor worker needs, bundled so the supervisor can
-/// respawn workers cheaply.
-#[derive(Clone)]
-struct ExecCtx {
-    queue: Arc<JobQueue>,
-    store: Arc<JobStore>,
-    stats: Arc<ServerStats>,
-    stop: Arc<AtomicBool>,
-    table: Arc<JobTable>,
-    profiler: Profiler,
-    watchdog_multiple: u64,
-    chaos: Option<Arc<FaultPlan>>,
-    gc_age_secs: u64,
-    gc_max: usize,
 }
 
 /// Bind, spawn the accept loop and executor pool, and return immediately.
@@ -332,91 +371,40 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, String> {
     let addr = listener
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
-    let store = Arc::new(JobStore::new(&config.state_dir)?);
-    let stop = Arc::new(AtomicBool::new(false));
-    let queue = Arc::new(JobQueue::with_capacity(config.queue_depth));
-    let stats = Arc::new(ServerStats::default());
-    let table = Arc::new(JobTable::default());
-    let chaos = config
-        .chaos
-        .map(|c| Arc::new(FaultPlan::new(c.seed, c.rates)));
-    let profiler = if config.profile_spans > 0 {
-        Profiler::new(config.profile_spans)
-    } else {
-        Profiler::disabled()
-    };
-
+    let state = Arc::new(ServerState::new(&config)?);
     // Startup compaction: finished journals past their age or count budget
     // go now, before any job can resume them.
-    if config.gc_age_secs > 0 || config.gc_max > 0 {
-        let pruned = store.gc(config.gc_age_secs, config.gc_max);
-        if pruned > 0 {
-            stats.add("server.gc.pruned_journals", pruned as u64);
-        }
-    }
-
-    let ctx = ExecCtx {
-        queue: Arc::clone(&queue),
-        store,
-        stats: Arc::clone(&stats),
-        stop: Arc::clone(&stop),
-        table: Arc::clone(&table),
-        profiler: profiler.clone(),
-        watchdog_multiple: config.watchdog_multiple,
-        chaos: chaos.clone(),
-        gc_age_secs: config.gc_age_secs,
-        gc_max: config.gc_max,
-    };
-    let executors = config.executors.max(1);
-    let mut threads = Vec::new();
-    threads.push(std::thread::spawn(move || {
-        executor_supervisor(executors, &ctx)
-    }));
-    {
-        let (queue, stats, stop, table, profiler) = (
-            Arc::clone(&queue),
-            Arc::clone(&stats),
-            Arc::clone(&stop),
-            Arc::clone(&table),
-            profiler.clone(),
-        );
-        let conn = ConnSettings {
-            listen_addr: addr,
-            idle_timeout: config.idle_timeout,
-            write_timeout: config.write_timeout,
-            chaos,
-        };
-        threads.push(std::thread::spawn(move || {
-            accept_loop(listener, &queue, &stats, &stop, &table, &profiler, &conn)
-        }));
-    }
+    state.gc();
+    let (supervised, accepting) = (Arc::clone(&state), Arc::clone(&state));
+    let threads = vec![
+        std::thread::spawn(move || executor_supervisor(&supervised)),
+        std::thread::spawn(move || accept_loop(&accepting, listener)),
+    ];
     Ok(ServerHandle {
         addr,
-        stop,
-        queue,
-        stats,
-        profiler,
+        state,
         threads,
     })
 }
 
-/// Spawn `executors` worker threads and respawn any that die before
-/// shutdown. Workers normally exit only when the queue shuts down; a death
-/// before that means a panic escaped the per-job `catch_unwind`, and losing
-/// the thread would silently shrink the pool.
-fn executor_supervisor(executors: usize, ctx: &ExecCtx) {
-    let spawn = |ctx: &ExecCtx| {
-        let ctx = ctx.clone();
-        std::thread::spawn(move || executor_loop(&ctx))
+/// Spawn `config.executors` worker threads (at least one) and respawn any
+/// that die before shutdown. Workers normally exit only when the queue shuts
+/// down; a death before that means a panic escaped the per-job
+/// `catch_unwind`, and losing the thread would silently shrink the pool.
+fn executor_supervisor(state: &Arc<ServerState>) {
+    let spawn = || {
+        let state = Arc::clone(state);
+        std::thread::spawn(move || executor_loop(&state))
     };
-    let mut workers: Vec<JoinHandle<()>> = (0..executors).map(|_| spawn(ctx)).collect();
-    while !ctx.stop.load(Ordering::Acquire) {
+    let executors = state.config.executors.max(1);
+    let mut workers: Vec<JoinHandle<()>> = (0..executors).map(|_| spawn()).collect();
+    while !state.stopping() {
         std::thread::sleep(POLL);
         for slot in workers.iter_mut() {
-            if slot.is_finished() && !ctx.stop.load(Ordering::Acquire) {
-                let dead = std::mem::replace(slot, spawn(ctx));
+            if slot.is_finished() && !state.stopping() {
+                let dead = std::mem::replace(slot, spawn());
                 let _ = dead.join();
-                ctx.stats.count("server.fault.executor_respawns");
+                state.stats.count("server.fault.executor_respawns");
             }
         }
     }
@@ -425,40 +413,29 @@ fn executor_supervisor(executors: usize, ctx: &ExecCtx) {
     }
 }
 
-fn executor_loop(ctx: &ExecCtx) {
-    while let Some(job) = ctx.queue.pop() {
-        let wait_us = ctx.profiler.now_us().saturating_sub(job.enqueued_us);
-        ctx.profiler
+fn executor_loop(state: &ServerState) {
+    while let Some(job) = state.queue.pop() {
+        let wait_us = state.profiler.now_us().saturating_sub(job.enqueued_us);
+        state
+            .profiler
             .record("server.queue_wait", job.enqueued_us, wait_us, 0);
-        ctx.stats.observe("server.queue_wait_us", wait_us);
-        let inflight = ctx.stats.inflight.fetch_add(1, Ordering::AcqRel) + 1;
-        ctx.stats
+        state.stats.observe("server.queue_wait_us", wait_us);
+        let inflight = state.stats.inflight.fetch_add(1, Ordering::AcqRel) + 1;
+        state
+            .stats
             .with(|m| m.raise_gauge("server.jobs_inflight_peak", inflight as u64));
-        let obs = JobObs {
-            profiler: ctx.profiler.clone(),
-            stats: &ctx.stats,
-            watchdog_multiple: ctx.watchdog_multiple,
-            job: Some(&job.live),
-        };
-        let ctrl = JobCtrl {
-            stop: &ctx.stop,
-            cancel: &job.live.cancel,
-            chaos: ctx.chaos.as_deref(),
-        };
         // Crash isolation: a panicking point (injected or genuine) unwinds
         // out of the harness into this frame and fails only this job. The
         // journal keeps everything that completed, so the client's resubmit
         // resumes rather than restarts.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            bridge::run_job(&job.job_id, &job.grid, &job.out, &ctx.store, &ctrl, &obs)
-        }));
+        let result = catch_unwind(AssertUnwindSafe(|| bridge::run_job(state, &job)));
         match result {
             // `run_job` has counted the job's end already.
             Ok(Ok(report)) => {
                 if report.cancelled
                     && report.completed < report.points
                     && !job.live.cancel.load(Ordering::Acquire)
-                    && !ctx.stop.load(Ordering::Acquire)
+                    && !state.stopping()
                 {
                     // A journal fault (failed or torn append) ended the run
                     // early with no terminating record. A vanished client's
@@ -469,79 +446,45 @@ fn executor_loop(ctx: &ExecCtx) {
                         job.job_id, report.completed
                     )));
                 }
-                if !report.cancelled
-                    && report.completed == report.points
-                    && (ctx.gc_age_secs > 0 || ctx.gc_max > 0)
-                {
-                    // Post-summary compaction keeps the state dir bounded on
-                    // a long-lived server.
-                    let pruned = ctx.store.gc(ctx.gc_age_secs, ctx.gc_max);
-                    if pruned > 0 {
-                        ctx.stats.add("server.gc.pruned_journals", pruned as u64);
-                    }
+                if !report.cancelled && report.completed == report.points {
+                    state.gc();
                 }
             }
             Ok(Err(message)) => {
-                ctx.stats.count("server.jobs_rejected");
+                state.stats.count("server.jobs_rejected");
                 let _ = job.out.send(error_line(&message));
             }
             Err(_) => {
-                ctx.stats.count("server.fault.caught_panics");
+                state.stats.count("server.fault.caught_panics");
                 let _ = job.out.send(error_line_retryable(&format!(
                     "job {} panicked; resubmit to resume from the journal",
                     job.job_id
                 )));
             }
         }
-        ctx.table.finish(&job.job_id, &job.live);
-        ctx.stats.inflight.fetch_sub(1, Ordering::AcqRel);
+        state.jobs.finish(&job.job_id, &job.live);
+        state.stats.inflight.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
-/// Per-connection behavior knobs, shared by every connection thread.
-#[derive(Clone)]
-struct ConnSettings {
-    /// The listener's bound address, which a wire `shutdown` connects to in
-    /// order to wake the accept loop.
-    listen_addr: SocketAddr,
-    idle_timeout: Duration,
-    write_timeout: Duration,
-    chaos: Option<Arc<FaultPlan>>,
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    queue: &Arc<JobQueue>,
-    stats: &Arc<ServerStats>,
-    stop: &Arc<AtomicBool>,
-    table: &Arc<JobTable>,
-    profiler: &Profiler,
-    conn: &ConnSettings,
-) {
+fn accept_loop(state: &Arc<ServerState>, listener: TcpListener) {
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
     // `accept` blocks; whoever raises `stop` then wakes it with
     // [`wake_accept_loop`], whose connection is dropped unserved here.
     while let Ok((stream, _)) = listener.accept() {
-        if stop.load(Ordering::Acquire) {
+        if state.stopping() {
             break;
         }
-        let accepted_us = profiler.now_us();
-        stats.count("server.connections");
-        let (queue, stats, stop, table, conn_profiler, conn) = (
-            Arc::clone(queue),
-            Arc::clone(stats),
-            Arc::clone(stop),
-            Arc::clone(table),
-            profiler.clone(),
-            conn.clone(),
-        );
+        let accepted_us = state.profiler.now_us();
+        state.stats.count("server.connections");
+        let connection = Arc::clone(state);
         connections.push(std::thread::spawn(move || {
-            handle_connection(stream, &queue, &stats, &stop, &table, &conn_profiler, &conn)
+            handle_connection(&connection, stream)
         }));
-        profiler.record(
+        state.profiler.record(
             "server.accept",
             accepted_us,
-            profiler.now_us().saturating_sub(accepted_us),
+            state.profiler.now_us().saturating_sub(accepted_us),
             connections.len() as u64,
         );
         connections.retain(|c| !c.is_finished());
@@ -567,15 +510,7 @@ fn wake_accept_loop(mut addr: SocketAddr) {
     let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
 }
 
-fn handle_connection(
-    mut stream: TcpStream,
-    queue: &JobQueue,
-    stats: &ServerStats,
-    stop: &AtomicBool,
-    table: &JobTable,
-    profiler: &Profiler,
-    conn: &ConnSettings,
-) {
+fn handle_connection(state: &ServerState, mut stream: TcpStream) {
     // A short read timeout keeps the thread responsive to shutdown without
     // busy-waiting; partial lines accumulate in `acc` across reads (a plain
     // `BufReader::read_line` would lose them on timeout).
@@ -588,20 +523,17 @@ fn handle_connection(
     let Ok(writer) = stream.try_clone() else {
         return;
     };
-    if !conn.write_timeout.is_zero() {
-        let _ = writer.set_write_timeout(Some(conn.write_timeout));
+    let config = &state.config;
+    if !config.write_timeout.is_zero() {
+        let _ = writer.set_write_timeout(Some(config.write_timeout));
     }
-    let mut io = ConnIo {
-        writer,
-        stats,
-        chaos: conn.chaos.as_deref(),
-    };
+    let mut io = ConnIo { writer, state };
     let mut acc: Vec<u8> = Vec::new();
     // `acc[..scanned]` is known to hold no newline.
     let mut scanned = 0;
     let mut chunk = [0u8; 4096];
     let mut last_activity = Instant::now();
-    while !stop.load(Ordering::Acquire) {
+    while !state.stopping() {
         while let Some(end) = acc
             .get(scanned..)
             .and_then(|fresh| fresh.iter().position(|&b| b == b'\n'))
@@ -617,7 +549,7 @@ fn handle_connection(
             if line.is_empty() {
                 continue;
             }
-            if !handle_request(&line, &mut io, queue, stop, table, profiler, conn) {
+            if !handle_request(&mut io, &line) {
                 return;
             }
             // A request (however long its job ran) counts as activity.
@@ -638,8 +570,9 @@ fn handle_connection(
                 // Idle reaper: a connection that sends nothing for the whole
                 // idle window is dead weight — close it so threads and fds
                 // cannot pile up behind silent clients.
-                if !conn.idle_timeout.is_zero() && last_activity.elapsed() >= conn.idle_timeout {
-                    stats.count("server.conn_idle_reaped");
+                if !config.idle_timeout.is_zero() && last_activity.elapsed() >= config.idle_timeout
+                {
+                    state.stats.count("server.conn_idle_reaped");
                     return;
                 }
             }
@@ -651,34 +584,34 @@ fn handle_connection(
 /// Answer a request frame longer than [`MAX_FRAME`]; the caller then closes
 /// the connection, since the rest of the frame cannot be skipped reliably.
 fn reject_oversized_frame(io: &mut ConnIo<'_>) {
-    io.stats.count("server.errors");
+    io.state.stats.count("server.errors");
     let _ = io.write_line(&error_line(&format!("frame exceeds {MAX_FRAME} bytes")));
 }
 
-/// The response-writing half of a connection: the socket, the metric
-/// registry, and the chaos plan whose connection-level faults (drops,
-/// delayed/short writes) are injected here — the single seam every response
-/// line passes through.
+/// The response-writing half of a connection: the socket and the server
+/// state, whose chaos plan's connection-level faults (drops, delayed/short
+/// writes) are injected here — the single seam every response line passes
+/// through.
 struct ConnIo<'a> {
     writer: TcpStream,
-    stats: &'a ServerStats,
-    chaos: Option<&'a FaultPlan>,
+    state: &'a ServerState,
 }
 
 impl ConnIo<'_> {
     /// Write one response line. Returns `false` when the connection should
     /// close (client gone, write timed out, or an injected drop).
     fn write_line(&mut self, line: &str) -> bool {
-        if let Some(plan) = self.chaos {
+        let stats = &self.state.stats;
+        if let Some(plan) = &self.state.chaos {
             if plan.fire(FaultSite::ConnDrop) {
-                self.stats.count("server.fault.conn_drops");
+                stats.count("server.fault.conn_drops");
                 let _ = self.writer.shutdown(Shutdown::Both);
                 return false;
             }
             if plan.fire(FaultSite::WriteDelay) {
                 // Short-then-delayed write: the client sees half a line, a
                 // pause, then the rest — exercising its accumulator path.
-                self.stats.count("server.fault.write_delays");
+                stats.count("server.fault.write_delays");
                 let bytes = line.as_bytes();
                 let split = bytes.len() / 2;
                 let (head, tail) = bytes.split_at(split.min(bytes.len()));
@@ -707,7 +640,7 @@ impl ConnIo<'_> {
             Ok(()) => true,
             Err(e) => {
                 if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
-                    self.stats.count("server.conn_write_timeouts");
+                    self.state.stats.count("server.conn_write_timeouts");
                 }
                 false
             }
@@ -716,16 +649,9 @@ impl ConnIo<'_> {
 }
 
 /// Handle one request line. Returns `false` when the connection should close.
-fn handle_request(
-    line: &str,
-    io: &mut ConnIo<'_>,
-    queue: &JobQueue,
-    stop: &AtomicBool,
-    table: &JobTable,
-    profiler: &Profiler,
-    conn: &ConnSettings,
-) -> bool {
-    let stats = io.stats;
+fn handle_request(io: &mut ConnIo<'_>, line: &str) -> bool {
+    let state = io.state;
+    let (stats, profiler) = (&state.stats, &state.profiler);
     let parse_us = profiler.now_us();
     let parsed = Json::parse(line);
     profiler.record(
@@ -746,13 +672,13 @@ fn handle_request(
         Some("stats") => {
             let record = Json::obj([
                 ("type", Json::str("stats")),
-                ("metrics", registry_snapshot(stats, queue).to_json_value()),
-                ("jobs", table.progress_json()),
+                ("metrics", state.registry_snapshot().to_json_value()),
+                ("jobs", state.jobs.progress_json()),
             ]);
             io.write_line(&record.render())
         }
         Some("metrics") => {
-            let text = registry_snapshot(stats, queue).to_text();
+            let text = state.registry_snapshot().to_text();
             for metric_line in text.lines() {
                 if !io.write_line(metric_line) {
                     return false;
@@ -769,7 +695,7 @@ fn handle_request(
                     return io.write_line(&error_line("cancel requires a job_id"));
                 }
             };
-            let active = table.cancel(job_id);
+            let active = state.jobs.cancel(job_id);
             if active {
                 stats.count("server.cancel.jobs");
             }
@@ -777,13 +703,16 @@ fn handle_request(
         }
         Some("shutdown") => {
             // Acknowledge, then raise the stop flag the connection handlers
-            // and the `svard-server` binary poll, and wake the accept loop.
+            // and the `svard-server` binary poll, and wake the accept loop
+            // through the address this connection reached it on.
             let _ = io.write_line(&Json::obj([("type", Json::str("bye"))]).render());
-            stop.store(true, Ordering::Release);
-            wake_accept_loop(conn.listen_addr);
+            state.stop.store(true, Ordering::Release);
+            if let Ok(listen_addr) = io.writer.local_addr() {
+                wake_accept_loop(listen_addr);
+            }
             false
         }
-        Some("submit") => handle_submit(&request, io, queue, stats, stop, table, profiler),
+        Some("submit") => handle_submit(io, &request),
         _ => {
             stats.count("server.errors");
             io.write_line(&error_line("unknown request type"))
@@ -791,15 +720,9 @@ fn handle_request(
     }
 }
 
-fn handle_submit(
-    request: &Json,
-    io: &mut ConnIo<'_>,
-    queue: &JobQueue,
-    stats: &ServerStats,
-    stop: &AtomicBool,
-    table: &JobTable,
-    profiler: &Profiler,
-) -> bool {
+fn handle_submit(io: &mut ConnIo<'_>, request: &Json) -> bool {
+    let state = io.state;
+    let (stats, profiler) = (&state.stats, &state.profiler);
     let validate_us = profiler.now_us();
     let validated = validate_submit(request);
     profiler.record(
@@ -818,7 +741,7 @@ fn handle_submit(
     // Duplicate guard: two live submits of one job id would race on one
     // journal. Retryable — the earlier submit may be a dead connection whose
     // executor has not noticed yet, in which case a retry will get through.
-    let Some(live) = table.begin(&job_id) else {
+    let Some(live) = state.jobs.begin(&job_id) else {
         stats.count("server.errors");
         return io.write_line(&error_line_retryable(&format!(
             "job {job_id:?} is already active"
@@ -826,7 +749,7 @@ fn handle_submit(
     };
     stats.count("server.jobs_submitted");
     let (tx, rx) = channel();
-    match queue.push(QueuedJob {
+    match state.queue.push(QueuedJob {
         job_id: job_id.clone(),
         grid,
         out: tx,
@@ -838,12 +761,12 @@ fn handle_submit(
             // Backpressure: the queue is full, so say so instead of growing
             // without bound. The job never reached an executor, so release
             // its table entry here.
-            table.finish(&job_id, &live);
+            state.jobs.finish(&job_id, &live);
             stats.count("server.busy_rejections");
-            return io.write_line(&busy_line(&job_id, queue.depth()));
+            return io.write_line(&busy_line(&job_id, state.queue.depth()));
         }
         PushOutcome::Shutdown => {
-            table.finish(&job_id, &live);
+            state.jobs.finish(&job_id, &live);
             return io.write_line(&error_line("server is shutting down"));
         }
     }
@@ -858,7 +781,7 @@ fn handle_submit(
                 }
             }
             Err(RecvTimeoutError::Timeout) => {
-                if stop.load(Ordering::Acquire) {
+                if state.stopping() {
                     return false;
                 }
             }
@@ -882,8 +805,51 @@ fn validate_submit(request: &Json) -> Result<(String, GridSpec), String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::sync::mpsc::Sender;
+
+    /// A server state on a per-process temp state dir that is removed on
+    /// drop, so test runs leave no state directories behind.
+    pub(crate) struct TempState(ServerState);
+
+    impl TempState {
+        /// `config` on a fresh `$TMPDIR/svard-<tag>-<pid>` state dir.
+        pub(crate) fn new(tag: &str, config: ServerConfig) -> TempState {
+            let dir = std::env::temp_dir().join(format!("svard-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let config = ServerConfig {
+                state_dir: dir,
+                ..config
+            };
+            TempState(ServerState::new(&config).expect("create the temp state dir"))
+        }
+    }
+
+    impl std::ops::Deref for TempState {
+        type Target = ServerState;
+
+        fn deref(&self) -> &ServerState {
+            &self.0
+        }
+    }
+
+    impl Drop for TempState {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0.config.state_dir);
+        }
+    }
+
+    /// A job as a connection would queue it, streaming into `out`.
+    pub(crate) fn queued(job_id: &str, grid: &GridSpec, out: Sender<String>) -> QueuedJob {
+        QueuedJob {
+            job_id: job_id.to_string(),
+            grid: grid.clone(),
+            out,
+            live: Arc::default(),
+            enqueued_us: 0,
+        }
+    }
 
     #[test]
     fn a_job_shows_progress_only_once_started_and_leaves_with_its_entry() {

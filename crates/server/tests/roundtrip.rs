@@ -7,7 +7,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::AtomicBool;
 use std::sync::mpsc::channel;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use svard_defenses::DefenseKind;
@@ -15,6 +15,8 @@ use svard_obs::json::Json;
 use svard_server::bridge;
 use svard_server::jobstore::JobStore;
 use svard_server::protocol::point_line;
+use svard_server::queue::QueuedJob;
+use svard_server::server::ServerState;
 use svard_server::{serve, Client, GridSpec, ServerConfig};
 
 mod common;
@@ -186,23 +188,80 @@ fn a_killed_job_resumes_from_the_journal_with_byte_identical_lines() {
 fn a_client_that_vanishes_cancels_the_job_without_corrupting_state() {
     let grid = tiny_grid(1);
     let state_dir = TempDir::new("rt-vanish");
-    let store = JobStore::new(state_dir.path()).unwrap();
-    let stop = AtomicBool::new(false);
-    let cancel = AtomicBool::new(false);
-    let ctrl = bridge::JobCtrl::plain(&stop, &cancel);
-    let stats = svard_server::server::ServerStats::default();
-    let obs = bridge::JobObs::disabled(&stats);
+    let state = ServerState::new(&ServerConfig {
+        state_dir: state_dir.path().into(),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let job = |out| QueuedJob {
+        job_id: "gone".to_string(),
+        grid: grid.clone(),
+        out,
+        live: Arc::default(),
+        enqueued_us: 0,
+    };
     let (tx, rx) = channel();
     drop(rx);
-    let report = bridge::run_job("gone", &grid, &tx, &store, &ctrl, &obs).unwrap();
+    let report = bridge::run_job(&state, &job(tx)).unwrap();
     assert!(report.cancelled);
     assert_eq!(report.completed, 0);
     // The journal is still resumable afterwards.
     let (tx, rx) = channel();
-    let report = bridge::run_job("gone", &grid, &tx, &store, &ctrl, &obs).unwrap();
+    let report = bridge::run_job(&state, &job(tx)).unwrap();
     assert!(!report.cancelled);
     assert_eq!(report.completed, 4);
     drop(rx);
+}
+
+/// The server's metrics once no job is executing, so the post-summary
+/// steps of every finished job (GC included) have run.
+fn settled_metrics(server: &svard_server::ServerHandle) -> svard_obs::MetricsSnapshot {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let snap = server.stats_snapshot();
+        if snap.gauge("server.jobs_inflight") == 0 || Instant::now() > deadline {
+            return snap;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn finished_journals_are_pruned_after_each_summary_only_past_a_gc_limit() {
+    let dir = TempDir::new("rt-gc");
+    let journals = || std::fs::read_dir(dir.path()).unwrap().count();
+    let serve_with = |gc_max| {
+        serve(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            state_dir: dir.path().into(),
+            executors: 1,
+            gc_max,
+            ..ServerConfig::default()
+        })
+        .unwrap()
+    };
+
+    // Keep one finished journal: the second summary prunes the first job's.
+    let server = serve_with(1);
+    let mut client = Client::connect(&server.addr().to_string()).unwrap();
+    for job_id in ["gc-a", "gc-b"] {
+        client.run_job(job_id, &tiny_grid(1)).unwrap();
+    }
+    let snap = settled_metrics(&server);
+    assert_eq!(snap.counter("server.gc.pruned_journals"), 1);
+    assert_eq!(journals(), 1);
+    server.shutdown();
+
+    // Both limits 0: nothing is pruned, and the counter is never added.
+    let server = serve_with(0);
+    let mut client = Client::connect(&server.addr().to_string()).unwrap();
+    for job_id in ["gc-c", "gc-d"] {
+        client.run_job(job_id, &tiny_grid(1)).unwrap();
+    }
+    let snap = settled_metrics(&server);
+    assert!(!snap.counters.contains_key("server.gc.pruned_journals"));
+    assert_eq!(journals(), 3);
+    server.shutdown();
 }
 
 #[test]

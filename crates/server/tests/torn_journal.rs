@@ -4,14 +4,16 @@
 //! byte-identical sweep — replayed prefix plus re-simulated remainder.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::AtomicBool;
+use std::path::Path;
 use std::sync::mpsc::channel;
+use std::sync::Arc;
 
 use svard_defenses::DefenseKind;
 use svard_obs::json::Json;
-use svard_server::bridge::{self, JobCtrl};
-use svard_server::jobstore::JobStore;
-use svard_server::GridSpec;
+use svard_server::bridge;
+use svard_server::queue::QueuedJob;
+use svard_server::server::ServerState;
+use svard_server::{GridSpec, ServerConfig};
 
 mod common;
 use common::TempDir;
@@ -31,17 +33,24 @@ fn tiny_grid() -> GridSpec {
     }
 }
 
-/// Run the job to completion in process and return its point lines sorted by
-/// index (raw wire bytes — no normalization; the job id is identical across
-/// runs).
-fn run_sorted(job_id: &str, grid: &GridSpec, store: &JobStore) -> Vec<String> {
-    let stop = AtomicBool::new(false);
-    let cancel = AtomicBool::new(false);
-    let ctrl = JobCtrl::plain(&stop, &cancel);
-    let stats = svard_server::server::ServerStats::default();
-    let obs = bridge::JobObs::disabled(&stats);
+/// Run the job to completion in process on a server state over `state_dir`
+/// and return its point lines sorted by index (raw wire bytes — no
+/// normalization; the job id is identical across runs).
+fn run_sorted(job_id: &str, grid: &GridSpec, state_dir: &Path) -> Vec<String> {
+    let state = ServerState::new(&ServerConfig {
+        state_dir: state_dir.into(),
+        ..ServerConfig::default()
+    })
+    .unwrap();
     let (tx, rx) = channel();
-    let report = bridge::run_job(job_id, grid, &tx, store, &ctrl, &obs).unwrap();
+    let job = QueuedJob {
+        job_id: job_id.to_string(),
+        grid: grid.clone(),
+        out: tx,
+        live: Arc::default(),
+        enqueued_us: 0,
+    };
+    let report = bridge::run_job(&state, &job).unwrap();
     assert!(!report.cancelled);
     let mut by_index: BTreeMap<usize, String> = BTreeMap::new();
     for line in rx.try_iter() {
@@ -58,8 +67,7 @@ fn run_sorted(job_id: &str, grid: &GridSpec, store: &JobStore) -> Vec<String> {
 fn a_journal_torn_at_any_byte_of_its_last_line_resumes_byte_identically() {
     let grid = tiny_grid();
     let reference_dir = TempDir::new("torn-ref");
-    let store = JobStore::new(reference_dir.path()).unwrap();
-    let reference = run_sorted("torn", &grid, &store);
+    let reference = run_sorted("torn", &grid, reference_dir.path());
     assert!(!reference.is_empty());
 
     let journal_path = reference_dir.path().join("torn.jsonl");
@@ -78,13 +86,12 @@ fn a_journal_torn_at_any_byte_of_its_last_line_resumes_byte_identically() {
         let dir = TempDir::new(&format!("torn-cut{cut}"));
         std::fs::create_dir_all(dir.path()).unwrap();
         std::fs::write(dir.path().join("torn.jsonl"), &full[..cut]).unwrap();
-        let store = JobStore::new(dir.path()).unwrap();
-        let resumed = run_sorted("torn", &grid, &store);
+        let resumed = run_sorted("torn", &grid, dir.path());
         assert_eq!(resumed, reference, "cut at byte {cut} of {}", full.len());
 
         // The repaired journal must be a newline-terminated prefix rewrite:
         // replaying it a second time still yields the same bytes.
-        let again = run_sorted("torn", &grid, &store);
+        let again = run_sorted("torn", &grid, dir.path());
         assert_eq!(again, reference, "re-replay after repair, cut {cut}");
     }
 }
