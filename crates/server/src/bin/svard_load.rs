@@ -1,31 +1,28 @@
-//! `svard-load`: load generator and consistency checker for `svard-server`.
+//! `svard-load`: consistency checks and control requests for a running
+//! `svard-server`.
 //!
 //! ```text
-//! svard-load [--addr HOST:PORT] [--connections 1,2] [--workers 1] [--jobs 1]
+//! svard-load [--addr HOST:PORT] [--check] [--chaos-check]
+//!            [--metrics-out PATH] [--shutdown]
 //!            [--defenses PARA] [--providers none,S0] [--hc-values 64]
 //!            [--mixes 1] [--cores 2] [--instructions 2000] [--rows 256]
-//!            [--seed 42] [--bins 8] [--prefix load] [--csv PATH] [--check]
-//!            [--retries N] [--retry-base-ms MS] [--retry-seed SEED]
-//!            [--chaos-check] [--metrics-out PATH] [--shutdown]
+//!            [--seed 42] [--bins 8] [--workers 1] [--prefix load]
+//!            [--retries 40] [--retry-base-ms MS] [--retry-seed SEED]
 //! ```
 //!
-//! Sweeps connection counts (and harness worker counts) against a running
-//! server, driving `--jobs` jobs per connection, and emits a throughput /
-//! latency CSV to stdout (and `--csv PATH` if given), including
-//! p50/p95/p99 per-point latency columns computed from client-side log2
-//! histograms. `--retries N` makes every job self-healing: seeded
-//! exponential-backoff retry with reconnect, resuming over the server's
-//! journal replay — the load generator then survives a chaos-enabled or
-//! restarting server. With `--check`, also submits the same grid as two
-//! fresh jobs plus one resumed job and exits 1 unless all point lines are
-//! bit-identical (after job-id normalization). `--chaos-check` is the
-//! chaos-soak assertion: it computes the fault-free reference **in
-//! process** (no server involved), then drives one retrying job against the
-//! (presumably chaos-injected) server and exits 1 unless the converged
-//! point lines and summary metrics are byte-identical to the reference.
-//! `--metrics-out` scrapes the server's `metrics` exposition to a file
-//! after the sweep; `--shutdown` asks the server to exit once everything
-//! else is done.
+//! Runs only the actions it is given, in this order. `--check` submits the
+//! grid as two fresh jobs plus one resumed job and exits 1 unless all point
+//! lines are bit-identical (after job-id normalization). `--chaos-check` is
+//! the chaos-soak assertion: it computes the fault-free reference **in
+//! process** (no server involved), then drives one self-healing job
+//! (`--retries` attempts of seeded exponential-backoff retry with reconnect,
+//! resuming over the server's journal replay) against the (presumably
+//! chaos-injected) server and exits 1 unless the converged point lines and
+//! summary metrics are byte-identical to the reference. `--metrics-out`
+//! scrapes the server's `metrics` exposition to a file; `--shutdown` asks
+//! the server to exit once everything else is done. With no action it
+//! exits 2. Serving throughput is measured by perfbench's
+//! `serve_small_jobs`, not by this bin.
 
 use svard_obs::json::Json;
 use svard_server::bridge;
@@ -33,9 +30,9 @@ use svard_server::cli::{
     arg_flag, arg_list, arg_list_parsed, arg_string, arg_u64, arg_usize, or_exit,
 };
 use svard_server::protocol::parse_defense;
-use svard_server::{run_job_with_retry, run_load_retrying, Client, GridSpec, RetryPolicy};
+use svard_server::{run_job_with_retry, Client, GridSpec, RetryPolicy};
 
-fn grid_from_args(workers: usize) -> Result<GridSpec, String> {
+fn grid_from_args() -> Result<GridSpec, String> {
     let defenses = arg_list("defenses", &["PARA"])
         .iter()
         .map(|name| parse_defense(name).ok_or(format!("unknown defense {name:?}")))
@@ -50,7 +47,7 @@ fn grid_from_args(workers: usize) -> Result<GridSpec, String> {
         rows: arg_usize("rows", 256),
         seed: arg_u64("seed", 42),
         bins: arg_usize("bins", 8),
-        workers,
+        workers: arg_usize("workers", 1),
     };
     grid.validate()?;
     Ok(grid)
@@ -137,129 +134,65 @@ fn chaos_check(
     Ok((report.attempts, report.reconnects))
 }
 
+/// The value of `result`, or print `svard-load: {context}: {error}` and
+/// exit with `code`.
+fn or_fail<T>(code: i32, context: &str, result: Result<T, String>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("svard-load: {context}: {e}");
+        std::process::exit(code)
+    })
+}
+
 fn main() {
     let addr = arg_string("addr").unwrap_or_else(|| "127.0.0.1:7979".to_string());
-    let mut connections: Vec<usize> = or_exit(arg_list_parsed("connections", &["1", "2"]));
-    connections.retain(|&c| c > 0);
-    let workers_list: Vec<usize> = or_exit(arg_list_parsed("workers", &["1"]));
-    let jobs = arg_usize("jobs", 1);
     let prefix = arg_string("prefix").unwrap_or_else(|| "load".to_string());
-    let retries = arg_usize("retries", 0);
-    let retry = (retries > 0).then(|| RetryPolicy {
-        attempts: retries,
-        base_delay_ms: arg_u64("retry-base-ms", 50),
-        seed: arg_u64("retry-seed", 42),
-        ..RetryPolicy::default()
-    });
-
-    let mut csv = String::from(
-        "connections,workers,jobs,points,wall_seconds,points_per_second,mean_point_latency_s,p50_point_latency_s,p95_point_latency_s,p99_point_latency_s\n",
-    );
-    for &workers in &workers_list {
-        let grid = or_exit(grid_from_args(workers));
-        for &conns in &connections {
-            match run_load_retrying(
-                &addr,
-                conns,
-                jobs,
-                &grid,
-                &format!("{prefix}-w{workers}"),
-                retry.as_ref(),
-            ) {
-                Ok(point) => {
-                    eprintln!(
-                        "# {} connections x {} jobs ({} workers): {} points in {:.3}s ({:.2}/s)",
-                        point.connections,
-                        point.jobs,
-                        point.workers,
-                        point.points,
-                        point.wall_seconds,
-                        point.points_per_second
-                    );
-                    csv.push_str(&format!(
-                        "{},{},{},{},{:.6},{:.3},{:.6},{:.6},{:.6},{:.6}\n",
-                        point.connections,
-                        point.workers,
-                        point.jobs,
-                        point.points,
-                        point.wall_seconds,
-                        point.points_per_second,
-                        point.mean_point_latency,
-                        point.p50_point_latency,
-                        point.p95_point_latency,
-                        point.p99_point_latency
-                    ));
-                }
-                Err(e) => {
-                    eprintln!("svard-load: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
+    let grid = or_exit(grid_from_args());
+    let metrics_out = arg_string("metrics-out");
+    let check_flag = arg_flag("check");
+    let chaos_flag = arg_flag("chaos-check");
+    let shutdown = arg_flag("shutdown");
+    if !(check_flag || chaos_flag || shutdown || metrics_out.is_some()) {
+        eprintln!(
+            "svard-load: nothing to do; pass --check, --chaos-check, \
+             --metrics-out PATH and/or --shutdown"
+        );
+        std::process::exit(2);
     }
-    print!("{csv}");
-    if let Some(path) = arg_string("csv") {
-        if let Err(e) = std::fs::write(&path, &csv) {
-            eprintln!("svard-load: write {path}: {e}");
-            std::process::exit(2);
-        }
+    if check_flag {
+        or_fail(1, "check failed", check(&addr, &grid, &prefix));
+        eprintln!("# check passed: fresh and resumed jobs are bit-identical");
     }
-    if arg_flag("check") {
-        let grid = or_exit(grid_from_args(workers_list.first().copied().unwrap_or(1)));
-        match check(&addr, &grid, &prefix) {
-            Ok(()) => eprintln!("# check passed: fresh and resumed jobs are bit-identical"),
-            Err(e) => {
-                eprintln!("svard-load: check failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if arg_flag("chaos-check") {
-        let grid = or_exit(grid_from_args(workers_list.first().copied().unwrap_or(1)));
-        // Chaos soaks need headroom: default to a generous retry budget when
-        // the user didn't size one with --retries.
-        let policy = retry.unwrap_or(RetryPolicy {
-            attempts: 40,
+    if chaos_flag {
+        let policy = RetryPolicy {
+            attempts: arg_usize("retries", 40),
             base_delay_ms: arg_u64("retry-base-ms", 50),
             seed: arg_u64("retry-seed", 42),
             ..RetryPolicy::default()
-        });
-        match chaos_check(&addr, &grid, &prefix, policy) {
-            Ok((attempts, reconnects)) => eprintln!(
-                "# chaos-check passed: converged byte-identically to the fault-free \
-                 reference in {attempts} attempt(s), {reconnects} reconnect(s)"
-            ),
-            Err(e) => {
-                eprintln!("svard-load: chaos-check failed: {e}");
-                std::process::exit(1);
-            }
-        }
+        };
+        let (attempts, reconnects) = or_fail(
+            1,
+            "chaos-check failed",
+            chaos_check(&addr, &grid, &prefix, policy),
+        );
+        eprintln!(
+            "# chaos-check passed: converged byte-identically to the fault-free \
+             reference in {attempts} attempt(s), {reconnects} reconnect(s)"
+        );
     }
-    if let Some(path) = arg_string("metrics-out") {
+    if let Some(path) = metrics_out {
         let scrape = Client::connect(&addr).and_then(|mut c| c.fetch_metrics());
-        match scrape {
-            Ok(lines) => {
-                let mut text = lines.join("\n");
-                text.push('\n');
-                if let Err(e) = std::fs::write(&path, &text) {
-                    eprintln!("svard-load: write {path}: {e}");
-                    std::process::exit(2);
-                }
-                eprintln!("# wrote {} metric lines to {path}", lines.len());
-            }
-            Err(e) => {
-                eprintln!("svard-load: metrics scrape failed: {e}");
-                std::process::exit(2);
-            }
-        }
+        let lines = or_fail(2, "metrics scrape failed", scrape);
+        let text = lines.join("\n") + "\n";
+        or_fail(
+            2,
+            &format!("write {path}"),
+            std::fs::write(&path, text).map_err(|e| e.to_string()),
+        );
+        eprintln!("# wrote {} metric lines to {path}", lines.len());
     }
-    if arg_flag("shutdown") {
-        match Client::connect(&addr).and_then(|mut c| c.request_shutdown()) {
-            Ok(()) => eprintln!("# server acknowledged shutdown"),
-            Err(e) => {
-                eprintln!("svard-load: shutdown failed: {e}");
-                std::process::exit(2);
-            }
-        }
+    if shutdown {
+        let bye = Client::connect(&addr).and_then(|mut c| c.request_shutdown());
+        or_fail(2, "shutdown failed", bye);
+        eprintln!("# server acknowledged shutdown");
     }
 }

@@ -1,5 +1,5 @@
-//! Minimal `--name value` command-line helpers, shared by the server and
-//! load bins and (re-exported by `svard-bench`) by every experiment bin.
+//! Minimal `--name value` command-line helpers, shared by `svard-server`,
+//! `svard-load` and (re-exported by `svard-bench`) every experiment bin.
 //!
 //! A flag that is present but does not parse is a usage error: the numeric
 //! readers exit with status 2 and name the flag rather than fall back to the

@@ -1,24 +1,22 @@
-//! Client connection, job driver and load generator.
+//! Client connection and job drivers.
 //!
 //! [`Client`] is a thin line-oriented connection; [`Client::run_job`] drives
-//! one submit to completion and verifies the response stream's shape.
-//! [`run_job_with_retry`] is the self-healing driver: seeded
+//! one submit to completion and verifies the response stream's shape, and
+//! its `cancel_job`, `fetch_metrics` and `request_shutdown` send the control
+//! requests. [`run_job_with_retry`] is the self-healing driver: seeded
 //! exponential-backoff retry with reconnect, leaning on the server's journal
 //! replay so every reattempt *resumes* instead of restarting — and
 //! cross-checking replayed point bytes across attempts, so a determinism
-//! violation is an error, never silently accepted. [`run_load_retrying`] is
-//! the load-generator core behind the `svard-load` bin: it opens N concurrent
-//! connections, pushes a fixed number of jobs through each, and reports
-//! throughput and latency per connection count. Wall-clock timing here is
-//! legal: the client never runs simulated time.
+//! violation is an error, never silently accepted. The `svard-load` bin
+//! builds its checks on these; serving throughput is measured by
+//! perfbench's `serve_small_jobs`, not here.
 
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use svard_obs::json::Json;
-use svard_obs::HistogramSnapshot;
 
 use crate::chaos::mix64;
 use crate::protocol::GridSpec;
@@ -41,35 +39,6 @@ pub struct JobOutcome {
     pub point_lines: Vec<String>,
     /// The closing `summary` record.
     pub summary_line: String,
-    /// Wall-clock seconds from submit to each point's arrival.
-    pub point_latencies: Vec<f64>,
-}
-
-/// One row of the load sweep.
-#[derive(Debug, Clone)]
-pub struct LoadPoint {
-    /// Concurrent client connections.
-    pub connections: usize,
-    /// Harness worker threads per job (from the grid).
-    pub workers: usize,
-    /// Jobs driven across all connections.
-    pub jobs: usize,
-    /// Sweep points completed across all jobs.
-    pub points: usize,
-    /// Wall-clock seconds for the whole batch.
-    pub wall_seconds: f64,
-    /// Points completed per wall-clock second.
-    pub points_per_second: f64,
-    /// Mean submit-to-arrival latency over all points, in seconds.
-    pub mean_point_latency: f64,
-    /// Median per-point latency in seconds, from the client-side log2
-    /// histogram of microsecond latencies (bucket upper bound, so a
-    /// conservative estimate).
-    pub p50_point_latency: f64,
-    /// 95th-percentile per-point latency in seconds (bucket upper bound).
-    pub p95_point_latency: f64,
-    /// 99th-percentile per-point latency in seconds (bucket upper bound).
-    pub p99_point_latency: f64,
 }
 
 impl Client {
@@ -163,14 +132,12 @@ impl Client {
             ("job_id", Json::str(job_id)),
             ("grid", grid.to_json()),
         ]);
-        let start = Instant::now();
         self.send_line(&request.render())?;
         let mut outcome = JobOutcome {
             points: 0,
             resumed: 0,
             point_lines: Vec::new(),
             summary_line: String::new(),
-            point_latencies: Vec::new(),
         };
         loop {
             let line = self
@@ -198,7 +165,6 @@ impl Client {
                             seen.insert(index, line.clone());
                         }
                     }
-                    outcome.point_latencies.push(start.elapsed().as_secs_f64());
                     outcome.point_lines.push(line);
                 }
                 Some("summary") => {
@@ -408,99 +374,4 @@ pub fn run_job_with_retry(
     Err(format!(
         "job {job_id}: giving up after {attempts} attempts: {last_err}"
     ))
-}
-
-/// Drive `jobs_per_connection` jobs through each of `connections` concurrent
-/// connections and measure batch throughput. Job ids are
-/// `{prefix}-c{connections}-t{thread}-j{job}`, so repeated sweeps against a
-/// persistent server resume (and replay) rather than re-simulate. With a
-/// [`RetryPolicy`], each job runs through [`run_job_with_retry`] (one fresh
-/// connection per attempt, jitter seeds derived per worker/job), so the load
-/// generator survives a chaos-enabled or restarting server.
-pub fn run_load_retrying(
-    addr: &str,
-    connections: usize,
-    jobs_per_connection: usize,
-    grid: &GridSpec,
-    prefix: &str,
-    retry: Option<&RetryPolicy>,
-) -> Result<LoadPoint, String> {
-    let start = Instant::now();
-    let outcomes: Vec<Result<Vec<JobOutcome>, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..connections)
-            .map(|t| {
-                scope.spawn(move || {
-                    let mut client: Option<Client> = None;
-                    let mut done = Vec::new();
-                    for j in 0..jobs_per_connection {
-                        let job_id = format!("{prefix}-c{connections}-t{t}-j{j}");
-                        match retry {
-                            Some(policy) => {
-                                let policy = RetryPolicy {
-                                    seed: policy.seed ^ mix64(((t as u64) << 32) | j as u64),
-                                    ..*policy
-                                };
-                                done.push(
-                                    run_job_with_retry(addr, &job_id, grid, &policy)?.outcome,
-                                );
-                            }
-                            None => {
-                                if client.is_none() {
-                                    client = Some(Client::connect(addr)?);
-                                }
-                                let connected =
-                                    client.as_mut().ok_or("load worker lost its connection")?;
-                                done.push(connected.run_job(&job_id, grid)?);
-                            }
-                        }
-                    }
-                    Ok(done)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(result) => result,
-                Err(_) => Err("load worker panicked".to_string()),
-            })
-            .collect()
-    });
-    let wall_seconds = start.elapsed().as_secs_f64();
-    let mut points = 0usize;
-    let mut jobs = 0usize;
-    let mut latency_sum = 0.0f64;
-    let mut latency_count = 0usize;
-    let mut latency_hist = HistogramSnapshot::default();
-    for result in outcomes {
-        for outcome in result? {
-            jobs += 1;
-            points += outcome.point_lines.len();
-            latency_count += outcome.point_latencies.len();
-            latency_sum += outcome.point_latencies.iter().sum::<f64>();
-            for &latency in &outcome.point_latencies {
-                latency_hist.observe((latency * 1e6) as u64);
-            }
-        }
-    }
-    Ok(LoadPoint {
-        connections,
-        workers: grid.workers,
-        jobs,
-        points,
-        wall_seconds,
-        points_per_second: if wall_seconds > 0.0 {
-            points as f64 / wall_seconds
-        } else {
-            0.0
-        },
-        mean_point_latency: if latency_count > 0 {
-            latency_sum / latency_count as f64
-        } else {
-            0.0
-        },
-        p50_point_latency: latency_hist.quantile(0.50) as f64 / 1e6,
-        p95_point_latency: latency_hist.quantile(0.95) as f64 / 1e6,
-        p99_point_latency: latency_hist.quantile(0.99) as f64 / 1e6,
-    })
 }

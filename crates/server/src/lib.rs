@@ -1,5 +1,5 @@
-//! `svard-server`: a long-running sweep-job server and load-generator client
-//! over the parallel evaluation harness.
+//! `svard-server`: a long-running sweep-job server over the parallel
+//! evaluation harness, and the client that checks and controls it.
 //!
 //! The server accepts sweep jobs — defense × provider × `HC_first` × mix
 //! grids — over a plain TCP socket speaking line-delimited JSON, feeds each
@@ -22,12 +22,12 @@
 //! | [`bridge`] | grid → harness translation; `run_job(&ServerState, &QueuedJob)` |
 //! | [`chaos`]  | seeded deterministic fault injection for chaos testing  |
 //! | [`server`] | `ServerState` (the one shared handle) and the TCP accept/connection/executor loops |
-//! | [`client`] | client connection, retrying job driver and load generator |
+//! | [`client`] | client connection, control requests and retrying job driver |
 //! | [`cli`]    | minimal `--flag value` argument helpers for the bins    |
 //!
 //! This crate is **non-sim**: it never runs inside the simulated clock
 //! domain, so wall-clock time ([`svard_obs::Profiler::now_us`] spans, the
-//! client's `Instant` timings, [`svard_obs::PhaseProfile`] summaries) is
+//! client's retry backoff, [`svard_obs::PhaseProfile`] summaries) is
 //! legal here (and `svard-lint` knows it — see `lint.toml`'s
 //! `[determinism] non_sim` list). Determinism of the
 //! *results* is inherited from the harness seeding scheme: every streamed
@@ -47,10 +47,7 @@ pub mod queue;
 pub mod server;
 
 pub use chaos::{ChaosRates, FaultPlan, FaultSite};
-pub use client::{
-    is_retryable, run_job_with_retry, run_load_retrying, Client, JobOutcome, LoadPoint,
-    RetryPolicy, RetryReport,
-};
+pub use client::{is_retryable, run_job_with_retry, Client, JobOutcome, RetryPolicy, RetryReport};
 pub use protocol::GridSpec;
 pub use server::{serve, ChaosConfig, ServerConfig, ServerHandle, METRICS_EOF};
 pub use svard_obs::json;
