@@ -69,6 +69,8 @@ pub struct SimpleCore {
     next_request_id: u64,
     cycles: u64,
     finish_cycle: Option<u64>,
+    /// Whether the last tick ended stalled (see [`stalled`](Self::stalled)).
+    stalled: bool,
 }
 
 impl SimpleCore {
@@ -99,6 +101,7 @@ impl SimpleCore {
             next_request_id: (id as u64) << 48,
             cycles: 0,
             finish_cycle: None,
+            stalled: false,
         };
         // Stash the first event's memory access as the next access to perform.
         core.stash_event(first);
@@ -154,14 +157,21 @@ impl SimpleCore {
     /// instruction, enqueued a request, or mutated cache state while trying.
     ///
     /// A `false` return means this tick was a pure stall: it only counted the
-    /// cycle. Every later tick stays a pure stall until one of two events: one
-    /// of the core's own requests completes ([`on_completion`](Self::on_completion)),
-    /// or the controller issues a request (freeing a queue slot) while the core
-    /// holds a rejected one ([`has_rejected_request`](Self::has_rejected_request)).
+    /// cycle. A tick that progressed can still end [`stalled`](Self::stalled):
+    /// its issue loop stopped on a condition only memory can clear, and nothing
+    /// is left to retire. After a `false` tick or a stalled one, every later
+    /// tick is a pure stall until one of two events: one of the core's own
+    /// requests completes ([`on_completion`](Self::on_completion)), or the
+    /// controller frees a slot in the queue of the core's rejected request
+    /// ([`rejected_kind`](Self::rejected_kind)). A core holding a rejected
+    /// request always has window room and budget left, so its next tick
+    /// enqueues that request if the queue still has a free slot.
+    ///
     /// The system runner relies on this contract: it parks a core after a
-    /// `false` tick, wakes it only on those events, and credits the ticks it
-    /// skipped with [`skip_stalled_cycles`](Self::skip_stalled_cycles).
+    /// `false` or stalled tick, wakes it only on those events, and credits
+    /// the ticks it skipped with [`skip_stalled_cycles`](Self::skip_stalled_cycles).
     pub fn tick<S: ObsSink>(&mut self, memory: &mut MemorySystem<S>) -> bool {
+        self.stalled = false;
         if self.finished() {
             return false;
         }
@@ -169,10 +179,7 @@ impl SimpleCore {
         let mut progressed = false;
 
         // --- Retire: in order, up to `width`, never past an incomplete miss. -----
-        let retire_to = (self.retired + self.config.width as u64)
-            .min(self.retire_limit())
-            .min(self.issued)
-            .min(self.instruction_limit);
+        let retire_to = (self.retired + self.config.width as u64).min(self.retirable());
         if retire_to > self.retired {
             self.retired = retire_to;
             progressed = true;
@@ -183,13 +190,18 @@ impl SimpleCore {
         }
 
         // --- Issue: up to `width` instructions, window and MSHR permitting. ------
+        // The loop yields whether it stopped on a condition that only a memory
+        // event can clear (a stall), rather than on running out of slots.
         let mut slots = self.config.width as u64;
-        while slots > 0 {
+        let blocked = loop {
+            if slots == 0 {
+                break false;
+            }
             if self.issued >= self.instruction_limit {
-                break;
+                break true; // budget issued
             }
             if self.issued - self.retired >= self.config.window {
-                break; // instruction window full
+                break true; // instruction window full
             }
             // Retry a request the memory controller previously rejected, once
             // its queue has room (checked first so a still-full queue costs no
@@ -197,9 +209,9 @@ impl SimpleCore {
             if self
                 .pending_request
                 .as_ref()
-                .is_some_and(|req| !queue_has_room(memory, req.kind))
+                .is_some_and(|req| memory.free_slots(req.kind) == 0)
             {
-                break;
+                break true;
             }
             if let Some(req) = self.pending_request.take() {
                 let req_id = req.id;
@@ -218,7 +230,7 @@ impl SimpleCore {
                     }
                     Err(req) => {
                         self.pending_request = Some(req);
-                        break;
+                        break true;
                     }
                 }
                 continue;
@@ -261,7 +273,10 @@ impl SimpleCore {
                 }
                 CacheOutcome::Miss { writeback } => {
                     if self.outstanding.len() >= self.config.max_outstanding_misses {
-                        break; // MSHRs full; retry next cycle
+                        // MSHRs full; retry next cycle. A cached core's retry
+                        // hits the line this access just installed, so only a
+                        // bypassing core is stalled here.
+                        break self.bypass_llc;
                     }
                     // Past the MSHR check the tick always mutates state (request
                     // ids, writeback enqueue, pending-request bookkeeping).
@@ -304,13 +319,25 @@ impl SimpleCore {
                         Err(req) => {
                             self.pending_request = Some(req);
                             self.pending_is_demand = demand;
-                            break;
+                            break true;
                         }
                     }
                 }
             }
-        }
+        };
+        self.stalled = blocked && self.retirable() == self.retired;
+        debug_assert!(!self.stalled || !self.can_make_progress(memory));
         progressed
+    }
+
+    /// Whether the last [`tick`](Self::tick) ended stalled: its issue loop
+    /// stopped on the budget being issued, a full window, a rejected request
+    /// meeting a full queue, a refused enqueue, or (for a core that bypasses
+    /// the LLC) full MSHRs, and nothing is left to retire. The next tick is
+    /// then a pure stall until a memory event named in `tick`'s contract, even
+    /// if this one made progress, so the runner parks the core on this tick.
+    pub fn stalled(&self) -> bool {
+        self.stalled
     }
 
     /// Whether a [`tick`](Self::tick) against the current memory-system state
@@ -323,11 +350,14 @@ impl SimpleCore {
     /// queue slot, or a refresh). The blocked conditions below mirror the early
     /// exits of `tick` exactly.
     ///
-    /// The system runner does not ask: it parks a core after a `false`
-    /// [`tick`](Self::tick) instead. The only caller is, through
+    /// The system runner does not ask: `tick` records why its issue loop
+    /// stopped, and the runner parks a core whose tick returned `false` or
+    /// ended [`stalled`](Self::stalled). `tick` debug-asserts that a stalled
+    /// core cannot make progress, so this predicate is the reference the flag
+    /// is checked against. Its other caller is, through
     /// [`next_ready_cycle`](Self::next_ready_cycle), the benchmark's frozen
-    /// split loop (`perfbench/src/layers.rs::run_split`); both methods are
-    /// deleted with it (ROADMAP item 7, one simulation loop).
+    /// split loop (`perfbench/src/layers.rs::run_split`); `next_ready_cycle`
+    /// goes with that loop (ROADMAP item 13, one simulation loop).
     pub fn can_make_progress<S: ObsSink>(&self, memory: &MemorySystem<S>) -> bool {
         if self.finished() {
             return false;
@@ -339,7 +369,7 @@ impl SimpleCore {
                 Some(req) => {
                     // A previously rejected request is retried first; it makes
                     // progress iff the corresponding queue has room.
-                    if queue_has_room(memory, req.kind) {
+                    if memory.free_slots(req.kind) > 0 {
                         return true;
                     }
                 }
@@ -364,12 +394,7 @@ impl SimpleCore {
         }
         // Issue is blocked; can anything retire this cycle? (Mirrors the retire
         // section of `tick`.)
-        let retire_limit = self.retire_limit();
-        let retire_to = (self.retired + self.config.width as u64)
-            .min(retire_limit)
-            .min(self.issued)
-            .min(self.instruction_limit);
-        retire_to > self.retired
+        self.retirable() > self.retired
     }
 
     /// The next cycle (strictly after `now`) at which this core will do work, or
@@ -393,17 +418,20 @@ impl SimpleCore {
         }
     }
 
-    /// Whether the core holds a request the memory controller rejected, to be
-    /// retried once its queue has room.
-    pub fn has_rejected_request(&self) -> bool {
-        self.pending_request.is_some()
+    /// The kind of the request the memory controller rejected, if the core
+    /// holds one; it is retried once that queue has room.
+    pub fn rejected_kind(&self) -> Option<RequestKind> {
+        self.pending_request.as_ref().map(|req| req.kind)
     }
 
-    /// Retirement stops before the oldest incomplete miss.
-    fn retire_limit(&self) -> u64 {
-        self.outstanding
+    /// How far the core could retire with unlimited width: up to its issued
+    /// instructions and its budget, and never past the oldest incomplete miss.
+    fn retirable(&self) -> u64 {
+        let retire_limit = self
+            .outstanding
             .front()
-            .map_or(self.issued, |m| m.seq.saturating_sub(1))
+            .map_or(self.issued, |m| m.seq.saturating_sub(1));
+        retire_limit.min(self.issued).min(self.instruction_limit)
     }
 
     fn alloc_request_id(&mut self) -> u64 {
@@ -416,14 +444,6 @@ impl SimpleCore {
         let event = self.trace.next_event();
         self.non_mem_remaining = event.non_mem_instructions;
         self.next_access = Some((event.address, event.is_write));
-    }
-}
-
-/// Whether `memory` has room in the queue a request of `kind` joins.
-fn queue_has_room<S: ObsSink>(memory: &MemorySystem<S>, kind: RequestKind) -> bool {
-    match kind {
-        RequestKind::Read => memory.can_accept_read(),
-        RequestKind::Write => memory.can_accept_write(),
     }
 }
 

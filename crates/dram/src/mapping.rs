@@ -104,8 +104,21 @@ impl AddressMapper {
     /// Decompose a physical byte address into DRAM coordinates under this mapping.
     ///
     /// The cache-line offset (low 6 bits) is discarded; `column` indexes cache lines
-    /// within the row.
+    /// within the row. A field whose size is a power of two (every field of the
+    /// Table 4 geometry and of the scaled ones) is cut with a shift and a mask,
+    /// any other with a division.
     pub fn map(&self, geometry: &DramGeometry, phys_addr: u64) -> DramAddress {
+        self.map_with(geometry, phys_addr, div_rem)
+    }
+
+    /// [`map`](Self::map), cutting each field off `x` with `split(x, size)`,
+    /// which returns `(x / size, x % size)`.
+    fn map_with(
+        &self,
+        geometry: &DramGeometry,
+        phys_addr: u64,
+        split: impl Fn(u64, u64) -> (u64, u64),
+    ) -> DramAddress {
         let line = phys_addr >> 6;
         let cols = geometry.columns_per_row as u64;
         let banks = geometry.banks_per_group as u64;
@@ -113,21 +126,22 @@ impl AddressMapper {
         let ranks = geometry.ranks_per_channel as u64;
         let chans = geometry.channels as u64;
         let rows = geometry.rows_per_bank as u64;
+        // Cut the next field of `size` off the low end of `x`.
+        let mut x = line;
+        let mut field = |size: u64| {
+            let (rest, value) = split(x, size);
+            x = rest;
+            value as usize
+        };
 
         match self {
             AddressMapper::RowBankColumn => {
-                let mut x = line;
-                let channel = (x % chans) as usize;
-                x /= chans;
-                let column = (x % cols) as usize;
-                x /= cols;
-                let bank = (x % banks) as usize;
-                x /= banks;
-                let bank_group = (x % groups) as usize;
-                x /= groups;
-                let rank = (x % ranks) as usize;
-                x /= ranks;
-                let row = (x % rows) as usize;
+                let channel = field(chans);
+                let column = field(cols);
+                let bank = field(banks);
+                let bank_group = field(groups);
+                let rank = field(ranks);
+                let row = field(rows);
                 DramAddress {
                     channel,
                     rank,
@@ -142,21 +156,13 @@ impl AddressMapper {
                 // then interleaves across bank, bank group, rank and channel before
                 // consuming the remaining column bits and finally the row bits.
                 const MOP_WIDTH: u64 = 4;
-                let mut x = line;
-                let col_lo = (x % MOP_WIDTH) as usize;
-                x /= MOP_WIDTH;
-                let channel = (x % chans) as usize;
-                x /= chans;
-                let bank = (x % banks) as usize;
-                x /= banks;
-                let bank_group = (x % groups) as usize;
-                x /= groups;
-                let rank = (x % ranks) as usize;
-                x /= ranks;
-                let col_hi_span = (cols / MOP_WIDTH).max(1);
-                let col_hi = (x % col_hi_span) as usize;
-                x /= col_hi_span;
-                let row = (x % rows) as usize;
+                let col_lo = field(MOP_WIDTH);
+                let channel = field(chans);
+                let bank = field(banks);
+                let bank_group = field(groups);
+                let rank = field(ranks);
+                let col_hi = field((cols / MOP_WIDTH).max(1));
+                let row = field(rows);
                 DramAddress {
                     channel,
                     rank,
@@ -167,6 +173,16 @@ impl AddressMapper {
                 }
             }
         }
+    }
+}
+
+/// `(x / n, x % n)`, by a shift and a mask when `n` is a power of two.
+#[inline]
+fn div_rem(x: u64, n: u64) -> (u64, u64) {
+    if n.is_power_of_two() {
+        (x >> n.trailing_zeros(), x & (n - 1))
+    } else {
+        (x / n, x % n)
     }
 }
 
@@ -247,5 +263,75 @@ mod tests {
         // With a MOP width of 4, the first 4 cache lines share a row and bank.
         assert!(a0.same_bank(&a1));
         assert_eq!(a0.row, a1.row);
+    }
+
+    /// `n` seeded, scattered physical addresses below 2^40 (splitmix64).
+    fn seeded_addresses(seed: u64, n: usize) -> impl Iterator<Item = u64> {
+        let mut state = seed;
+        std::iter::repeat_with(move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) & ((1 << 40) - 1)
+        })
+        .take(n)
+    }
+
+    /// The 72-bank controller geometry: 3 ranks of 4 groups of 6 banks, so
+    /// the rank and bank fields are not powers of two.
+    fn geometry_72_banks() -> DramGeometry {
+        let mut g = DramGeometry::table4_system();
+        g.rows_per_bank = 256;
+        g.ranks_per_channel = 3;
+        g.banks_per_group = 6;
+        g
+    }
+
+    /// FNV-1a over every field of every decode of `addresses`.
+    fn decode_digest(g: &DramGeometry, addresses: impl Iterator<Item = u64>) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        for addr in addresses {
+            let a = AddressMapper::Mop.map(g, addr);
+            for v in [a.channel, a.rank, a.bank_group, a.bank, a.row, a.column] {
+                h = (h ^ v as u64).wrapping_mul(0x100_0000_01B3);
+            }
+        }
+        h
+    }
+
+    /// The shift-and-mask decode equals the division decode on the
+    /// power-of-two geometries the simulator runs, and on the 72-bank one,
+    /// whose rank and bank fields still divide.
+    #[test]
+    fn mop_shift_decode_equals_the_division_decode() {
+        let divide = |x: u64, n: u64| (x / n, x % n);
+        let mut small = DramGeometry::table4_system();
+        small.rows_per_bank = 1024; // `MemoryConfig::small(1024)`
+        for (seed, g) in [
+            (1, DramGeometry::table4_system()),
+            (2, small),
+            (3, DramGeometry::scaled(256, 1024)),
+            (4, geometry_72_banks()),
+        ] {
+            for addr in seeded_addresses(seed, 4096).chain(0..256) {
+                let decoded = AddressMapper::Mop.map(&g, addr);
+                assert_eq!(decoded, AddressMapper::Mop.map_with(&g, addr, divide));
+                g.validate(&decoded).unwrap();
+            }
+        }
+    }
+
+    /// Pinned against the division-only decoder this one replaced: a
+    /// geometry with non-power-of-two fields, and Table 4.
+    #[test]
+    fn mop_decode_matches_the_pinned_digests() {
+        let cases = [
+            (geometry_72_banks(), 72, 0x4dbd_f110_4d7b_277b),
+            (DramGeometry::table4_system(), 4, 0x5ddf_78d2_1c7e_f2fb),
+        ];
+        for (g, seed, digest) in cases {
+            assert_eq!(decode_digest(&g, seeded_addresses(seed, 4096)), digest);
+        }
     }
 }

@@ -286,14 +286,13 @@ impl<S: ObsSink> MemorySystem<S> {
         self.stats.cycles
     }
 
-    /// Whether the read queue can accept another request.
-    pub fn can_accept_read(&self) -> bool {
-        self.read_queue.len() < self.config.read_queue_entries
-    }
-
-    /// Whether the write queue can accept another request.
-    pub fn can_accept_write(&self) -> bool {
-        self.write_queue.len() < self.config.write_queue_entries
+    /// How many more requests of `kind` its queue accepts now.
+    pub fn free_slots(&self, kind: RequestKind) -> usize {
+        let (capacity, queued) = match kind {
+            RequestKind::Read => (self.config.read_queue_entries, self.read_queue.len()),
+            RequestKind::Write => (self.config.write_queue_entries, self.write_queue.len()),
+        };
+        capacity.saturating_sub(queued)
     }
 
     /// Number of requests currently queued or in flight.
@@ -303,11 +302,7 @@ impl<S: ObsSink> MemorySystem<S> {
 
     /// Enqueue a request; returns it back if the corresponding queue is full.
     pub fn enqueue(&mut self, mut request: MemoryRequest) -> Result<(), MemoryRequest> {
-        let full = match request.kind {
-            RequestKind::Read => !self.can_accept_read(),
-            RequestKind::Write => !self.can_accept_write(),
-        };
-        if full {
+        if self.free_slots(request.kind) == 0 {
             return Err(request);
         }
         request.arrival_cycle = self.stats.cycles;

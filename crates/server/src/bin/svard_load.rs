@@ -20,9 +20,11 @@
 //! chaos-injected) server and exits 1 unless the converged point lines and
 //! summary metrics are byte-identical to the reference. `--metrics-out`
 //! scrapes the server's `metrics` exposition to a file; `--shutdown` asks
-//! the server to exit once everything else is done. With no action it
-//! exits 2. Serving throughput is measured by perfbench's
-//! `serve_small_jobs`, not by this bin.
+//! the server to exit once everything else is done; both reconnect and
+//! retry under the same `--retries` policy, so a dropped connection does
+//! not leave the server running. With no action it exits 2. Serving
+//! throughput is measured by perfbench's `serve_small_jobs`, not by this
+//! bin.
 
 use svard_obs::json::Json;
 use svard_server::bridge;
@@ -30,7 +32,7 @@ use svard_server::cli::{
     arg_flag, arg_list, arg_list_parsed, arg_string, arg_u64, arg_usize, or_exit,
 };
 use svard_server::protocol::parse_defense;
-use svard_server::{run_job_with_retry, Client, GridSpec, RetryPolicy};
+use svard_server::{request_with_retry, run_job_with_retry, Client, GridSpec, RetryPolicy};
 
 fn grid_from_args() -> Result<GridSpec, String> {
     let defenses = arg_list("defenses", &["PARA"])
@@ -162,13 +164,13 @@ fn main() {
         or_fail(1, "check failed", check(&addr, &grid, &prefix));
         eprintln!("# check passed: fresh and resumed jobs are bit-identical");
     }
+    let policy = RetryPolicy {
+        attempts: arg_usize("retries", 40),
+        base_delay_ms: arg_u64("retry-base-ms", 50),
+        seed: arg_u64("retry-seed", 42),
+        ..RetryPolicy::default()
+    };
     if chaos_flag {
-        let policy = RetryPolicy {
-            attempts: arg_usize("retries", 40),
-            base_delay_ms: arg_u64("retry-base-ms", 50),
-            seed: arg_u64("retry-seed", 42),
-            ..RetryPolicy::default()
-        };
         let (attempts, reconnects) = or_fail(
             1,
             "chaos-check failed",
@@ -180,8 +182,8 @@ fn main() {
         );
     }
     if let Some(path) = metrics_out {
-        let scrape = Client::connect(&addr).and_then(|mut c| c.fetch_metrics());
-        let lines = or_fail(2, "metrics scrape failed", scrape);
+        let scrape = request_with_retry(&addr, "metrics scrape", &policy, Client::fetch_metrics);
+        let (lines, _, _) = or_fail(2, "metrics scrape failed", scrape);
         let text = lines.join("\n") + "\n";
         or_fail(
             2,
@@ -191,7 +193,7 @@ fn main() {
         eprintln!("# wrote {} metric lines to {path}", lines.len());
     }
     if shutdown {
-        let bye = Client::connect(&addr).and_then(|mut c| c.request_shutdown());
+        let bye = request_with_retry(&addr, "shutdown", &policy, Client::request_shutdown);
         or_fail(2, "shutdown failed", bye);
         eprintln!("# server acknowledged shutdown");
     }

@@ -3,8 +3,9 @@
 //! [`Client`] is a thin line-oriented connection; [`Client::run_job`] drives
 //! one submit to completion and verifies the response stream's shape, and
 //! its `cancel_job`, `fetch_metrics` and `request_shutdown` send the control
-//! requests. [`run_job_with_retry`] is the self-healing driver: seeded
-//! exponential-backoff retry with reconnect, leaning on the server's journal
+//! requests. [`request_with_retry`] runs any of them with seeded
+//! exponential-backoff retry and reconnect. [`run_job_with_retry`] is the
+//! self-healing job driver built on it, leaning on the server's journal
 //! replay so every reattempt *resumes* instead of restarting — and
 //! cross-checking replayed point bytes across attempts, so a determinism
 //! violation is an error, never silently accepted. The `svard-load` bin
@@ -333,8 +334,30 @@ pub fn run_job_with_retry(
     grid: &GridSpec,
     policy: &RetryPolicy,
 ) -> Result<RetryReport, String> {
-    let attempts = policy.attempts.max(1);
     let mut seen: BTreeMap<usize, String> = BTreeMap::new();
+    let (outcome, attempts, reconnects) =
+        request_with_retry(addr, &format!("job {job_id}"), policy, |client| {
+            client.run_job_tracked(job_id, grid, &mut seen)
+        })?;
+    Ok(RetryReport {
+        outcome,
+        attempts,
+        reconnects,
+    })
+}
+
+/// Run `request` on a fresh connection, and on a retryable failure (see
+/// [`is_retryable`]) back off and run it again on a new one, up to the
+/// policy's attempts. Returns the value with the attempts used and the
+/// reconnections made after the first connect; `what` names the request in
+/// the error when the attempts run out.
+pub fn request_with_retry<T>(
+    addr: &str,
+    what: &str,
+    policy: &RetryPolicy,
+    mut request: impl FnMut(&mut Client) -> Result<T, String>,
+) -> Result<(T, usize, usize), String> {
+    let attempts = policy.attempts.max(1);
     let mut reconnects = 0usize;
     let mut last_err = String::new();
     for attempt in 1..=attempts {
@@ -355,14 +378,8 @@ pub fn run_job_with_retry(
             last_err = "set_read_timeout failed".to_string();
             continue;
         }
-        match client.run_job_tracked(job_id, grid, &mut seen) {
-            Ok(outcome) => {
-                return Ok(RetryReport {
-                    outcome,
-                    attempts: attempt,
-                    reconnects,
-                })
-            }
+        match request(&mut client) {
+            Ok(value) => return Ok((value, attempt, reconnects)),
             Err(e) => {
                 if !is_retryable(&e) {
                     return Err(e);
@@ -372,6 +389,6 @@ pub fn run_job_with_retry(
         }
     }
     Err(format!(
-        "job {job_id}: giving up after {attempts} attempts: {last_err}"
+        "{what}: giving up after {attempts} attempts: {last_err}"
     ))
 }

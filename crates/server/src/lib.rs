@@ -47,7 +47,10 @@ pub mod queue;
 pub mod server;
 
 pub use chaos::{ChaosRates, FaultPlan, FaultSite};
-pub use client::{is_retryable, run_job_with_retry, Client, JobOutcome, RetryPolicy, RetryReport};
+pub use client::{
+    is_retryable, request_with_retry, run_job_with_retry, Client, JobOutcome, RetryPolicy,
+    RetryReport,
+};
 pub use protocol::GridSpec;
 pub use server::{serve, ChaosConfig, ServerConfig, ServerHandle, METRICS_EOF};
 pub use svard_obs::json;

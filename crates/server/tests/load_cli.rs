@@ -1,24 +1,41 @@
 //! The `svard-load` bin against an in-process server: it runs only the
 //! actions it is given, so a control request submits no job and a call
-//! with no action is a usage error.
+//! with no action is a usage error. Control requests retry through dropped
+//! connections.
 
 use std::path::Path;
 use std::process::{Command, Output};
 use std::time::{Duration, Instant};
 
-use svard_server::{serve, ServerConfig, ServerHandle};
+use svard_server::chaos::SiteRate;
+use svard_server::{serve, ChaosConfig, ChaosRates, ServerConfig, ServerHandle};
 
 mod common;
 use common::TempDir;
 
 fn start_server(dir: &TempDir) -> ServerHandle {
+    start_server_with_chaos(dir, None)
+}
+
+fn start_server_with_chaos(dir: &TempDir, chaos: Option<ChaosConfig>) -> ServerHandle {
     serve(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         state_dir: dir.path().into(),
         executors: 2,
+        chaos,
         ..ServerConfig::default()
     })
     .unwrap()
+}
+
+/// Wait up to 2 s for the server to raise its stop flag, which it does just
+/// after acknowledging a shutdown.
+fn wait_for_stop(server: &ServerHandle) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while !server.stop_requested() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    server.stop_requested()
 }
 
 fn svard_load(server: &ServerHandle, args: &[&str]) -> Output {
@@ -48,12 +65,7 @@ fn shutdown_alone_stops_the_server_and_submits_no_job() {
     let server = start_server(&dir);
     let out = svard_load(&server, &["--shutdown"]);
     assert!(out.status.success(), "{out:?}");
-    // The server raises its stop flag just after acknowledging.
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while !server.stop_requested() && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert!(server.stop_requested(), "the server was not asked to stop");
+    assert!(wait_for_stop(&server), "the server was not asked to stop");
     assert_eq!(server.stats_snapshot().counter("server.jobs_submitted"), 0);
     server.shutdown();
     assert_eq!(journals(dir.path()), Vec::<String>::new());
@@ -93,5 +105,37 @@ fn check_then_metrics_out_writes_the_exposition() {
     let mut names = journals(dir.path());
     names.sort();
     assert_eq!(names, ["load-check-a.jsonl", "load-check-b.jsonl"]);
+    server.shutdown();
+}
+
+/// The server drops the first response line it writes, which cuts the
+/// metrics scrape short; the scrape reconnects and retries, writes the
+/// exposition, and the shutdown after it still reaches the server.
+#[test]
+fn metrics_out_and_shutdown_retry_through_a_dropped_connection() {
+    let dir = TempDir::new("load-cli-chaos-drop");
+    let chaos = ChaosConfig {
+        seed: 1,
+        rates: ChaosRates {
+            drop: SiteRate::capped(1.0, 1),
+            ..ChaosRates::QUIET
+        },
+    };
+    let server = start_server_with_chaos(&dir, Some(chaos));
+    let metrics = dir.path().join("metrics.txt");
+    let out = svard_load(
+        &server,
+        &[
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+            "--shutdown",
+            "--retry-base-ms",
+            "1",
+        ],
+    );
+    assert!(out.status.success(), "{out:?}");
+    let text = std::fs::read_to_string(&metrics).unwrap();
+    assert!(text.contains("server.fault.conn_drops 1"), "{text}");
+    assert!(wait_for_stop(&server), "the server was not asked to stop");
     server.shutdown();
 }

@@ -2,17 +2,29 @@
 //!
 //! [`run_mix_with_sink`] simulates one mix cycle by cycle, and
 //! [`MemorySystem::cycle`] is its only clock. In [`SimMode::FastForward`] it
-//! has one stall rule, parking, and advances every counter exactly as
-//! per-cycle ticking would:
+//! ticks a core only when its tick can change something, and advances every
+//! counter exactly as per-cycle ticking would:
 //!
 //! - It *parks* each unfinished core whose [`SimpleCore::tick`] returned
-//!   `false` and stops ticking it. `tick`'s contract is that such a core stays
-//!   stalled until one of its own requests completes, or until the controller
-//!   issues a request while the core holds a rejected one
-//!   ([`SimpleCore::has_rejected_request`]). The loop wakes a parked core on
-//!   exactly those events, and again at the end of the run. The loop keeps the
-//!   awake (unparked, unfinished) cores in an id-ordered list and a count of
-//!   unfinished ones, so a cycle visits only the cores it ticks.
+//!   `false` (a pure stall) or ended [`SimpleCore::stalled`]: the tick made
+//!   progress, but its issue loop stopped on the budget, a full window, a full
+//!   queue or (bypassing the LLC) full MSHRs, with nothing left to retire. So
+//!   a core parks on the tick that stalls it, not one pure-stall tick later.
+//!   `tick`'s contract is that a parked core stays stalled until one of its own
+//!   requests completes, or until the queue of its rejected request
+//!   ([`SimpleCore::rejected_kind`]) gets a free slot, which only an issue
+//!   makes. The loop wakes a core on its completions, and again at the end of
+//!   the run. It keeps the awake (unparked, unfinished) cores in an id-ordered
+//!   list and a count of unfinished ones, so a cycle visits only the cores it
+//!   ticks.
+//! - *Slot-bounded wakes.* After an issue, the loop wakes the cores holding a
+//!   rejected request in id order, per queue, up to that queue's free slots
+//!   ([`MemorySystem::free_slots`]), counting awake ones too. This is exact:
+//!   a core holding a rejected request always has window room and budget
+//!   left, so its next tick tries that request first and takes a slot if one
+//!   is left. When the cores past the free-slot count tick, every slot has
+//!   been taken (or found gone) by the cores before them, so they would find
+//!   the queue full; they stay parked until the next issue.
 //! - Once every unfinished core is parked, only a memory event can wake one,
 //!   so the loop jumps the memory system to the cycle just before its next
 //!   event ([`MemorySystem::next_event_cycle`]).
@@ -79,7 +91,7 @@ use svard_defenses::provider::SharedThresholdProvider;
 use svard_defenses::DefenseKind;
 use svard_memsim::{
     BankId, CompletedRequest, MemStats, MemorySystem, MitigationHook, NoMitigation,
-    PreventiveAction,
+    PreventiveAction, RequestKind,
 };
 use svard_obs::json::Quoted;
 use svard_obs::{MetricsSnapshot, NoopSink, ObsSink, PhaseProfile, Profiler, Recorder};
@@ -202,7 +214,7 @@ pub fn run_mix_with_sink<S: ObsSink>(
             let progressed = core.tick(&mut memory);
             // Finished cores drop out (their tick is a no-op), and in
             // fast-forward so do stalled ones, which park.
-            !core.finished() && (progressed || !fast_forward)
+            !core.finished() && (!fast_forward || (progressed && !core.stalled()))
         });
         let issues_before = issue_count(memory.stats());
         completions.clear();
@@ -217,11 +229,7 @@ pub fn run_mix_with_sink<S: ObsSink>(
         // An issue frees a queue slot, which unblocks cores holding a
         // rejected request.
         if issue_count(memory.stats()) != issues_before {
-            for (id, core) in cores.iter_mut().enumerate() {
-                if core.has_rejected_request() {
-                    awake.wake(core, id, now);
-                }
-            }
+            awake.wake_rejected(&mut cores, &memory, now);
         }
         // Every unfinished core is parked, and only a memory event wakes one:
         // jump to the cycle just before the memory system's next event.
@@ -294,6 +302,32 @@ impl Awake {
             }
             false
         });
+    }
+
+    /// Wake, for each queue, the cores holding a request it rejected, in id
+    /// order, up to its free slots; awake cores count against the slots too.
+    /// Each of those cores takes a slot on its next tick if one is left (its
+    /// rejected request is the first thing it issues), so every core past
+    /// them would find the queue full: they stay parked.
+    fn wake_rejected<S: ObsSink>(
+        &mut self,
+        cores: &mut [SimpleCore],
+        memory: &MemorySystem<S>,
+        now: u64,
+    ) {
+        let mut free_reads = memory.free_slots(RequestKind::Read);
+        let mut free_writes = memory.free_slots(RequestKind::Write);
+        for (id, core) in cores.iter_mut().enumerate() {
+            let free = match core.rejected_kind() {
+                Some(RequestKind::Read) => &mut free_reads,
+                Some(RequestKind::Write) => &mut free_writes,
+                None => continue,
+            };
+            if *free > 0 {
+                *free -= 1;
+                self.wake(core, id, now);
+            }
+        }
     }
 
     /// Unpark core `id` (a no-op unless parked) at memory cycle `now`,

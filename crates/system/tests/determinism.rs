@@ -378,3 +378,59 @@ fn workload_generation_is_deterministic() {
         }
     }
 }
+
+/// Fast-forward parks a core on the tick that stalls it and wakes rejected
+/// cores only up to their queue's free slots; both must leave every result
+/// equal to per-cycle ticking. The grid drives queues down to one read slot,
+/// and an MSHR limit of 1 or 2, the only one at which a cached core fills its
+/// MSHRs at these MPKIs, across benign, attacker and mixed workloads under
+/// every defense and none.
+#[test]
+fn fastforward_matches_percycle_across_queue_and_mshr_limits() {
+    let base = small_config().with_cores(8).with_instructions(3_000);
+    let rows = base.memory.geometry.rows_per_bank;
+    let mixes = [
+        ("benign", WorkloadMix::generate(1, base.cores, 80).remove(0)),
+        (
+            "adversarial_rrs",
+            WorkloadMix::adversarial(WorkloadSpec::adversarial_rrs(), base.cores),
+        ),
+        (
+            "hydra_with_zipf",
+            WorkloadMix::adversarial_with_background(
+                WorkloadSpec::adversarial_hydra(),
+                WorkloadSpec::zipf(1.0),
+                base.cores,
+            ),
+        ),
+    ];
+    for read_queue in [1, 2, 4, 64] {
+        for write_queue in [2, 64] {
+            for mshrs in [1, 2] {
+                let mut config = base.clone();
+                config.max_cycles = 50_000;
+                config.memory.read_queue_entries = read_queue;
+                config.memory.write_queue_entries = write_queue;
+                // Table 4's 48/16 watermarks at 64 entries, scaled down.
+                config.memory.write_drain_high = (write_queue * 3 / 4).max(1);
+                config.memory.write_drain_low = write_queue / 4;
+                config.core.max_outstanding_misses = mshrs;
+                for (label, mix) in &mixes {
+                    for defense in DefenseKind::ALL.map(Some).into_iter().chain([None]) {
+                        let hook = || match defense {
+                            Some(kind) => kind.build(Arc::new(UniformThreshold::new(48)), rows, 3),
+                            None => Box::new(NoMitigation),
+                        };
+                        let fast = run_mix(mix, &config, hook());
+                        let reference = run_mix_percycle(mix, &config, hook());
+                        assert_eq!(
+                            fast, reference,
+                            "{label} {defense:?}, queues {read_queue}/{write_queue}, \
+                             {mshrs} MSHRs: fast-forward diverged"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
