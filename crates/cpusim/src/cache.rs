@@ -20,6 +20,35 @@ impl CacheOutcome {
     }
 }
 
+/// Hit and miss counts of a last-level cache.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LlcStats {
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
+}
+
+impl LlcStats {
+    /// Number of hits.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Number of misses.
+    pub fn misses(&self) -> u64 {
+        self.misses
+    }
+
+    /// Hits over accesses (0 before the first access).
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Line {
     tag: u64,
@@ -40,8 +69,7 @@ pub struct LastLevelCache {
     associativity: usize,
     line_bytes: u64,
     access_counter: u64,
-    hits: u64,
-    misses: u64,
+    stats: LlcStats,
 }
 
 impl LastLevelCache {
@@ -56,8 +84,7 @@ impl LastLevelCache {
             associativity,
             line_bytes,
             access_counter: 0,
-            hits: 0,
-            misses: 0,
+            stats: LlcStats::default(),
         }
     }
 
@@ -79,11 +106,11 @@ impl LastLevelCache {
         if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
             line.last_used = counter;
             line.dirty |= is_write;
-            self.hits += 1;
+            self.stats.hits += 1;
             return CacheOutcome::Hit;
         }
 
-        self.misses += 1;
+        self.stats.misses += 1;
         let mut writeback = None;
         if set.len() >= assoc {
             // Evict the LRU line.
@@ -108,17 +135,12 @@ impl LastLevelCache {
 
     /// Hit rate since creation.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        self.stats.hit_rate()
     }
 
     /// Number of misses since creation.
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.stats.misses
     }
 }
 

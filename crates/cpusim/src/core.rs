@@ -2,12 +2,14 @@
 //! retirement past outstanding LLC misses (Table 4).
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use svard_memsim::{MemoryRequest, MemorySystem, RequestKind};
 use svard_obs::ObsSink;
 
-use crate::cache::{CacheOutcome, LastLevelCache};
-use crate::workload::{TraceGenerator, WorkloadSpec};
+use crate::cache::LlcStats;
+use crate::stream::CoreStream;
+use crate::workload::WorkloadSpec;
 
 /// Static core parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,6 +48,25 @@ struct OutstandingMiss {
 }
 
 /// One simulated core executing a synthetic trace against a shared memory system.
+///
+/// The core reads its trace from a [`CoreStream`]: each access with the gap
+/// before it and the LLC's verdict, computed once ahead of the run. Reading
+/// the verdicts back is exact because the core reaches its accesses in
+/// stream order and touches the LLC at nothing else, with one exception,
+/// the retry rule:
+///
+/// - A cached core's miss that finds every MSHR busy has already installed
+///   its line (the LLC is consulted before the MSHR check), so the core
+///   sets `installed` and stalls for the cycle. Its retry reaches the same
+///   access, issues it as a hit and counts an LLC hit; the miss never
+///   reaches DRAM and its dirty victim's writeback is lost. The retry
+///   leaves the cache as it was (the line is already the most recent and
+///   already dirty if the access writes), so later verdicts still hold.
+/// - A core that bypasses the LLC (an adversarial spec) stalls on full
+///   MSHRs and retries the access as a miss.
+///
+/// ROADMAP item 1 wants the blocked miss to reach DRAM: dropping `installed`
+/// makes the retry a miss.
 #[derive(Debug)]
 pub struct SimpleCore {
     /// Core index (used to tag memory requests).
@@ -54,13 +75,17 @@ pub struct SimpleCore {
     /// Adversarial access patterns model an attacker that bypasses the cache
     /// (e.g. via `clflush`), so every access reaches DRAM.
     bypass_llc: bool,
-    trace: TraceGenerator,
-    llc: LastLevelCache,
+    stream: Arc<CoreStream>,
+    /// Index in `stream` of the next access to perform.
+    cursor: usize,
+    /// The next access missed on full MSHRs and installed its line, so it
+    /// issues as a hit (see the retry rule above).
+    installed: bool,
+    llc: LlcStats,
     issued: u64,
     retired: u64,
     instruction_limit: u64,
     non_mem_remaining: u32,
-    next_access: Option<(u64, bool)>,
     pending_request: Option<MemoryRequest>,
     pending_is_demand: bool,
     /// Incomplete demand misses in issue (`seq`) order: the front is the
@@ -74,7 +99,8 @@ pub struct SimpleCore {
 }
 
 impl SimpleCore {
-    /// Create a core running `spec` for `instruction_limit` instructions.
+    /// Create a core running `spec` for `instruction_limit` instructions,
+    /// generating its own [`CoreStream`].
     pub fn new(
         id: usize,
         spec: &WorkloadSpec,
@@ -82,19 +108,26 @@ impl SimpleCore {
         instruction_limit: u64,
         seed: u64,
     ) -> Self {
-        let mut trace = TraceGenerator::new(spec, id, seed);
-        let first = trace.next_event();
-        let mut core = Self {
+        let stream = CoreStream::generate(spec, id, seed, instruction_limit);
+        Self::from_stream(Arc::new(stream), config)
+    }
+
+    /// Create a core reading a shared `stream`: its core index and
+    /// instruction budget are the stream's.
+    pub fn from_stream(stream: Arc<CoreStream>, config: CoreConfig) -> Self {
+        let id = stream.core();
+        Self {
             id,
             config,
-            bypass_llc: spec.is_adversarial(),
-            trace,
-            llc: LastLevelCache::table4_per_core(),
+            bypass_llc: stream.bypasses_llc(),
+            non_mem_remaining: stream.access(0).map_or(0, |a| a.gap()),
+            instruction_limit: stream.instructions(),
+            stream,
+            cursor: 0,
+            installed: false,
+            llc: LlcStats::default(),
             issued: 0,
             retired: 0,
-            instruction_limit,
-            non_mem_remaining: first.non_mem_instructions,
-            next_access: None,
             pending_request: None,
             pending_is_demand: false,
             outstanding: VecDeque::new(),
@@ -102,15 +135,7 @@ impl SimpleCore {
             cycles: 0,
             finish_cycle: None,
             stalled: false,
-        };
-        // Stash the first event's memory access as the next access to perform.
-        core.stash_event(first);
-        core
-    }
-
-    fn stash_event(&mut self, event: crate::workload::TraceEvent) {
-        self.non_mem_remaining = event.non_mem_instructions;
-        self.next_access = Some((event.address, event.is_write));
+        }
     }
 
     /// True once the core has issued (and retired) its instruction budget.
@@ -135,9 +160,10 @@ impl SimpleCore {
         self.retired as f64 / cycles as f64
     }
 
-    /// The core's LLC (for statistics).
-    pub fn llc(&self) -> &LastLevelCache {
-        &self.llc
+    /// The core's LLC hits and misses so far; a retry that hits after a
+    /// miss on full MSHRs counts both. Zero for a core that bypasses the LLC.
+    pub fn llc(&self) -> LlcStats {
+        self.llc
     }
 
     /// Notify the core that one of its memory requests completed.
@@ -189,6 +215,7 @@ impl SimpleCore {
             }
         }
 
+        // lint: hot-path
         // --- Issue: up to `width` instructions, window and MSHR permitting. ------
         // The loop yields whether it stopped on a condition that only a memory
         // event can clear (a stall), rather than on running out of slots.
@@ -249,82 +276,85 @@ impl SimpleCore {
                 progressed = true;
                 continue;
             }
-            // The next instruction is the stashed memory access.
-            let Some((address, is_write)) = self.next_access else {
+            // The next instruction is the stream's next access.
+            let Some(access) = self.stream.access(self.cursor) else {
                 self.issued += 1;
                 slots -= 1;
                 progressed = true;
                 continue;
             };
-            let outcome = if self.bypass_llc {
-                CacheOutcome::Miss { writeback: None }
+            let writeback = if self.bypass_llc {
+                None
             } else {
-                // The LLC access below updates recency/dirty state (and installs
-                // the line on a miss), so reaching it counts as progress even if
-                // the instruction ends up blocked on a full MSHR list or queue.
+                // Reaching the LLC updates its recency/dirty state (and installs
+                // the line on a miss), so it counts as progress even if the
+                // instruction ends up blocked on a full MSHR list or queue.
                 progressed = true;
-                self.llc.access(address, is_write)
+                if access.is_hit() || self.installed {
+                    self.llc.hits += 1;
+                    self.installed = false;
+                    self.issued += 1;
+                    slots -= 1;
+                    self.advance_trace();
+                    continue;
+                }
+                self.llc.misses += 1;
+                access.writeback()
             };
-            match outcome {
-                CacheOutcome::Hit => {
+            if self.outstanding.len() >= self.config.max_outstanding_misses {
+                // MSHRs full; retry next cycle. A cached core's retry hits the
+                // line this access just installed, so only a bypassing core is
+                // stalled here.
+                self.installed = !self.bypass_llc;
+                break self.bypass_llc;
+            }
+            // Past the MSHR check the tick always mutates state (request
+            // ids, writeback enqueue, pending-request bookkeeping).
+            progressed = true;
+            // Issue the writeback first (not tracked for retirement).
+            if let Some(wb_addr) = writeback {
+                let wb = MemoryRequest::new(
+                    self.alloc_request_id(),
+                    RequestKind::Write,
+                    wb_addr,
+                    self.id,
+                );
+                if memory.enqueue(wb).is_err() {
+                    // Drop the writeback on queue pressure; it does not gate
+                    // core progress and the line is modelled as rewritten.
+                }
+            }
+            let id = self.alloc_request_id();
+            let is_write = access.is_write();
+            let kind = if is_write {
+                RequestKind::Write
+            } else {
+                RequestKind::Read
+            };
+            // Stores retire without waiting for DRAM; only loads block
+            // retirement.
+            let demand = !is_write;
+            let req = MemoryRequest::new(id, kind, access.address(), self.id);
+            match memory.enqueue(req) {
+                Ok(()) => {
+                    if demand {
+                        self.outstanding.push_back(OutstandingMiss {
+                            seq: self.issued + 1,
+                            request_id: id,
+                        });
+                    }
                     self.issued += 1;
                     slots -= 1;
                     self.advance_trace();
                 }
-                CacheOutcome::Miss { writeback } => {
-                    if self.outstanding.len() >= self.config.max_outstanding_misses {
-                        // MSHRs full; retry next cycle. A cached core's retry
-                        // hits the line this access just installed, so only a
-                        // bypassing core is stalled here.
-                        break self.bypass_llc;
-                    }
-                    // Past the MSHR check the tick always mutates state (request
-                    // ids, writeback enqueue, pending-request bookkeeping).
-                    progressed = true;
-                    // Issue the writeback first (not tracked for retirement).
-                    if let Some(wb_addr) = writeback {
-                        let wb = MemoryRequest::new(
-                            self.alloc_request_id(),
-                            RequestKind::Write,
-                            wb_addr,
-                            self.id,
-                        );
-                        if memory.enqueue(wb).is_err() {
-                            // Drop the writeback on queue pressure; it does not gate
-                            // core progress and the line is modelled as rewritten.
-                        }
-                    }
-                    let id = self.alloc_request_id();
-                    let kind = if is_write {
-                        RequestKind::Write
-                    } else {
-                        RequestKind::Read
-                    };
-                    // Stores retire without waiting for DRAM; only loads block
-                    // retirement.
-                    let demand = !is_write;
-                    let req = MemoryRequest::new(id, kind, address, self.id);
-                    match memory.enqueue(req) {
-                        Ok(()) => {
-                            if demand {
-                                self.outstanding.push_back(OutstandingMiss {
-                                    seq: self.issued + 1,
-                                    request_id: id,
-                                });
-                            }
-                            self.issued += 1;
-                            slots -= 1;
-                            self.advance_trace();
-                        }
-                        Err(req) => {
-                            self.pending_request = Some(req);
-                            self.pending_is_demand = demand;
-                            break true;
-                        }
-                    }
+                Err(req) => {
+                    self.pending_request = Some(req);
+                    self.pending_is_demand = demand;
+                    break true;
                 }
             }
         };
+        // lint: end-hot-path
         self.stalled = blocked && self.retirable() == self.retired;
         debug_assert!(!self.stalled || !self.can_make_progress(memory));
         progressed
@@ -374,7 +404,7 @@ impl SimpleCore {
                     }
                 }
                 None => {
-                    if self.non_mem_remaining > 0 || self.next_access.is_none() {
+                    if self.non_mem_remaining > 0 || self.stream.access(self.cursor).is_none() {
                         return true;
                     }
                     if !self.bypass_llc {
@@ -440,11 +470,16 @@ impl SimpleCore {
         id
     }
 
+    // lint: hot-path
+    /// Move to the stream's next access. The stream covers the budget plus
+    /// the access stashed after the last one, so it never runs out here.
     fn advance_trace(&mut self) {
-        let event = self.trace.next_event();
-        self.non_mem_remaining = event.non_mem_instructions;
-        self.next_access = Some((event.address, event.is_write));
+        self.cursor += 1;
+        let next = self.stream.access(self.cursor);
+        debug_assert!(next.is_some(), "stream ran out before the budget");
+        self.non_mem_remaining = next.map_or(0, |a| a.gap());
     }
+    // lint: end-hot-path
 }
 
 #[cfg(test)]

@@ -9,10 +9,30 @@
 //! * [`workload`] — the workload catalogue, deterministic trace generators and the
 //!   120-mix generator;
 //! * [`cache`] — a per-core last-level cache model (2 MiB per core, Table 4);
+//! * [`stream`] — each core's trace filtered through its LLC once
+//!   ([`CoreStream`]), which the core reads back;
 //! * [`core`] — a simple out-of-order-miss / in-order-retire core with a 128-entry
 //!   instruction window and 4-wide retire (Table 4);
 //! * [`metrics`] — weighted speedup, harmonic speedup and maximum slowdown, the
 //!   three system-level metrics of Fig. 12.
+//!
+//! # Streams and the retry rule
+//!
+//! A core does not walk its trace through its LLC while it runs. A
+//! [`CoreStream`] holds, for every access within the core's budget, the gap
+//! before it, its address and the LLC's verdict (hit, or miss with the dirty
+//! victim to write back), computed once by a fresh generator and cache. The
+//! stream depends only on the spec, the core index, the seed and the
+//! budget, so every run of that core can share one. It covers the budget
+//! plus the one access a core stashes after its last, and the core
+//! debug-asserts that it never runs out.
+//!
+//! Reading verdicts back is exact because the core reaches its accesses in
+//! stream order, with one rule kept from the live walk: a cached core's miss
+//! that finds its MSHRs full has installed its line, so its retry issues as
+//! a hit, counts an LLC hit, and the miss's writeback is lost; a core that
+//! bypasses the LLC retries as a miss (see [`SimpleCore`]). ROADMAP item 1's
+//! fix for that shortcut is to drop the core's `installed` flag.
 //!
 //! # Example
 //!
@@ -31,9 +51,11 @@
 pub mod cache;
 pub mod core;
 pub mod metrics;
+pub mod stream;
 pub mod workload;
 
-pub use cache::{CacheOutcome, LastLevelCache};
+pub use cache::{CacheOutcome, LastLevelCache, LlcStats};
 pub use core::{CoreConfig, SimpleCore};
 pub use metrics::{harmonic_speedup, max_slowdown, weighted_speedup};
+pub use stream::CoreStream;
 pub use workload::{TraceGenerator, WorkloadClass, WorkloadMix, WorkloadSpec};

@@ -7,7 +7,9 @@
 //! The defenses' per-row tables ([`ActivationCounters`], Hydra's group, row
 //! and row-count-cache tables) sit on the per-activation path, where std's
 //! default SipHash over a 40-byte `(BankId, usize)` key cost more than the
-//! rest of the hook. They hash with `IntHasher` instead, a seedless
+//! rest of the hook. They key by `(bank index, row)` instead, the bank
+//! numbered in first-seen order by a `BankIndex` (a 16-byte key and a
+//! 24-byte entry, not 48), and hash with `IntHasher`, a seedless
 //! multiply-rotate hasher, which is safe on both counts a seed guards:
 //!
 //! - *Determinism.* The maps are only ever accessed by key (`entry`, `get`,
@@ -66,6 +68,29 @@ impl Hasher for IntHasher {
 /// A [`HashMap`] hashed with [`IntHasher`]. Build it with `IntMap::default()`.
 pub(crate) type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
+/// The banks a table has seen, numbered in first-seen order, so the table
+/// can key by a one-word bank index. Like the tables, it is only accessed by
+/// key.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BankIndex {
+    ids: IntMap<BankId, usize>,
+}
+
+impl BankIndex {
+    // lint: hot-path
+    /// The index of `bank`, numbering it if new.
+    pub(crate) fn index(&mut self, bank: BankId) -> usize {
+        let next = self.ids.len();
+        *self.ids.entry(bank).or_insert(next)
+    }
+
+    /// The index of `bank`, if it has been seen.
+    pub(crate) fn find(&self, bank: BankId) -> Option<usize> {
+        self.ids.get(&bank).copied()
+    }
+    // lint: end-hot-path
+}
+
 /// An exact per-row activation counter table, reset every refresh window.
 ///
 /// Real implementations use compressed structures (Bloom filters, Misra-Gries,
@@ -76,7 +101,9 @@ pub struct ActivationCounters {
     // Determinism audit: entry/get/remove/clear only — the table is never
     // iterated, so no bucket order can leak into results, and O(1) access
     // matters on the per-activation hot path.
-    counts: IntMap<(BankId, usize), u64>,
+    counts: IntMap<(usize, usize), u64>,
+    /// The bank index of `counts`' keys.
+    banks: BankIndex,
     refresh_ticks: u64,
 }
 
@@ -89,19 +116,25 @@ impl ActivationCounters {
     // lint: hot-path
     /// Record an activation and return the updated count.
     pub fn record(&mut self, bank: BankId, row: usize) -> u64 {
-        let c = self.counts.entry((bank, row)).or_insert(0);
+        let c = self
+            .counts
+            .entry((self.banks.index(bank), row))
+            .or_insert(0);
         *c += 1;
         *c
     }
 
     /// Current count of a row.
     pub fn get(&self, bank: BankId, row: usize) -> u64 {
-        self.counts.get(&(bank, row)).copied().unwrap_or(0)
+        let count = |b| self.counts.get(&(b, row)).copied();
+        self.banks.find(bank).and_then(count).unwrap_or(0)
     }
 
     /// Reset the counter of one row (after a preventive action protected it).
     pub fn reset(&mut self, bank: BankId, row: usize) {
-        self.counts.remove(&(bank, row));
+        if let Some(b) = self.banks.find(bank) {
+            self.counts.remove(&(b, row));
+        }
     }
     // lint: end-hot-path
 

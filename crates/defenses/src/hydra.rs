@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use svard_dram::address::BankId;
 use svard_memsim::{MitigationHook, PreventiveAction};
 
-use crate::common::IntMap;
+use crate::common::{BankIndex, IntMap};
 use crate::provider::SharedThresholdProvider;
 
 /// Rows per group in the Group Count Table.
@@ -35,17 +35,18 @@ pub struct Hydra {
     provider: SharedThresholdProvider,
     // Key access only, never iterated (see `crate::common` on the hasher),
     // and O(1) lookups matter on the activation path.
-    group_counts: IntMap<(BankId, usize), u64>,
-    row_counts: IntMap<(BankId, usize), u64>,
-    /// LRU row-count cache: maps (bank, row) to its last-use stamp, the bank
-    /// as its index in `rcc_banks` (a 16-byte key, not 40). Never iterated:
-    /// eviction order comes from `rcc_by_stamp`.
+    // Every table keys a bank by its index in `banks` (a 16-byte key, not
+    // 40).
+    group_counts: IntMap<(usize, usize), u64>,
+    row_counts: IntMap<(usize, usize), u64>,
+    /// LRU row-count cache: maps (bank, row) to its last-use stamp. Never
+    /// iterated: eviction order comes from `rcc_by_stamp`.
     rcc: IntMap<(usize, usize), u64>,
     /// The same entries by stamp, oldest first. Every access takes a fresh
     /// stamp, so stamps are unique and the first entry is the LRU victim.
     rcc_by_stamp: BTreeMap<u64, (usize, usize)>,
-    /// The banks the RCC has seen, in first-seen order.
-    rcc_banks: Vec<BankId>,
+    /// The banks Hydra has seen, in first-seen order.
+    banks: BankIndex,
     use_stamp: u64,
     name: String,
     rcc_misses: u64,
@@ -64,7 +65,7 @@ impl Hydra {
             row_counts: IntMap::default(),
             rcc: IntMap::default(),
             rcc_by_stamp: BTreeMap::new(),
-            rcc_banks: Vec::new(),
+            banks: BankIndex::default(),
             use_stamp: 0,
             name,
             rcc_misses: 0,
@@ -95,9 +96,10 @@ impl Hydra {
     }
 
     // lint: hot-path
-    fn rcc_access(&mut self, bank: BankId, row: usize) -> bool {
+    /// Look up `(bank, row)` in the RCC, `bank` as its index in `banks`.
+    fn rcc_access(&mut self, bank: usize, row: usize) -> bool {
         self.use_stamp += 1;
-        let key = (self.rcc_bank(bank), row);
+        let key = (bank, row);
         let hit = if let Some(stamp) = self.rcc.get_mut(&key) {
             self.rcc_by_stamp.remove(stamp);
             *stamp = self.use_stamp;
@@ -118,17 +120,6 @@ impl Hydra {
         self.rcc_by_stamp.insert(self.use_stamp, key);
         hit
     }
-
-    /// The index of `bank` in `rcc_banks`, adding it if new.
-    fn rcc_bank(&mut self, bank: BankId) -> usize {
-        match self.rcc_banks.iter().position(|&b| b == bank) {
-            Some(index) => index,
-            None => {
-                self.rcc_banks.push(bank);
-                self.rcc_banks.len() - 1
-            }
-        }
-    }
 }
 
 impl MitigationHook for Hydra {
@@ -143,8 +134,9 @@ impl MitigationHook for Hydra {
         let group_threshold = ((threshold as f64 * GROUP_FRACTION) as u64).max(1);
         let row_threshold = ((threshold as f64 * ROW_FRACTION) as u64).max(2);
         let group = row / ROWS_PER_GROUP;
+        let b = self.banks.index(bank);
 
-        let group_count = self.group_counts.entry((bank, group)).or_insert(0);
+        let group_count = self.group_counts.entry((b, group)).or_insert(0);
         if *group_count < group_threshold {
             // Group-tracking phase: a cheap SRAM counter, no DRAM traffic.
             *group_count += 1;
@@ -153,13 +145,13 @@ impl MitigationHook for Hydra {
         let group_count = *group_count;
 
         // Per-row phase: consult the RCC; a miss costs DRAM counter traffic.
-        if !self.rcc_access(bank, row) {
+        if !self.rcc_access(b, row) {
             out.push(PreventiveAction::ExtraTraffic {
                 bank,
                 accesses: RCC_MISS_ACCESSES,
             });
         }
-        let count = self.row_counts.entry((bank, row)).or_insert(group_count); // conservative initialization
+        let count = self.row_counts.entry((b, row)).or_insert(group_count); // conservative initialization
         *count += 1;
         if *count >= row_threshold {
             *count = 0;
@@ -314,8 +306,8 @@ mod tests {
                 hydra.on_refresh_tick(i);
             }
             let evictions = hydra.rcc_evictions();
-            hydra.rcc_access(bank, row);
-            let key = (hydra.rcc_bank(bank), row);
+            let key = (hydra.banks.index(bank), row);
+            hydra.rcc_access(key.0, row);
             let victim = reference_access(&mut reference, key, hydra.use_stamp);
             if let Some(v) = victim {
                 // Both caches held the same entries before this access and

@@ -30,6 +30,13 @@
 //!   deciding until then. [`MemorySystem::next_event_cycle`] takes the same
 //!   per-bank minimum.
 //!
+//! When the bound is stale, [`MemorySystem::next_event_cycle`] computes that
+//! minimum over the queue the next tick examines, which is exactly the bound
+//! a fruitless decision at the next tick would store, so it stores it (a
+//! memo in a `Cell`, so the method keeps `&self`). The same invalidations
+//! apply to the memo as to a decision's bound: an enqueue lowers or resets
+//! it, an issue or a refresh resets it.
+//!
 //! Both queues stay in arrival order, so the first request of an eligible
 //! class is the one a per-entry scan would pick. Throttles are per row, not
 //! per class: while any is active the walk visits every entry, counting one
@@ -60,7 +67,16 @@
 //! events: scheduling eligibility depends only on bank/rank timing state,
 //! throttle windows and queue contents, none of which change during a cycle in
 //! which nothing is scheduled, nothing completes and no refresh fires.
+//!
+//! # In-flight requests complete in issue order
+//!
+//! An issued request completes at `max(column issue + CL/CWL, bus free) +
+//! burst`, and the bus is then busy until that cycle, so completion cycles
+//! never decrease in issue order. `in_flight` is therefore a FIFO: a tick
+//! pops the requests due from its front, and its front is the next
+//! completion event.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 use svard_obs::{Counter, EventKind, Gauge, Hist, MetricsSnapshot, NoopSink, ObsSink};
@@ -156,10 +172,9 @@ pub struct MemorySystem<S: ObsSink = NoopSink> {
     ready: Vec<u8>,
     /// Rank index of each flat bank.
     bank_rank: Vec<usize>,
-    in_flight: Vec<(MemoryRequest, u64)>,
-    /// Earliest completion cycle among `in_flight` (`u64::MAX` when empty); lets
-    /// ticks skip the completion drain scan until something can complete.
-    in_flight_min_completion: u64,
+    /// Issued requests with their completion cycles, which never decrease in
+    /// issue order (see `issue`), so the front completes first.
+    in_flight: VecDeque<(MemoryRequest, u64)>,
     throttled: ThrottleTable,
     mitigation: Box<dyn MitigationHook>,
     /// Reusable scratch buffer for preventive actions (kept empty between
@@ -168,11 +183,12 @@ pub struct MemorySystem<S: ObsSink = NoopSink> {
     draining_writes: bool,
     next_refresh: u64,
     /// Cycle before which a scheduling scan is known to be fruitless (computed
-    /// by the last fruitless scan; lowered by an enqueue into the examined
-    /// queue; reset to 0 by an issue, a refresh, or an enqueue that changes
-    /// which queue is examined). Lets per-cycle ticking skip the FR-FCFS scan
-    /// on cycles where nothing can issue.
-    no_schedule_before: u64,
+    /// by the last fruitless scan, or memoized by `next_event_cycle`; lowered
+    /// by an enqueue into the examined queue; reset to 0 by an issue, a
+    /// refresh, or an enqueue that changes which queue is examined). Lets
+    /// per-cycle ticking skip the FR-FCFS scan on cycles where nothing can
+    /// issue. A `Cell` so that `next_event_cycle` can store it through `&self`.
+    no_schedule_before: Cell<u64>,
     /// Cumulative statistics; `stats.cycles` is the controller's clock.
     stats: MemStats,
     sink: S,
@@ -236,14 +252,13 @@ impl<S: ObsSink> MemorySystem<S> {
                 .map(|bank| bank / config.geometry.banks_per_rank())
                 .collect(),
             config,
-            in_flight: Vec::new(),
-            in_flight_min_completion: u64::MAX,
+            in_flight: VecDeque::new(),
             throttled: ThrottleTable::new(total_banks),
             mitigation,
             action_scratch: Vec::new(),
             draining_writes: false,
             next_refresh,
-            no_schedule_before: 0,
+            no_schedule_before: Cell::new(0),
             stats: MemStats::default(),
             sink,
         }
@@ -342,9 +357,10 @@ impl<S: ObsSink> MemorySystem<S> {
         // joining the other queue cannot issue next tick; one that changes which
         // queue is examined invalidates the bound.
         if self.writes_selected(self.draining_writes_next()) != writes_examined {
-            self.no_schedule_before = 0;
+            self.no_schedule_before.set(0);
         } else if joins_writes == writes_examined {
-            self.no_schedule_before = self.no_schedule_before.min(earliest_issue);
+            let bound = self.no_schedule_before.get().min(earliest_issue);
+            self.no_schedule_before.set(bound);
         }
         Ok(())
     }
@@ -397,45 +413,32 @@ impl<S: ObsSink> MemorySystem<S> {
     }
 
     /// The last step of a tick: move every transfer that finished by now
-    /// from `in_flight` to `out` (skipping the scan entirely while nothing
-    /// can have completed yet).
+    /// from the front of `in_flight` to `out`, in completion order.
     fn collect_completions(&mut self, out: &mut Vec<CompletedRequest>) {
         let cycle = self.stats.cycles;
-        if cycle < self.in_flight_min_completion {
-            return;
-        }
-        let mut min_remaining = u64::MAX;
-        let mut i = 0;
-        while i < self.in_flight.len() {
-            let Some(&(_, due)) = self.in_flight.get(i) else {
+        while self.in_flight.front().is_some_and(|&(_, due)| due <= cycle) {
+            let Some((req, completion)) = self.in_flight.pop_front() else {
                 break;
             };
-            if due <= cycle {
-                let (req, completion) = self.in_flight.swap_remove(i);
-                match req.kind {
-                    RequestKind::Read => {
-                        self.stats.reads_completed += 1;
-                        self.stats.total_read_latency += completion - req.arrival_cycle;
-                        if S::ENABLED {
-                            self.sink
-                                .observe(Hist::MemReadLatency, completion - req.arrival_cycle);
-                        }
+            match req.kind {
+                RequestKind::Read => {
+                    self.stats.reads_completed += 1;
+                    self.stats.total_read_latency += completion - req.arrival_cycle;
+                    if S::ENABLED {
+                        self.sink
+                            .observe(Hist::MemReadLatency, completion - req.arrival_cycle);
                     }
-                    RequestKind::Write => self.stats.writes_completed += 1,
                 }
-                out.push(CompletedRequest {
-                    id: req.id,
-                    core: req.core,
-                    kind: req.kind,
-                    completion_cycle: completion,
-                    arrival_cycle: req.arrival_cycle,
-                });
-            } else {
-                min_remaining = min_remaining.min(due);
-                i += 1;
+                RequestKind::Write => self.stats.writes_completed += 1,
             }
+            out.push(CompletedRequest {
+                id: req.id,
+                core: req.core,
+                kind: req.kind,
+                completion_cycle: completion,
+                arrival_cycle: req.arrival_cycle,
+            });
         }
-        self.in_flight_min_completion = min_remaining;
     }
 
     /// The next cycle (strictly after the current one) at which ticking could do
@@ -455,8 +458,8 @@ impl<S: ObsSink> MemorySystem<S> {
         if self.config.refresh_enabled {
             consider(self.next_refresh);
         }
-        if self.in_flight_min_completion != u64::MAX {
-            consider(self.in_flight_min_completion);
+        if let Some(&(_, due)) = self.in_flight.front() {
+            consider(due);
         }
         // Earliest cycle at which FR-FCFS could issue a request from the queue
         // it will examine (after the next tick's drain-mode update).
@@ -464,11 +467,16 @@ impl<S: ObsSink> MemorySystem<S> {
         if self.throttled.is_empty() {
             // The last scheduling scan may already have proved nothing can
             // issue before its bound (and nothing has invalidated it since);
-            // otherwise take the minimum over the examined queue's banks.
-            let earliest = if self.no_schedule_before > self.stats.cycles {
-                self.no_schedule_before
+            // otherwise take the minimum over the examined queue's banks. That
+            // minimum is the bound a fruitless scan at the next tick would
+            // store, so store it now and let that scan be skipped.
+            let bound = self.no_schedule_before.get();
+            let earliest = if bound > self.stats.cycles {
+                bound
             } else {
-                self.earliest_queued_issue(examined)
+                let earliest = self.earliest_queued_issue(examined);
+                self.no_schedule_before.set(earliest);
+                earliest
             };
             if earliest != u64::MAX {
                 consider(earliest);
@@ -598,7 +606,7 @@ impl<S: ObsSink> MemorySystem<S> {
         self.mitigation.on_refresh_tick(self.stats.cycles);
         self.next_refresh += self.t.t_refi;
         // Rank state changed; conservatively allow the next scan to re-derive.
-        self.no_schedule_before = 0;
+        self.no_schedule_before.set(0);
     }
 
     fn update_drain_mode(&mut self) {
@@ -755,7 +763,7 @@ impl<S: ObsSink> MemorySystem<S> {
         // earlier issue has lowered or reset the bound). Skipping is only exact
         // with no active throttles, because a scan over throttled requests
         // records per-cycle stall statistics.
-        if !THROTTLES && self.stats.cycles < self.no_schedule_before {
+        if !THROTTLES && self.stats.cycles < self.no_schedule_before.get() {
             return;
         }
         let from_writes = self.writes_selected(self.draining_writes);
@@ -775,7 +783,7 @@ impl<S: ObsSink> MemorySystem<S> {
             // It also covers throttled entries, which is harmless: it is read
             // only while the throttle table is empty, and a scan that leaves
             // the table empty has seen no active throttle.
-            self.no_schedule_before = verdict.earliest;
+            self.no_schedule_before.set(verdict.earliest);
             return;
         };
         let queue = if from_writes {
@@ -793,7 +801,7 @@ impl<S: ObsSink> MemorySystem<S> {
         self.tally_mut(from_writes).remove(bank, row, open);
         // Issuing changes bank and rank state (and may open a row), which can
         // make other requests schedulable immediately.
-        self.no_schedule_before = 0;
+        self.no_schedule_before.set(0);
         self.issue(req);
     }
 
@@ -977,8 +985,15 @@ impl<S: ObsSink> MemorySystem<S> {
         // issue plus tCCD.
         let bank_next = (col_issue + t.t_ccd_l).max(cycle + 1);
         self.bank_at_mut(bank_idx).occupy_until(bank_next);
-        self.in_flight_min_completion = self.in_flight_min_completion.min(completion);
-        self.in_flight.push((req, completion));
+        // The data bus serializes transfers: each completes a burst after the
+        // previous one at the earliest, so `in_flight` stays in completion
+        // order (and, with a burst of a cycle or more, at most one transfer
+        // completes per cycle).
+        debug_assert!(self
+            .in_flight
+            .back()
+            .is_none_or(|&(_, last)| last <= completion));
+        self.in_flight.push_back((req, completion));
     }
 
     /// Execute the preventive actions of one activation, draining `actions` (the
@@ -1646,12 +1661,12 @@ mod tests {
             // The next scan is skipped while `cycle + 1 < no_schedule_before`;
             // that is sound only if no examined request can issue that early.
             assert!(
-                mem.no_schedule_before <= earliest_examined_issue(&mem),
+                mem.no_schedule_before.get() <= earliest_examined_issue(&mem),
                 "cycle {}: bound {} exceeds an examined request's earliest issue",
                 mem.cycle(),
-                mem.no_schedule_before
+                mem.no_schedule_before.get()
             );
-            if enqueued && mem.no_schedule_before > mem.cycle() + 1 {
+            if enqueued && mem.no_schedule_before.get() > mem.cycle() + 1 {
                 skipped_after_enqueue += 1;
             }
             mem.tick();

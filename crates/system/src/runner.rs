@@ -53,6 +53,18 @@
 //! defenses from `config.seed ^ hc_first`), so results are deterministic and
 //! independent of thread count and scheduling.
 //!
+//! # One stream per core, shared by the mix's runs
+//!
+//! Each core reads its trace as a [`CoreStream`]: the accesses within its
+//! budget, already filtered through its LLC. The harness generates a mix's
+//! streams once, with its baseline, and keeps them; the baseline run and
+//! every simulated task of that mix build their cores from them, so no task
+//! regenerates a trace or walks a cache. Sharing is safe because a stream
+//! depends only on the spec, the core index, the seed and the budget, and
+//! every task of a mix runs with the same four. [`run_mix_with_sink`] and
+//! the alone runs generate their own streams, and all of them run the same
+//! private loop.
+//!
 //! # Replaying defenses that never act
 //!
 //! The harness runs every mix once without a defense, for its baseline, and
@@ -86,7 +98,7 @@
 
 use svard_cpusim::metrics::SystemMetrics;
 use svard_cpusim::workload::{WorkloadMix, WorkloadSpec};
-use svard_cpusim::SimpleCore;
+use svard_cpusim::{CoreStream, SimpleCore};
 use svard_defenses::provider::SharedThresholdProvider;
 use svard_defenses::DefenseKind;
 use svard_memsim::{
@@ -99,7 +111,7 @@ use svard_obs::{MetricsSnapshot, NoopSink, ObsSink, PhaseProfile, Profiler, Reco
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::config::SystemConfig;
 use crate::parallel;
@@ -189,9 +201,7 @@ pub fn run_mix_with_sink<S: ObsSink>(
     mode: SimMode,
     sink: S,
 ) -> (RunResult, S) {
-    let mut memory =
-        MemorySystem::with_mitigation_and_sink(config.memory.clone(), mitigation, sink);
-    let mut cores: Vec<SimpleCore> = mix
+    let cores = mix
         .workloads
         .iter()
         .take(config.cores)
@@ -206,6 +216,20 @@ pub fn run_mix_with_sink<S: ObsSink>(
             )
         })
         .collect();
+    simulate(cores, config, mitigation, mode, sink)
+}
+
+/// The simulation loop behind [`run_mix_with_sink`] and the harness's runs:
+/// `cores` against a fresh memory system (see the module docs).
+fn simulate<S: ObsSink>(
+    mut cores: Vec<SimpleCore>,
+    config: &SystemConfig,
+    mitigation: Box<dyn MitigationHook>,
+    mode: SimMode,
+    sink: S,
+) -> (RunResult, S) {
+    let mut memory =
+        MemorySystem::with_mitigation_and_sink(config.memory.clone(), mitigation, sink);
     let mut completions: Vec<CompletedRequest> = Vec::new();
     let fast_forward = mode == SimMode::FastForward;
     let mut awake = Awake::new(&cores);
@@ -478,14 +502,29 @@ struct Baseline {
     snapshot: MetricsSnapshot,
     /// Every hook call of the run, in order (`None` if one did not fit).
     calls: Option<Vec<HookCall>>,
+    /// Each core's LLC-filtered stream, which every run of the mix reads.
+    streams: Vec<Arc<CoreStream>>,
 }
 
 impl Baseline {
-    /// Run `mix` without a defense, recording its hook calls.
+    /// Generate `mix`'s core streams and run it without a defense,
+    /// recording its hook calls.
     fn run(mix: &WorkloadMix, config: &SystemConfig, mode: SimMode, alone: &[f64]) -> Self {
+        let streams: Vec<Arc<CoreStream>> = mix
+            .workloads
+            .iter()
+            .take(config.cores)
+            .enumerate()
+            .map(|(id, spec)| {
+                let stream =
+                    CoreStream::generate(spec, id, config.seed, config.instructions_per_core);
+                Arc::new(stream)
+            })
+            .collect();
         let log: CallLog = Rc::new(RefCell::new(Some(Vec::new())));
         let hook = Box::new(RecordingBaseline(Rc::clone(&log)));
-        let run = run_mix_with_sink(mix, config, hook, mode, NoopSink).0;
+        let cores = cores_reading(&streams, config);
+        let run = simulate(cores, config, hook, mode, NoopSink).0;
         let mut calls = log.take();
         if let Some(calls) = calls.as_mut() {
             calls.shrink_to_fit();
@@ -495,8 +534,15 @@ impl Baseline {
             per_core_ipc: run.per_core_ipc,
             snapshot: run.metrics,
             calls,
+            streams,
         }
     }
+}
+
+/// Fresh cores reading `streams`.
+fn cores_reading(streams: &[Arc<CoreStream>], config: &SystemConfig) -> Vec<SimpleCore> {
+    let core = |stream: &Arc<CoreStream>| SimpleCore::from_stream(Arc::clone(stream), config.core);
+    streams.iter().map(core).collect()
 }
 
 /// One `(point, mix)` simulation of a sweep, with the mix's cached alone IPCs
@@ -505,7 +551,6 @@ struct Task<'a> {
     p: usize,
     m: usize,
     point: &'a SweepPoint,
-    mix: &'a WorkloadMix,
     alone: &'a [f64],
     baseline: &'a Baseline,
 }
@@ -776,17 +821,14 @@ impl EvaluationHarness {
             .enumerate()
             .filter(|&(p, _)| run_point.get(p).copied().unwrap_or(false))
             .flat_map(|(p, point)| {
-                let per_mix = self.mixes.iter().zip(&self.alone_ipc).zip(&self.baseline);
-                per_mix
-                    .enumerate()
-                    .map(move |(m, ((mix, alone), baseline))| Task {
-                        p,
-                        m,
-                        point,
-                        mix,
-                        alone,
-                        baseline,
-                    })
+                let per_mix = self.alone_ipc.iter().zip(&self.baseline);
+                per_mix.enumerate().map(move |(m, (alone, baseline))| Task {
+                    p,
+                    m,
+                    point,
+                    alone,
+                    baseline,
+                })
             })
             .collect();
         let state = Mutex::new(Sweep {
@@ -863,7 +905,8 @@ impl EvaluationHarness {
                 return (result, "harness.replay_task");
             }
         }
-        let (run, sink) = run_mix_with_sink(task.mix, &self.config, build(), self.mode, sink);
+        let cores = cores_reading(&baseline.streams, &self.config);
+        let (run, sink) = simulate(cores, &self.config, build(), self.mode, sink);
         let result = (normalized(&run.per_core_ipc), run.metrics.canonical(), sink);
         (result, "harness.sim_task")
     }
@@ -1156,12 +1199,11 @@ mod tests {
             p: 0,
             m: 0,
             point,
-            mix: &harness.mixes[0],
             alone: &harness.alone_ipc[0],
             baseline: &harness.baseline[0],
         };
         let ((normalized, snapshot, _), span) = harness.run_task(&task, &build, NoopSink);
-        let direct = run_mix(task.mix, &harness.config, build());
+        let direct = run_mix(&harness.mixes[0], &harness.config, build());
         let expected = SystemMetrics::compute(task.alone, &direct.per_core_ipc)
             .normalized_to(&task.baseline.metrics);
         assert_eq!(normalized, expected, "{span}");

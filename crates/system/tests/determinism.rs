@@ -12,9 +12,10 @@
 use std::sync::Arc;
 
 use svard_cpusim::workload::{WorkloadMix, WorkloadSpec};
+use svard_cpusim::SimpleCore;
 use svard_defenses::provider::{SharedThresholdProvider, UniformThreshold};
 use svard_defenses::DefenseKind;
-use svard_memsim::NoMitigation;
+use svard_memsim::{MemorySystem, NoMitigation};
 use svard_system::runner::{run_mix, run_mix_percycle};
 use svard_system::{EvaluationHarness, SimMode, SweepPoint, SystemConfig};
 
@@ -433,4 +434,111 @@ fn fastforward_matches_percycle_across_queue_and_mshr_limits() {
             }
         }
     }
+}
+
+/// 64-bit FNV-1a of `text`.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The mixes and MSHR limits of [`mshr_limited_runs_match_the_pinned_digests`].
+fn mshr_cases() -> Vec<(&'static str, WorkloadMix, usize)> {
+    let config = small_config().with_cores(8);
+    let benign = WorkloadMix::generate(1, config.cores, 81).remove(0);
+    let hydra_with_zipf = WorkloadMix::adversarial_with_background(
+        WorkloadSpec::adversarial_hydra(),
+        WorkloadSpec::zipf(1.0),
+        config.cores,
+    );
+    let mut cases = Vec::new();
+    for (label, mix) in [("benign", benign), ("hydra_with_zipf", hydra_with_zipf)] {
+        for mshrs in [1, 2] {
+            cases.push((label, mix.clone(), mshrs));
+        }
+    }
+    cases
+}
+
+/// The configuration of [`mshr_cases`] at `mshrs` MSHRs.
+fn mshr_config(mshrs: usize) -> SystemConfig {
+    let mut config = small_config().with_cores(8).with_instructions(3_000);
+    config.core.max_outstanding_misses = mshrs;
+    config
+}
+
+/// Whole-run digests with one or two MSHRs, where a cached core's miss often
+/// finds every MSHR busy and its retry hits the line the miss installed. Each
+/// case digests a `run_mix` `RunResult` under no defense and under PARA, and
+/// a traced PARA sweep through the harness, whose tasks share the mix's
+/// streams. The digests were pinned by the build that walked every core's
+/// trace through a live LLC, so reading pre-filtered streams (and their
+/// retry rule) must reproduce it byte for byte.
+#[test]
+fn mshr_limited_runs_match_the_pinned_digests() {
+    // benign at 1 and 2 MSHRs, then hydra_with_zipf at 1 and 2.
+    const DIGESTS: [u64; 4] = [
+        0x86c5_cf1f_bad4_0a09,
+        0x6192_3a56_0afc_627b,
+        0xcfc6_f32c_7c93_30d2,
+        0xdc0f_50e0_e4cd_3a7f,
+    ];
+    let mut got = Vec::new();
+    for (label, mix, mshrs) in mshr_cases() {
+        let config = mshr_config(mshrs);
+        let rows = config.memory.geometry.rows_per_bank;
+        let provider: SharedThresholdProvider = Arc::new(UniformThreshold::new(48));
+        let plain = run_mix(&mix, &config, Box::new(NoMitigation));
+        let para = run_mix(
+            &mix,
+            &config,
+            DefenseKind::Para.build(provider.clone(), rows, 3),
+        );
+        let harness =
+            EvaluationHarness::with_threads_and_mode(config, vec![mix], 1, SimMode::FastForward);
+        let point = SweepPoint {
+            defense: DefenseKind::Para,
+            provider,
+            hc_first: 48,
+        };
+        let (points, trace) = harness.evaluate_all_traced(&[point]);
+        let text = format!("{plain:?}\n{para:?}\n{points:?}\n{trace}");
+        got.push((label, mshrs, fnv1a(&text)));
+    }
+    let pinned: Vec<u64> = got.iter().map(|&(_, _, digest)| digest).collect();
+    assert_eq!(pinned, DIGESTS, "digests by (mix, MSHRs): {got:x?}");
+}
+
+/// LLC hits and misses summed over `mix`'s cores, ticked cycle by cycle.
+fn llc_totals(mix: &WorkloadMix, config: &SystemConfig) -> (u64, u64) {
+    let mut memory = MemorySystem::new(config.memory.clone());
+    let mut cores: Vec<SimpleCore> = (mix.workloads.iter().take(config.cores).enumerate())
+        .map(|(id, spec)| {
+            let budget = config.instructions_per_core;
+            SimpleCore::new(id, spec, config.core, budget, config.seed)
+        })
+        .collect();
+    while cores.iter().any(|c| !c.finished()) && memory.cycle() < config.max_cycles {
+        for core in &mut cores {
+            core.tick(&mut memory);
+        }
+        for done in memory.tick() {
+            cores[done.core].on_completion(done.id);
+        }
+    }
+    let llc = cores.iter().map(SimpleCore::llc);
+    llc.fold((0, 0), |(h, m), s| (h + s.hits(), m + s.misses()))
+}
+
+/// The digests above cover the retry rule: at one MSHR, misses blocked on
+/// the full MSHR list retry as hits. Every access is reached once whatever
+/// the limit, so misses stay put and the retries add hits.
+#[test]
+fn one_mshr_retries_blocked_misses_as_hits() {
+    let (label, mix, _) = &mshr_cases()[0];
+    let (hits_1, misses_1) = llc_totals(mix, &mshr_config(1));
+    let (hits_16, misses_16) = llc_totals(mix, &mshr_config(16));
+    assert_eq!(misses_1, misses_16, "{label}");
+    assert!(hits_1 > hits_16, "{label}: no retry hit ({hits_1} hits)");
 }
