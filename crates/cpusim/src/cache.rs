@@ -133,14 +133,9 @@ impl LastLevelCache {
         CacheOutcome::Miss { writeback }
     }
 
-    /// Hit rate since creation.
-    pub fn hit_rate(&self) -> f64 {
-        self.stats.hit_rate()
-    }
-
-    /// Number of misses since creation.
-    pub fn misses(&self) -> u64 {
-        self.stats.misses
+    /// Hits and misses since creation.
+    pub fn stats(&self) -> LlcStats {
+        self.stats
     }
 }
 
@@ -197,7 +192,8 @@ mod tests {
             }
             let _ = pass;
         }
-        assert!(c.hit_rate() < 0.1, "hit rate = {}", c.hit_rate());
+        let rate = c.stats().hit_rate();
+        assert!(rate < 0.1, "hit rate = {rate}");
     }
 
     #[test]
@@ -208,6 +204,7 @@ mod tests {
                 c.access(addr, false);
             }
         }
-        assert!(c.hit_rate() > 0.7, "hit rate = {}", c.hit_rate());
+        let rate = c.stats().hit_rate();
+        assert!(rate > 0.7, "hit rate = {rate}");
     }
 }

@@ -8,7 +8,7 @@ use svard_memsim::{MemoryRequest, MemorySystem, RequestKind};
 use svard_obs::ObsSink;
 
 use crate::cache::LlcStats;
-use crate::stream::CoreStream;
+use crate::stream::{CoreStream, StreamAccess, StreamWalk};
 use crate::workload::WorkloadSpec;
 
 /// Static core parameters.
@@ -47,13 +47,28 @@ struct OutstandingMiss {
     request_id: u64,
 }
 
+/// Where a core reads its accesses from.
+#[derive(Debug)]
+enum Accesses {
+    /// A stream generated ahead of the run, read at `cursor`.
+    Shared {
+        stream: Arc<CoreStream>,
+        cursor: usize,
+    },
+    /// The core's own walk, one access at a time.
+    Live(Box<StreamWalk>),
+}
+
 /// One simulated core executing a synthetic trace against a shared memory system.
 ///
-/// The core reads its trace from a [`CoreStream`]: each access with the gap
-/// before it and the LLC's verdict, computed once ahead of the run. Reading
-/// the verdicts back is exact because the core reaches its accesses in
-/// stream order and touches the LLC at nothing else, with one exception,
-/// the retry rule:
+/// The core reads its trace as LLC-filtered accesses: each with the gap
+/// before it and the LLC's verdict, either from a [`CoreStream`] computed
+/// ahead of the run ([`from_stream`](Self::from_stream)) or from its own
+/// walk of the trace through a fresh LLC, one access at a time
+/// ([`new`](Self::new)). Both give the same accesses, so both give the same
+/// run. Reading the verdicts in order is exact because the core reaches its
+/// accesses in trace order and touches the LLC at nothing else, with one
+/// exception, the retry rule:
 ///
 /// - A cached core's miss that finds every MSHR busy has already installed
 ///   its line (the LLC is consulted before the MSHR check), so the core
@@ -75,9 +90,10 @@ pub struct SimpleCore {
     /// Adversarial access patterns model an attacker that bypasses the cache
     /// (e.g. via `clflush`), so every access reaches DRAM.
     bypass_llc: bool,
-    stream: Arc<CoreStream>,
-    /// Index in `stream` of the next access to perform.
-    cursor: usize,
+    source: Accesses,
+    /// The next access to perform (`None` only past the end of a stream,
+    /// which covers the budget, so never while the core runs).
+    access: Option<StreamAccess>,
     /// The next access missed on full MSHRs and installed its line, so it
     /// issues as a hit (see the retry rule above).
     installed: bool,
@@ -100,7 +116,8 @@ pub struct SimpleCore {
 
 impl SimpleCore {
     /// Create a core running `spec` for `instruction_limit` instructions,
-    /// generating its own [`CoreStream`].
+    /// walking its own trace through its own LLC as it runs (so its memory
+    /// does not grow with the budget).
     pub fn new(
         id: usize,
         spec: &WorkloadSpec,
@@ -108,22 +125,44 @@ impl SimpleCore {
         instruction_limit: u64,
         seed: u64,
     ) -> Self {
-        let stream = CoreStream::generate(spec, id, seed, instruction_limit);
-        Self::from_stream(Arc::new(stream), config)
+        let mut walk = Box::new(StreamWalk::new(spec, id, seed));
+        let first = walk.next_access();
+        let bypass_llc = walk.bypasses_llc();
+        Self::with_source(
+            id,
+            config,
+            instruction_limit,
+            bypass_llc,
+            Accesses::Live(walk),
+            Some(first),
+        )
     }
 
     /// Create a core reading a shared `stream`: its core index and
     /// instruction budget are the stream's.
     pub fn from_stream(stream: Arc<CoreStream>, config: CoreConfig) -> Self {
-        let id = stream.core();
+        let (id, limit, bypass_llc) = (stream.core(), stream.instructions(), stream.bypasses_llc());
+        let first = stream.access(0);
+        let source = Accesses::Shared { stream, cursor: 0 };
+        Self::with_source(id, config, limit, bypass_llc, source, first)
+    }
+
+    fn with_source(
+        id: usize,
+        config: CoreConfig,
+        instruction_limit: u64,
+        bypass_llc: bool,
+        source: Accesses,
+        access: Option<StreamAccess>,
+    ) -> Self {
         Self {
             id,
             config,
-            bypass_llc: stream.bypasses_llc(),
-            non_mem_remaining: stream.access(0).map_or(0, |a| a.gap()),
-            instruction_limit: stream.instructions(),
-            stream,
-            cursor: 0,
+            bypass_llc,
+            non_mem_remaining: access.map_or(0, StreamAccess::gap),
+            instruction_limit,
+            source,
+            access,
             installed: false,
             llc: LlcStats::default(),
             issued: 0,
@@ -276,8 +315,8 @@ impl SimpleCore {
                 progressed = true;
                 continue;
             }
-            // The next instruction is the stream's next access.
-            let Some(access) = self.stream.access(self.cursor) else {
+            // The next instruction is the next access.
+            let Some(access) = self.access else {
                 self.issued += 1;
                 slots -= 1;
                 progressed = true;
@@ -404,7 +443,7 @@ impl SimpleCore {
                     }
                 }
                 None => {
-                    if self.non_mem_remaining > 0 || self.stream.access(self.cursor).is_none() {
+                    if self.non_mem_remaining > 0 || self.access.is_none() {
                         return true;
                     }
                     if !self.bypass_llc {
@@ -471,13 +510,19 @@ impl SimpleCore {
     }
 
     // lint: hot-path
-    /// Move to the stream's next access. The stream covers the budget plus
-    /// the access stashed after the last one, so it never runs out here.
+    /// Move to the next access. A stream covers the budget plus the access
+    /// stashed after the last one, and a live walk never ends, so this
+    /// never runs out.
     fn advance_trace(&mut self) {
-        self.cursor += 1;
-        let next = self.stream.access(self.cursor);
-        debug_assert!(next.is_some(), "stream ran out before the budget");
-        self.non_mem_remaining = next.map_or(0, |a| a.gap());
+        self.access = match &mut self.source {
+            Accesses::Shared { stream, cursor } => {
+                *cursor += 1;
+                stream.access(*cursor)
+            }
+            Accesses::Live(walk) => Some(walk.next_access()),
+        };
+        debug_assert!(self.access.is_some(), "stream ran out before the budget");
+        self.non_mem_remaining = self.access.map_or(0, StreamAccess::gap);
     }
     // lint: end-hot-path
 }
@@ -540,6 +585,46 @@ mod tests {
         let (a, _) = run_core(spec, 20_000);
         let (b, _) = run_core(spec, 20_000);
         assert_eq!(a, b);
+    }
+
+    /// Run `core` to completion against its own small memory system: its
+    /// IPC, LLC counts and completed requests.
+    fn run_to_end(mut core: SimpleCore) -> (f64, LlcStats, u64) {
+        let mut memory = MemorySystem::new(MemoryConfig::small(1024));
+        while !core.finished() && memory.cycle() < 5_000_000 {
+            core.tick(&mut memory);
+            for done in memory.tick() {
+                core.on_completion(done.id);
+            }
+        }
+        assert!(core.finished(), "core did not finish in time");
+        (core.ipc(), core.llc(), memory.stats().requests_completed())
+    }
+
+    #[test]
+    fn live_and_streamed_cores_run_alike() {
+        // One MSHR makes cached cores retry on full MSHRs and bypassing
+        // cores stall on them, so the retry rule is exercised both ways.
+        let mut specs = WorkloadSpec::catalogue();
+        specs.truncate(4);
+        specs.push(WorkloadSpec::adversarial_hydra());
+        for mshrs in [1, 16] {
+            let config = CoreConfig {
+                max_outstanding_misses: mshrs,
+                ..CoreConfig::table4()
+            };
+            for (id, spec) in specs.iter().enumerate() {
+                let live = SimpleCore::new(id, spec, config, 30_000, 11);
+                let stream = CoreStream::generate(spec, id, 11, 30_000);
+                let shared = SimpleCore::from_stream(Arc::new(stream), config);
+                assert_eq!(
+                    run_to_end(live),
+                    run_to_end(shared),
+                    "{} with {mshrs} MSHRs",
+                    spec.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! * [`workload`] — the workload catalogue, deterministic trace generators and the
 //!   120-mix generator;
 //! * [`cache`] — a per-core last-level cache model (2 MiB per core, Table 4);
-//! * [`stream`] — each core's trace filtered through its LLC once
-//!   ([`CoreStream`]), which the core reads back;
+//! * [`stream`] — each core's trace filtered through its LLC, stored once
+//!   ([`CoreStream`]) or walked live, which the core reads;
 //! * [`core`] — a simple out-of-order-miss / in-order-retire core with a 128-entry
 //!   instruction window and 4-wide retire (Table 4);
 //! * [`metrics`] — weighted speedup, harmonic speedup and maximum slowdown, the
@@ -18,17 +18,19 @@
 //!
 //! # Streams and the retry rule
 //!
-//! A core does not walk its trace through its LLC while it runs. A
-//! [`CoreStream`] holds, for every access within the core's budget, the gap
-//! before it, its address and the LLC's verdict (hit, or miss with the dirty
-//! victim to write back), computed once by a fresh generator and cache. The
-//! stream depends only on the spec, the core index, the seed and the
-//! budget, so every run of that core can share one. It covers the budget
-//! plus the one access a core stashes after its last, and the core
-//! debug-asserts that it never runs out.
+//! A core reads its trace as LLC-filtered accesses: each with the gap
+//! before it, its address and the LLC's verdict (hit, or miss with the
+//! dirty victim to write back), as a fresh generator and cache walked in
+//! trace order give them. A [`CoreStream`] stores them ahead of the run;
+//! it depends only on the spec, the core index, the seed and the budget,
+//! so every run of that core can share one. It covers the budget plus the
+//! one access a core stashes after its last, and the core debug-asserts
+//! that it never runs out. It costs 24 bytes an access, so it grows with
+//! the budget; a core built with [`SimpleCore::new`] walks its trace live
+//! instead, in the fixed memory of its own LLC model.
 //!
 //! Reading verdicts back is exact because the core reaches its accesses in
-//! stream order, with one rule kept from the live walk: a cached core's miss
+//! trace order, with one rule kept from the live walk: a cached core's miss
 //! that finds its MSHRs full has installed its line, so its retry issues as
 //! a hit, counts an LLC hit, and the miss's writeback is lost; a core that
 //! bypasses the LLC retries as a miss (see [`SimpleCore`]). ROADMAP item 1's

@@ -59,16 +59,72 @@ impl StreamAccess {
     }
 }
 
+/// One core's trace walked through its LLC an access at a time: what a
+/// [`CoreStream`] stores, and what a core without a stored stream reads
+/// live. The LLC's verdicts are those of a fresh
+/// [`LastLevelCache::table4_per_core`] walked in trace order, or of no cache
+/// at all for an adversarial spec, which bypasses the LLC.
+#[derive(Debug, Clone)]
+pub(crate) struct StreamWalk {
+    trace: TraceGenerator,
+    llc: Option<LastLevelCache>,
+}
+
+impl StreamWalk {
+    /// A fresh walk of `spec`'s trace on `core`, seeded by `seed`.
+    pub(crate) fn new(spec: &WorkloadSpec, core: usize, seed: u64) -> Self {
+        Self {
+            trace: TraceGenerator::new(spec, core, seed),
+            llc: (!spec.is_adversarial()).then(LastLevelCache::table4_per_core),
+        }
+    }
+
+    /// Whether the walk bypasses the LLC (an adversarial spec).
+    pub(crate) fn bypasses_llc(&self) -> bool {
+        self.llc.is_none()
+    }
+
+    // lint: hot-path
+    /// The trace's next access, with the LLC's verdict on it.
+    pub(crate) fn next_access(&mut self) -> StreamAccess {
+        let event = self.trace.next_event();
+        let mut line = event.address | if event.is_write { WRITE } else { 0 };
+        let mut writeback = 0;
+        match self
+            .llc
+            .as_mut()
+            .map(|llc| llc.access(event.address, event.is_write))
+        {
+            Some(CacheOutcome::Hit) => line |= HIT,
+            Some(CacheOutcome::Miss {
+                writeback: Some(victim),
+            }) => {
+                line |= WRITEBACK;
+                writeback = victim;
+            }
+            Some(CacheOutcome::Miss { writeback: None }) | None => {}
+        }
+        StreamAccess {
+            line,
+            writeback,
+            gap: u16::try_from(event.non_mem_instructions).unwrap_or(u16::MAX),
+        }
+    }
+    // lint: end-hot-path
+}
+
 /// The LLC-filtered access stream of one core: every access its trace
 /// makes within an instruction budget, each with the gap before it and the
-/// LLC's verdict (hit, or miss with the dirty victim to write back).
+/// LLC's verdict (hit, or miss with the dirty victim to write back), as a
+/// fresh walk of the trace through the core's LLC gives them.
 ///
-/// The verdicts are those of a fresh [`LastLevelCache::table4_per_core`]
-/// walked in trace order, or of no cache at all for an adversarial spec,
-/// which bypasses the LLC. The stream covers the budget: its gaps plus
-/// accesses reach `instructions`, and one more access follows, the one a
-/// core stashes after its last access. A stream depends only on its four
-/// inputs, so runs of the same core can share it.
+/// The stream covers the budget: its gaps plus accesses reach
+/// `instructions`, and one more access follows, the one a core stashes
+/// after its last access. A stream depends only on its four inputs, so runs
+/// of the same core can share it. It costs 24 bytes an access: benign
+/// catalogue specs make roughly 45 accesses per thousand instructions, so
+/// about 1.1 MB per core per million instructions, and a spec with no gaps
+/// makes one access per instruction, 24 MB per million.
 #[derive(Debug, Clone)]
 pub struct CoreStream {
     core: usize,
@@ -78,51 +134,63 @@ pub struct CoreStream {
 }
 
 impl CoreStream {
+    /// Bytes a stream takes per access.
+    pub const ACCESS_BYTES: usize = std::mem::size_of::<StreamAccess>();
+
     /// Walk `spec`'s trace on `core` (seeded by `seed`) through the core's
     /// LLC until it covers `instructions`.
     pub fn generate(spec: &WorkloadSpec, core: usize, seed: u64, instructions: u64) -> Self {
-        let mut trace = TraceGenerator::new(spec, core, seed);
-        let bypass_llc = spec.is_adversarial();
-        let mut llc = (!bypass_llc).then(LastLevelCache::table4_per_core);
+        Self::walk(spec, core, seed, instructions, usize::MAX).0
+    }
+
+    /// [`generate`](Self::generate), or `None` if the stream would hold
+    /// more than `max_accesses` accesses (the walk stops there).
+    pub fn generate_within(
+        spec: &WorkloadSpec,
+        core: usize,
+        seed: u64,
+        instructions: u64,
+        max_accesses: usize,
+    ) -> Option<Self> {
+        let (stream, covers) = Self::walk(spec, core, seed, instructions, max_accesses);
+        covers.then_some(stream)
+    }
+
+    /// The stream, walked until it covers `instructions` or holds
+    /// `max_accesses` accesses, and whether it covers them.
+    fn walk(
+        spec: &WorkloadSpec,
+        core: usize,
+        seed: u64,
+        instructions: u64,
+        max_accesses: usize,
+    ) -> (Self, bool) {
+        let mut walk = StreamWalk::new(spec, core, seed);
         let mut accesses = Vec::new();
         // Instructions covered by the accesses pushed so far, gaps included.
         let mut covered = 0u64;
-        loop {
-            let event = trace.next_event();
-            let mut line = event.address | if event.is_write { WRITE } else { 0 };
-            let mut writeback = 0;
-            match llc
-                .as_mut()
-                .map(|llc| llc.access(event.address, event.is_write))
-            {
-                Some(CacheOutcome::Hit) => line |= HIT,
-                Some(CacheOutcome::Miss {
-                    writeback: Some(victim),
-                }) => {
-                    line |= WRITEBACK;
-                    writeback = victim;
-                }
-                Some(CacheOutcome::Miss { writeback: None }) | None => {}
+        let covers = loop {
+            if accesses.len() >= max_accesses {
+                break false;
             }
-            let gap = u16::try_from(event.non_mem_instructions).unwrap_or(u16::MAX);
-            accesses.push(StreamAccess {
-                line,
-                writeback,
-                gap,
-            });
+            let access = walk.next_access();
+            accesses.push(access);
             // The access just pushed is the one stashed after the last.
             if covered >= instructions {
-                break;
+                break true;
             }
-            covered += u64::from(gap) + 1;
+            covered += u64::from(access.gap) + 1;
+        };
+        if covers {
+            accesses.shrink_to_fit();
         }
-        accesses.shrink_to_fit();
-        Self {
+        let stream = Self {
             core,
             instructions,
-            bypass_llc,
+            bypass_llc: walk.bypasses_llc(),
             accesses,
-        }
+        };
+        (stream, covers)
     }
 
     /// The core index the stream was generated for.
@@ -133,6 +201,11 @@ impl CoreStream {
     /// The instruction budget the stream covers.
     pub fn instructions(&self) -> u64 {
         self.instructions
+    }
+
+    /// The number of accesses the stream holds.
+    pub fn access_count(&self) -> usize {
+        self.accesses.len()
     }
 
     /// Whether the core bypasses the LLC (an adversarial spec).
@@ -256,7 +329,17 @@ mod tests {
     }
 
     #[test]
+    fn a_capped_walk_keeps_only_streams_that_fit() {
+        let spec = &WorkloadSpec::catalogue()[2];
+        let full = CoreStream::generate(spec, 1, 9, 50_000);
+        let n = full.access_count();
+        let fits = CoreStream::generate_within(spec, 1, 9, 50_000, n).expect("fits exactly");
+        assert_eq!(fits.accesses, full.accesses);
+        assert!(CoreStream::generate_within(spec, 1, 9, 50_000, n - 1).is_none());
+    }
+
+    #[test]
     fn an_access_fits_in_24_bytes() {
-        assert!(std::mem::size_of::<StreamAccess>() <= 24);
+        const { assert!(CoreStream::ACCESS_BYTES <= 24) };
     }
 }

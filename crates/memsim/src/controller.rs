@@ -447,7 +447,24 @@ impl<S: ObsSink> MemorySystem<S> {
     /// returned cycle is *dead* — it only advances the cycle counter and the
     /// per-cycle statistics. Returns `None` when the system is fully idle and
     /// refresh is disabled (nothing will ever happen again without an enqueue).
+    ///
+    /// When the scheduler's bound is stale, the minimum this computes over
+    /// the examined queue is the bound a fruitless scan at the next tick
+    /// would store, so it is stored now and that scan is skipped (see the
+    /// module docs).
     pub fn next_event_cycle(&self) -> Option<u64> {
+        let (next, fresh_bound) = self.next_event();
+        if let Some(bound) = fresh_bound {
+            self.no_schedule_before.set(bound);
+        }
+        next
+    }
+
+    /// [`next_event_cycle`](Self::next_event_cycle) without storing
+    /// anything: the next event, and the examined queue's earliest issue
+    /// cycle when it was computed afresh (not read from a still-valid bound,
+    /// and with no active throttle).
+    fn next_event(&self) -> (Option<u64>, Option<u64>) {
         let floor = self.stats.cycles + 1;
         let mut next: Option<u64> = None;
         let mut consider = |candidate: u64| {
@@ -464,18 +481,17 @@ impl<S: ObsSink> MemorySystem<S> {
         // Earliest cycle at which FR-FCFS could issue a request from the queue
         // it will examine (after the next tick's drain-mode update).
         let examined = self.writes_selected(self.draining_writes_next());
+        let mut fresh_bound = None;
         if self.throttled.is_empty() {
             // The last scheduling scan may already have proved nothing can
             // issue before its bound (and nothing has invalidated it since);
-            // otherwise take the minimum over the examined queue's banks. That
-            // minimum is the bound a fruitless scan at the next tick would
-            // store, so store it now and let that scan be skipped.
+            // otherwise take the minimum over the examined queue's banks.
             let bound = self.no_schedule_before.get();
             let earliest = if bound > self.stats.cycles {
                 bound
             } else {
                 let earliest = self.earliest_queued_issue(examined);
-                self.no_schedule_before.set(earliest);
+                fresh_bound = Some(earliest);
                 earliest
             };
             if earliest != u64::MAX {
@@ -490,7 +506,7 @@ impl<S: ObsSink> MemorySystem<S> {
                 consider(c);
             }
         }
-        next
+        (next, fresh_bound)
     }
 
     /// Advance to `target_cycle` (a no-op if already there), producing exactly the
@@ -520,7 +536,7 @@ impl<S: ObsSink> MemorySystem<S> {
     /// strictly below the next event cycle.
     pub fn skip_to_cycle(&mut self, target_cycle: u64) {
         debug_assert!(
-            self.next_event_cycle().is_none_or(|e| target_cycle < e),
+            self.next_event().0.is_none_or(|e| target_cycle < e),
             "skip_to_cycle target must precede the next event"
         );
         if target_cycle > self.stats.cycles {

@@ -58,12 +58,18 @@
 //! Each core reads its trace as a [`CoreStream`]: the accesses within its
 //! budget, already filtered through its LLC. The harness generates a mix's
 //! streams once, with its baseline, and keeps them; the baseline run and
-//! every simulated task of that mix build their cores from them, so no task
-//! regenerates a trace or walks a cache. Sharing is safe because a stream
-//! depends only on the spec, the core index, the seed and the budget, and
-//! every task of a mix runs with the same four. [`run_mix_with_sink`] and
-//! the alone runs generate their own streams, and all of them run the same
-//! private loop.
+//! every simulated task of that mix build their cores from them, so no
+//! task regenerates a trace or walks a cache. Sharing is safe because a
+//! stream depends only on the spec, the core index, the seed and the
+//! budget, and every task of a mix runs with the same four.
+//!
+//! A stream costs 24 bytes an access, so it grows with the budget (fig12's
+//! two 8-core mixes hold 7.5 and 10.3 MB at 1M instructions per core). A
+//! harness keeps at most `STREAM_BUDGET_BYTES` (256 MiB) of streams, each
+//! mix up to its share; a mix whose streams would pass its share keeps
+//! none, and its runs walk their traces live, as [`run_mix_with_sink`] and
+//! the alone runs always do. Both paths give the same accesses and build
+//! their cores in one private helper.
 //!
 //! # Replaying defenses that never act
 //!
@@ -201,22 +207,7 @@ pub fn run_mix_with_sink<S: ObsSink>(
     mode: SimMode,
     sink: S,
 ) -> (RunResult, S) {
-    let cores = mix
-        .workloads
-        .iter()
-        .take(config.cores)
-        .enumerate()
-        .map(|(id, spec)| {
-            SimpleCore::new(
-                id,
-                spec,
-                config.core,
-                config.instructions_per_core,
-                config.seed,
-            )
-        })
-        .collect();
-    simulate(cores, config, mitigation, mode, sink)
+    simulate(mix_cores(mix, config, None), config, mitigation, mode, sink)
 }
 
 /// The simulation loop behind [`run_mix_with_sink`] and the harness's runs:
@@ -502,28 +493,26 @@ struct Baseline {
     snapshot: MetricsSnapshot,
     /// Every hook call of the run, in order (`None` if one did not fit).
     calls: Option<Vec<HookCall>>,
-    /// Each core's LLC-filtered stream, which every run of the mix reads.
-    streams: Vec<Arc<CoreStream>>,
+    /// Each core's LLC-filtered stream, which every run of the mix reads
+    /// (`None` if they did not fit the mix's share of the stream budget).
+    streams: Option<Vec<Arc<CoreStream>>>,
 }
 
 impl Baseline {
-    /// Generate `mix`'s core streams and run it without a defense,
-    /// recording its hook calls.
-    fn run(mix: &WorkloadMix, config: &SystemConfig, mode: SimMode, alone: &[f64]) -> Self {
-        let streams: Vec<Arc<CoreStream>> = mix
-            .workloads
-            .iter()
-            .take(config.cores)
-            .enumerate()
-            .map(|(id, spec)| {
-                let stream =
-                    CoreStream::generate(spec, id, config.seed, config.instructions_per_core);
-                Arc::new(stream)
-            })
-            .collect();
+    /// Generate `mix`'s core streams, if together they hold at most
+    /// `max_accesses` accesses, and run it without a defense, recording
+    /// its hook calls.
+    fn run(
+        mix: &WorkloadMix,
+        config: &SystemConfig,
+        mode: SimMode,
+        alone: &[f64],
+        max_accesses: usize,
+    ) -> Self {
+        let streams = mix_streams(mix, config, max_accesses);
         let log: CallLog = Rc::new(RefCell::new(Some(Vec::new())));
         let hook = Box::new(RecordingBaseline(Rc::clone(&log)));
-        let cores = cores_reading(&streams, config);
+        let cores = mix_cores(mix, config, streams.as_deref());
         let run = simulate(cores, config, hook, mode, NoopSink).0;
         let mut calls = log.take();
         if let Some(calls) = calls.as_mut() {
@@ -539,10 +528,52 @@ impl Baseline {
     }
 }
 
-/// Fresh cores reading `streams`.
-fn cores_reading(streams: &[Arc<CoreStream>], config: &SystemConfig) -> Vec<SimpleCore> {
-    let core = |stream: &Arc<CoreStream>| SimpleCore::from_stream(Arc::clone(stream), config.core);
-    streams.iter().map(core).collect()
+/// The stream memory one harness keeps at most: each mix may keep streams
+/// of up to its share of this (the budget over the mix count), and a mix
+/// whose streams would pass its share keeps none, its runs walking their
+/// traces live as [`run_mix`] does. Generating a stream can briefly take
+/// up to twice its size, as its vector grows.
+const STREAM_BUDGET_BYTES: usize = 256 << 20;
+
+/// `mix`'s core streams, or `None` if together they would hold more than
+/// `max_accesses` accesses.
+fn mix_streams(
+    mix: &WorkloadMix,
+    config: &SystemConfig,
+    max_accesses: usize,
+) -> Option<Vec<Arc<CoreStream>>> {
+    let mut left = max_accesses;
+    let cores = mix.workloads.iter().take(config.cores).enumerate();
+    cores
+        .map(|(id, spec)| {
+            let budget = config.instructions_per_core;
+            let stream = CoreStream::generate_within(spec, id, config.seed, budget, left)?;
+            left -= stream.access_count();
+            Some(Arc::new(stream))
+        })
+        .collect()
+}
+
+/// Fresh cores for a run of `mix`: reading `streams` if the mix has them
+/// (from [`mix_streams`], with the same configuration), else each walking
+/// its own trace.
+fn mix_cores(
+    mix: &WorkloadMix,
+    config: &SystemConfig,
+    streams: Option<&[Arc<CoreStream>]>,
+) -> Vec<SimpleCore> {
+    if let Some(streams) = streams {
+        let core =
+            |stream: &Arc<CoreStream>| SimpleCore::from_stream(Arc::clone(stream), config.core);
+        return streams.iter().map(core).collect();
+    }
+    let cores = mix.workloads.iter().take(config.cores).enumerate();
+    cores
+        .map(|(id, spec)| {
+            let budget = config.instructions_per_core;
+            SimpleCore::new(id, spec, config.core, budget, config.seed)
+        })
+        .collect()
 }
 
 /// One `(point, mix)` simulation of a sweep, with the mix's cached alone IPCs
@@ -551,6 +582,7 @@ struct Task<'a> {
     p: usize,
     m: usize,
     point: &'a SweepPoint,
+    mix: &'a WorkloadMix,
     alone: &'a [f64],
     baseline: &'a Baseline,
 }
@@ -651,6 +683,7 @@ impl EvaluationHarness {
             })
             .collect();
         // Baseline (no defense) runs: one task per mix.
+        let max_accesses = STREAM_BUDGET_BYTES / CoreStream::ACCESS_BYTES / mixes.len().max(1);
         let (baseline, baseline_profile) = prep_phase(
             &profiler,
             threads,
@@ -659,7 +692,7 @@ impl EvaluationHarness {
             &mixes,
             |m, mix| {
                 let alone = alone_ipc.get(m).map_or(&[] as &[f64], Vec::as_slice);
-                Baseline::run(mix, &config, mode, alone)
+                Baseline::run(mix, &config, mode, alone, max_accesses)
             },
         );
         Self {
@@ -821,14 +854,17 @@ impl EvaluationHarness {
             .enumerate()
             .filter(|&(p, _)| run_point.get(p).copied().unwrap_or(false))
             .flat_map(|(p, point)| {
-                let per_mix = self.alone_ipc.iter().zip(&self.baseline);
-                per_mix.enumerate().map(move |(m, (alone, baseline))| Task {
-                    p,
-                    m,
-                    point,
-                    alone,
-                    baseline,
-                })
+                let per_mix = self.mixes.iter().zip(&self.alone_ipc).zip(&self.baseline);
+                per_mix
+                    .enumerate()
+                    .map(move |(m, ((mix, alone), baseline))| Task {
+                        p,
+                        m,
+                        point,
+                        mix,
+                        alone,
+                        baseline,
+                    })
             })
             .collect();
         let state = Mutex::new(Sweep {
@@ -905,7 +941,7 @@ impl EvaluationHarness {
                 return (result, "harness.replay_task");
             }
         }
-        let cores = cores_reading(&baseline.streams, &self.config);
+        let cores = mix_cores(task.mix, &self.config, baseline.streams.as_deref());
         let (run, sink) = simulate(cores, &self.config, build(), self.mode, sink);
         let result = (normalized(&run.per_core_ipc), run.metrics.canonical(), sink);
         (result, "harness.sim_task")
@@ -1199,6 +1235,7 @@ mod tests {
             p: 0,
             m: 0,
             point,
+            mix: &harness.mixes[0],
             alone: &harness.alone_ipc[0],
             baseline: &harness.baseline[0],
         };
@@ -1248,6 +1285,41 @@ mod tests {
         let mut harness = one_mix_harness();
         harness.baseline[0].calls = None;
         let (_, span) = run_task_against_run_mix(&harness, || ActsAt::boxed(None));
+        assert_eq!(span, "harness.sim_task");
+    }
+
+    #[test]
+    fn a_mix_over_its_stream_budget_walks_its_traces_live() {
+        let harness = one_mix_harness();
+        let (mix, config) = (&harness.mixes[0], &harness.config);
+        let kept = harness.baseline[0]
+            .streams
+            .as_deref()
+            .expect("one mix fits");
+        let accesses: usize = kept.iter().map(|s| s.access_count()).sum();
+        // A budget one access short keeps no stream at all, and the baseline
+        // it runs live is the one it ran from streams.
+        let live = Baseline::run(
+            mix,
+            config,
+            harness.mode,
+            &harness.alone_ipc[0],
+            accesses - 1,
+        );
+        assert!(live.streams.is_none());
+        let exact = Baseline::run(mix, config, harness.mode, &harness.alone_ipc[0], accesses);
+        assert_eq!(exact.streams.map(|s| s.len()), Some(kept.len()));
+        let reference = &harness.baseline[0];
+        assert_eq!(live.per_core_ipc, reference.per_core_ipc);
+        assert_eq!(live.snapshot, reference.snapshot);
+        assert_eq!(live.calls, reference.calls);
+        // Its simulated tasks walk live too, and still match `run_mix`.
+        let mut harness = harness;
+        harness.baseline[0] = live;
+        let calls = harness.baseline[0].calls.as_deref().unwrap();
+        let last = calls.iter().rfind(|c| c.row != HookCall::REFRESH).unwrap();
+        let at = Some((last.bank_id(), last.row as usize, last.cycle));
+        let (_, span) = run_task_against_run_mix(&harness, || ActsAt::boxed(at));
         assert_eq!(span, "harness.sim_task");
     }
 
